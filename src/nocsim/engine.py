@@ -13,6 +13,35 @@ external contract (changing it is a breaking change):
 Identical (scenario, seed) pairs produce byte-identical traces: iteration
 is in sorted id order everywhere, and workload randomness comes from
 per-master generators seeded from the scenario seed alone.
+
+Each phase visits only the components that can act this cycle; a skipped
+visit is one that would have changed nothing:
+
+  1. a master sleeps after an offer that cannot change until something
+     happens at its NIU: no offer (it waits for a response or has no work
+     left) or a tag stall. Phase 5 wakes it when its NIU delivers a
+     response or its pending table shrinks;
+  2. an initiator NIU is visited while it has request flits to send;
+  3. a switch is stepped from its wake cycle on: the next cycle while a
+     head waits for a grant, else the earliest arrival on its inputs or
+     the cycle a streaming output's channel accepts a flit again. Inside a
+     step an idle output runs its grant scan only while a head that may
+     compete is routed to it;
+  4. and 5. an NIU is visited from its wake cycle on: the earliest arrival
+     on its receive channel, the next cycle while a target has responses
+     to send, or the cycle a local error response is queued.
+
+A send lowers the wake cycle of the switch or NIU that reads the channel,
+so wake state is arrival cycles and head counts, and the fabric stays
+unaware of transactions. The phase order, the sorted order inside each
+phase, the credits a switch returns reaching the switches stepped after it
+in the same cycle, and the per-cycle stall counters are unchanged. A switch with a
+lock-blocked head, or with a stream whose channel's pacing allows a send,
+is stepped every cycle; the credit stalls of a stream slept through are
+added at the switch's next step and at the end of the run, and a
+master's tag stall cycles slept through when it wakes. The run ends when
+every master is done and every initiator NIU idle, which is checked only
+for masters that issued or received something.
 """
 
 from __future__ import annotations
@@ -95,6 +124,45 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
     return None
 
 
+@dataclass(slots=True)
+class _MasterSlot:
+    """A master with its NIU and stats, and whether phase 1 may skip it.
+
+    A master sleeps after an offer that cannot change before something
+    happens at its NIU: ``offer()`` returned None (it waits for a response
+    or has no work left), or ``try_accept`` refused it for lack of a tag
+    (nothing frees a tag but a pending entry completing). Phase 5 wakes it
+    on a delivery or when its NIU's pending table shrinks. A tag stall
+    counts one stall cycle per cycle, so the cycles slept through are added
+    on waking.
+    """
+
+    mid: int
+    master: Master
+    niu: InitiatorNiu
+    stats: MasterStats
+    asleep: bool = False
+    stall_pending: int = -1  # pending entries at a tag stall; -1 if not stalled
+    stall_from: int = 0  # first cycle slept through after a tag stall
+
+    def stall(self, cycle: int) -> None:
+        """Count a tag stall in ``cycle`` and sleep from the next one."""
+        self.stats.tag_stall_cycles += 1
+        self.asleep = True
+        self.stall_pending = self.niu.pending.count
+        self.stall_from = cycle + 1
+
+    def wake(self, cycle: int) -> None:
+        """Wake for ``cycle``, counting the stalled cycles slept through."""
+        if self.stall_pending >= 0:
+            self.stats.tag_stall_cycles += cycle - self.stall_from
+            self.stall_pending = -1
+        self.asleep = False
+
+    def finished(self) -> bool:
+        return self.master.done() and self.niu.idle()
+
+
 class Engine:
     """Builds the runtime objects for one scenario and runs it to completion."""
 
@@ -172,6 +240,7 @@ class Engine:
                     PacketKind.RESPONSE,
                 )
                 niu.rx_resp = rx
+                rx.sink = niu
                 self.switches[sw].attach_output(PacketKind.RESPONSE, port, rx)
             elif at.niu_id in self.targets:
                 tgt = self.targets[at.niu_id]
@@ -180,6 +249,7 @@ class Engine:
                     PacketKind.REQUEST,
                 )
                 tgt.rx_req = rx
+                rx.sink = tgt
                 self.switches[sw].attach_output(PacketKind.REQUEST, port, rx)
                 tx = self._channel(
                     f"niu{at.niu_id}-sw{sw}p{port}.rsp", at.params, at.buffer_depth,
@@ -213,30 +283,37 @@ class Engine:
 
     # -- run loop -----------------------------------------------------------------
 
-    def _all_done(self) -> bool:
-        return all(m.done() for m in self.masters.values()) and all(
-            n.idle() for n in self.initiators.values()
-        )
-
     def run(self) -> RunResult:
         rec = self.recorder
         fabric_cb = rec.fabric_callback()
+        mode = self.mode
+        slots = [
+            _MasterSlot(mid, self.masters[mid], self.initiators[mid], self.master_stats[mid])
+            for mid in self._master_order
+        ]
+        switches = [self.switches[sid] for sid in self._switch_order]
+        targets = [(tid, self.targets[tid]) for tid in sorted(self.targets)]
+        # masters whose program or NIU still has work; shrinks only in
+        # phases 1 and 5, the only places a master or its NIU can finish
+        unfinished = {s.mid for s in slots if not s.finished()}
         cycle = 0
         max_cycles = self.scenario.run.max_cycles
-        while cycle < max_cycles:
-            if self._all_done():
-                break
-
+        while cycle < max_cycles and unfinished:
             # phase 1: masters
-            for mid in self._master_order:
-                master = self.masters[mid]
+            for slot in slots:
+                if slot.asleep:
+                    continue
+                master = slot.master
+                mid = slot.mid
                 offer = master.offer()
                 if offer is None:
+                    slot.asleep = True  # until a response is delivered to it
                     continue
                 request, wait = offer
-                entry = master.niu.try_accept(request, cycle)
+                niu = slot.niu
+                entry = niu.try_accept(request, cycle)
                 if entry is None:
-                    self.master_stats[mid].tag_stall_cycles += 1
+                    slot.stall(cycle)
                     if not master.stall_flagged:
                         master.stall_flagged = True
                         rec.event(
@@ -246,53 +323,70 @@ class Engine:
                         )
                     continue
                 master.accepted(entry, wait)
-                self.master_stats[mid].issued += 1
+                slot.stats.issued += 1
                 rec.event(
                     cycle, f"niu{mid}", REQ_ISSUED,
                     master=mid, key=entry.order_key.short(), tag=entry.tag,
                     op=request.opcode.name, address=request.address,
                 )
+                if slot.finished():
+                    unfinished.discard(mid)
 
             # phase 2: initiator NIUs inject request flits
-            for mid in self._master_order:
-                packet = self.initiators[mid].step_inject(cycle)
-                if packet is not None:
-                    rec.packet_marker(
-                        cycle, f"niu{mid}", PKT_INJECTED, packet.header_tuple()
-                    )
+            for slot in slots:
+                niu = slot.niu
+                if niu.current_flits or niu.inject_queue:
+                    packet = niu.step_inject(cycle)
+                    if packet is not None:
+                        rec.packet_marker(
+                            cycle, f"niu{slot.mid}", PKT_INJECTED, packet.header_tuple()
+                        )
 
             # phase 3: switches move flits
-            for sid in self._switch_order:
-                self.switches[sid].step(cycle, self.mode, fabric_cb)
+            for sw in switches:
+                if sw.wake_cycle <= cycle:
+                    sw.step(cycle, mode, fabric_cb)
 
             # phase 4: target NIUs execute requests and send response flits
-            for tid in sorted(self.targets):
-                handled = self.targets[tid].step(cycle)
-                for pkt in handled:
-                    rec.packet_marker(
-                        cycle, f"niu{tid}", PKT_DELIVERED, pkt.header_tuple()
-                    )
+            for tid, tgt in targets:
+                if tgt.wake_cycle <= cycle:
+                    handled = tgt.step(cycle)
+                    for pkt in handled:
+                        rec.packet_marker(
+                            cycle, f"niu{tid}", PKT_DELIVERED, pkt.header_tuple()
+                        )
 
             # phase 5: response path back to the sockets
-            for mid in self._master_order:
-                master = self.masters[mid]
-                emissions = self.initiators[mid].step_egress(cycle)
+            for slot in slots:
+                niu = slot.niu
+                if niu.wake_cycle > cycle:
+                    continue
+                mid = slot.mid
+                ms = slot.stats
+                master = slot.master
+                emissions = niu.step_egress(cycle)
                 for entry, response, visible in emissions:
                     if visible:
-                        self.master_stats[mid].completed += 1
-                        self.master_stats[mid].latencies.append(
-                            cycle - entry.issue_cycle
-                        )
+                        ms.completed += 1
+                        ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
                             cycle, f"niu{mid}", RESP_EMITTED,
                             master=mid, key=entry.order_key.short(), tag=entry.tag,
                             op=response.status.name, address=entry.request.address,
                         )
                     master.deliver(entry, response)
+                if slot.asleep and (emissions or niu.pending.count < slot.stall_pending):
+                    slot.wake(cycle + 1)
+                if emissions and slot.finished():
+                    unfinished.discard(mid)
 
             cycle += 1
 
-        timed_out = not self._all_done()
+        for slot in slots:
+            slot.wake(cycle)
+        for sw in switches:
+            sw.catch_up(cycle)
+        timed_out = bool(unfinished)
         stuck: list[str] = []
         if timed_out:
             stuck = self._stuck_report()

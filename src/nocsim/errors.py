@@ -31,7 +31,3 @@ class OrphanResponseError(NocSimError):
 
 class RaggedBeatError(NocSimError):
     """A byte sequence is not divisible into whole beats."""
-
-
-class SimTimeout(NocSimError):
-    """A run exceeded its cycle budget with transactions still in flight."""

@@ -302,10 +302,21 @@ class Assembly:
         return self.header[_HDR_LOCK]
 
 
-class ChannelStream:
-    """One directed flit pipe: credits, latency/rate pipeline, receive queue."""
+NEVER = 1 << 62  # wake cycle of a component that nothing can wake but a send
 
-    __slots__ = ("name", "params", "plane", "credits", "in_flight", "next_send", "flits_sent", "rx")
+
+class ChannelStream:
+    """One directed flit pipe: credits, latency/rate pipeline, receive queue.
+
+    ``sink`` is the switch or NIU that reads the channel. The engine steps
+    it only from its ``wake_cycle`` on, and a send lowers that cycle to the
+    flit's arrival.
+    """
+
+    __slots__ = (
+        "name", "params", "plane", "credits", "in_flight", "next_send",
+        "flits_sent", "rx", "sink",
+    )
 
     def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
         self.name = name
@@ -316,15 +327,25 @@ class ChannelStream:
         self.next_send = 0
         self.flits_sent = 0
         self.rx: deque[Assembly] = deque()
+        self.sink = None
 
     def can_send(self, cycle: int) -> bool:
         return cycle >= self.next_send and self.credits.can_send()
 
     def send(self, cycle: int, flit: Flit) -> None:
         self.credits.consume()
-        self.in_flight.append((cycle + 1 + self.params.latency, flit))
+        arrival = cycle + 1 + self.params.latency
+        self.in_flight.append((arrival, flit))
         self.next_send = cycle + self.params.rate_ratio
         self.flits_sent += 1
+        sink = self.sink
+        if sink is not None and arrival < sink.wake_cycle:
+            sink.wake_cycle = arrival
+
+    def next_arrival(self) -> int:
+        """Arrival cycle of the oldest flit in flight, or NEVER."""
+        q = self.in_flight
+        return q[0][0] if q else NEVER
 
     def deliver(self, cycle: int) -> None:
         """Move flits whose arrival cycle has come into the receive queue."""
@@ -442,10 +463,16 @@ def lock_release(state: ArbiterState, src: int, where: str = "") -> None:
 
 
 class OutPort:
-    """Per-(output port, plane) switch state: arbiter, lock, active stream."""
+    """Per-(output port, plane) switch state: arbiter, lock, active stream.
+
+    ``ready`` counts the heads routed here that may compete for a grant:
+    each sits at the front of an input's receive queue, is not granted yet,
+    and is whole if the transport mode is store-and-forward. An idle port
+    runs its grant scan only while the count is non-zero.
+    """
 
     __slots__ = (
-        "channel", "arbiter", "active_in", "active_asm",
+        "channel", "arbiter", "active_in", "active_asm", "ready",
         "grants_by_input", "lock_stall_cycles", "credit_stall_cycles",
     )
 
@@ -454,6 +481,7 @@ class OutPort:
         self.arbiter = ArbiterState(nports)
         self.active_in: Optional[int] = None
         self.active_asm: Optional[Assembly] = None
+        self.ready = 0
         self.grants_by_input: dict[int, int] = {}
         self.lock_stall_cycles = 0
         self.credit_stall_cycles = 0
@@ -463,12 +491,32 @@ class OutPort:
 # Switch
 # ---------------------------------------------------------------------------
 
+class _Plane:
+    """One plane of a switch: its ports by number and in scan order."""
+
+    __slots__ = ("kind", "in_by_port", "out_by_port", "inputs", "outputs")
+
+    def __init__(self, kind: PacketKind, in_by_port: dict, out_by_port: dict):
+        self.kind = kind
+        self.in_by_port = in_by_port
+        self.out_by_port = out_by_port
+        self.inputs = sorted(in_by_port.items())
+        self.outputs = sorted(out_by_port.items())
+
+
 class Switch:
-    """One fabric switch; stepped once per cycle by the engine.
+    """One fabric switch; the engine steps it in the cycles it can act in.
 
     Inputs and outputs are ChannelStream objects per (port, plane); a port
     with no connection simply has no channel. Event reporting goes through a
     recorder callback supplied by the engine.
+
+    ``wake_cycle`` is the first cycle in which a step can change anything:
+    the next cycle while a ready head waits for a grant (see OutPort), else
+    the earliest of the arrivals on its inputs and the cycles in which its
+    streaming outputs' channels accept a flit again. A send toward the
+    switch lowers it. A stream cannot send in a cycle slept through, so
+    each such cycle is one credit stall for it, which ``catch_up`` adds.
     """
 
     def __init__(self, switch_id: int, nports: int, table: RoutingTable):
@@ -483,11 +531,16 @@ class Switch:
             PacketKind.REQUEST: {},
             PacketKind.RESPONSE: {},
         }
+        self.streams = 0  # outputs in the middle of a packet
+        self.ready = 0  # ready heads, summed over the outputs
+        self.wake_cycle = 0
+        self.counted_to = -1  # stall counters are complete up to this cycle
         # flat iteration orders, rebuilt on attach; the per-cycle loop is hot
-        self._scan: list[tuple[PacketKind, list, list]] = []
+        self._planes: list[_Plane] = []
 
     def attach_input(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
         self.inputs[plane][port] = channel
+        channel.sink = self
         self._rebuild_scan()
 
     def attach_output(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
@@ -495,12 +548,8 @@ class Switch:
         self._rebuild_scan()
 
     def _rebuild_scan(self) -> None:
-        self._scan = [
-            (
-                plane,
-                sorted(self.inputs[plane].items()),
-                sorted(self.outputs[plane].items()),
-            )
+        self._planes = [
+            _Plane(plane, self.inputs[plane], self.outputs[plane])
             for plane in (PacketKind.REQUEST, PacketKind.RESPONSE)
         ]
 
@@ -508,25 +557,61 @@ class Switch:
         suffix = "" if plane is PacketKind.REQUEST else ".rsp"
         return f"sw{self.switch_id}.out{port}{suffix}"
 
+    def catch_up(self, cycle: int) -> None:
+        """Count the stalls of the streams slept through before ``cycle``."""
+        skipped = cycle - 1 - self.counted_to
+        if skipped > 0 and self.streams:
+            for pl in self._planes:
+                for _, out in pl.outputs:
+                    if out.active_asm is not None:
+                        out.credit_stall_cycles += skipped
+        self.counted_to = cycle - 1
+
     def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None) -> None:
         saf = mode is TransportMode.STORE_AND_FORWARD
-        for plane, in_list, out_list in self._scan:
-            for _, ch in in_list:
-                if ch.in_flight:
+        if cycle - 1 > self.counted_to:
+            self.catch_up(cycle)
+        self.counted_to = cycle
+        self.wake_cycle = wake = NEVER  # sends during this step may lower it
+        for pl in self._planes:
+            for _, ch in pl.inputs:
+                q = ch.in_flight
+                if not q:
+                    continue
+                if q[0][0] <= cycle:
+                    rx = ch.rx
+                    no_head = not rx or (saf and not rx[0].complete)
                     ch.deliver(cycle)
-            for port, out in out_list:
+                    if no_head and (not saf or rx[0].complete):
+                        self._head_ready(pl, rx[0])
+                    if not q:
+                        continue
+                if q[0][0] < wake:
+                    wake = q[0][0]
+            for port, out in pl.outputs:
                 if out.active_asm is not None:
-                    self._continue_stream(cycle, plane, port, out, recorder)
-                else:
-                    self._try_grant(cycle, plane, port, out, in_list, saf, recorder)
+                    self._continue_stream(cycle, pl, port, out, saf, recorder)
+                elif out.ready:
+                    self._try_grant(cycle, pl, port, out, saf, recorder)
+                if out.active_asm is not None:
+                    resume = max(cycle + 1, out.channel.next_send)
+                    if resume < wake:
+                        wake = resume
+        if self.ready:
+            wake = cycle + 1
+        if wake < self.wake_cycle:
+            self.wake_cycle = wake
 
     # -- grant ---------------------------------------------------------------
 
-    def _try_grant(self, cycle, plane, port, out: OutPort,
-                   in_list, saf: bool, recorder) -> None:
+    def _head_ready(self, pl: _Plane, asm: Assembly) -> None:
+        pl.out_by_port[self.table.ports[self.switch_id][asm.target_id]].ready += 1
+        self.ready += 1
+
+    def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder) -> None:
         candidates = None
         routes = self.table.ports[self.switch_id]
-        for in_port, ch in in_list:
+        for in_port, ch in pl.inputs:
             rx = ch.rx
             if not rx:
                 continue
@@ -544,19 +629,23 @@ class Switch:
         if winner is None:
             out.lock_stall_cycles += 1
             return
-        asm = self.inputs[plane][winner].rx[0]
+        asm = pl.in_by_port[winner].rx[0]
+        out.ready -= 1
+        self.ready -= 1
+        self.streams += 1
         out.active_in = winner
         out.active_asm = asm
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
-        if plane is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_ACQUIRE:
+        if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_ACQUIRE:
             lock_capture(out.arbiter, asm.src)
             if recorder is not None:
-                recorder("LOCK_SET", self.port_site(plane, port), asm.header, cycle)
-        self._continue_stream(cycle, plane, port, out, recorder)
+                recorder("LOCK_SET", self.port_site(pl.kind, port), asm.header, cycle)
+        self._continue_stream(cycle, pl, port, out, saf, recorder)
 
     # -- streaming -----------------------------------------------------------
 
-    def _continue_stream(self, cycle, plane, port, out: OutPort, recorder) -> None:
+    def _continue_stream(self, cycle, pl: _Plane, port, out: OutPort, saf: bool,
+                         recorder) -> None:
         asm = out.active_asm
         ch = out.channel
         if not ch.can_send(cycle):
@@ -566,10 +655,10 @@ class Switch:
         if flit is None:
             return  # wormhole: payload bytes not yet arrived
         ch.send(cycle, flit)
-        in_ch = self.inputs[plane][out.active_in]
+        in_ch = pl.in_by_port[out.active_in]
         in_ch.release_forwarded(asm)
         if flit.is_tail:
-            self._finish_stream(cycle, plane, port, out, in_ch, recorder)
+            self._finish_stream(cycle, pl, port, out, in_ch, saf, recorder)
 
     @staticmethod
     def _next_flit(asm: Assembly, width: int) -> Optional[Flit]:
@@ -591,16 +680,22 @@ class Switch:
             return Flit(FlitKind.BODY, data=data)
         return None  # partial slice buffered; wait for more bytes or the tail
 
-    def _finish_stream(self, cycle, plane, port, out: OutPort,
-                       in_ch: ChannelStream, recorder) -> None:
+    def _finish_stream(self, cycle, pl: _Plane, port, out: OutPort,
+                       in_ch: ChannelStream, saf: bool, recorder) -> None:
         asm = out.active_asm
-        popped = in_ch.rx.popleft()
+        rx = in_ch.rx
+        popped = rx.popleft()
         assert popped is asm and not asm.unreleased
+        self.streams -= 1
+        # the next packet's head is exposed to later ports in this same step
+        if rx and (not saf or rx[0].complete):
+            self._head_ready(pl, rx[0])
         out.active_in = None
         out.active_asm = None
-        if plane is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_RELEASE:
+        site = self.port_site(pl.kind, port)
+        if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_RELEASE:
             lock_release(out.arbiter, asm.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:
-                recorder("LOCK_CLEARED", self.port_site(plane, port), asm.header, cycle)
+                recorder("LOCK_CLEARED", site, asm.header, cycle)
         if recorder is not None:
-            recorder("PKT_DELIVERED", self.port_site(plane, port), asm.header, cycle)
+            recorder("PKT_DELIVERED", site, asm.header, cycle)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .errors import FramingError
+from .errors import FramingError, ScenarioError
 from .packet import Packet
 
 
@@ -51,7 +51,7 @@ class LinkParams:
 
     def validate(self) -> None:
         if self.flit_payload_width < 1 or self.latency < 1 or self.rate_ratio < 1:
-            raise ValueError(f"link parameters must all be >= 1: {self}")
+            raise ScenarioError(f"link parameters must all be >= 1: {self}")
 
 
 def flit_count(payload_bytes: int, width: int) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     RaggedBeatError,
     ScenarioError,
 )
-from .fabric import ChannelStream
+from .fabric import NEVER, ChannelStream
 from .link import serialize, packet_from_header
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from .transaction import (
@@ -426,11 +426,8 @@ class InitiatorNiu:
         # wired by the engine
         self.tx_req: Optional[ChannelStream] = None
         self.rx_resp: Optional[ChannelStream] = None
-        # stats
-        self.tag_stall_cycles = 0
-        self.packets_injected = 0
-        self.accepted = 0
-        self.completed = 0
+        # first cycle in which step_egress can act; rx_resp sends lower it
+        self.wake_cycle = 0
 
     # -- socket side ----------------------------------------------------------
 
@@ -535,7 +532,6 @@ class InitiatorNiu:
                     frag_last=(i == last),
                 )
             )
-        self.accepted += 1
         return entry
 
     def _local_error(self, req: TransactionRequest, cycle: int, status: Status) -> PendingEntry:
@@ -549,13 +545,14 @@ class InitiatorNiu:
             frags_expected=0,
         )
         self.next_seq += 1
-        self.accepted += 1
         if needs_response(req.opcode):
             self.gate.register(entry.seq, req.order_key)
             data = bytes(req.byte_length) if req.opcode.is_load else b""
             response = TransactionResponse(req.master_id, req.order_key, status, data)
             released = self.gate.complete(entry.seq, req.order_key, (entry, response))
-            self.emit_buffer.extend(payload for _, payload in released)
+            if released:
+                self.emit_buffer.extend(payload for _, payload in released)
+                self.wake_cycle = min(self.wake_cycle, cycle)
         return entry
 
     # -- fabric side ------------------------------------------------------------
@@ -573,7 +570,6 @@ class InitiatorNiu:
         flit = self.current_flits.popleft()
         self.tx_req.send(cycle, flit)
         if flit.is_head:
-            self.packets_injected += 1
             return self._current_packet
         return None
 
@@ -610,7 +606,6 @@ class InitiatorNiu:
                 raw, req.beat_size, FABRIC_ENDIANNESS, self.config.endianness
             )
         response = TransactionResponse(req.master_id, req.order_key, status, data)
-        self.completed += 1
         return entry, response
 
     def step_egress(self, cycle: int) -> list[tuple[PendingEntry, TransactionResponse, bool]]:
@@ -635,6 +630,7 @@ class InitiatorNiu:
         if self.emit_buffer:
             emissions.extend((e, r, True) for e, r in self.emit_buffer)
             self.emit_buffer.clear()
+        self.wake_cycle = self.rx_resp.next_arrival()
         return emissions
 
     def idle(self) -> bool:
@@ -680,7 +676,8 @@ class TargetNiu:
         # wired by the engine
         self.rx_req: Optional[ChannelStream] = None
         self.tx_resp: Optional[ChannelStream] = None
-        self.requests_handled = 0
+        # first cycle in which step can act; rx_req sends lower it
+        self.wake_cycle = 0
         # monitor_event(cycle, kind, owner, actor, opcode, granule)
         self.monitor_event = monitor_event
 
@@ -717,7 +714,6 @@ class TargetNiu:
                 self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, granule)
 
         user_bits = USER_BIT_EXCLUSIVE if status in (Status.EXOKAY, Status.EXFAIL) else 0
-        self.requests_handled += 1
         return Packet(
             dest=PacketDest(pkt.src, 0),
             src=pkt.src,
@@ -757,6 +753,10 @@ class TargetNiu:
             )
         if self.current_flits and self.tx_resp.can_send(cycle):
             self.tx_resp.send(cycle, self.current_flits.popleft())
+        wake = self.rx_req.next_arrival()
+        if self.current_flits or self.response_queue:
+            wake = min(wake, max(cycle + 1, self.tx_resp.next_send))
+        self.wake_cycle = wake
         return handled
 
     def idle(self) -> bool:

@@ -244,6 +244,36 @@ _MODES = {
 _ENDIAN = {"little": Endianness.LITTLE, "big": Endianness.BIG}
 
 
+_LINK_KEYS = {"width", "latency", "rate_ratio", "buffer_depth"}
+_NIU_KEYS = {"id", "role", "attach", "link"}
+_ROLE_KEYS = {
+    "target": _NIU_KEYS | {"region", "memory", "monitor_granule"},
+    "initiator": _NIU_KEYS | {
+        "family", "tag_policy", "capacity", "max_payload", "endianness", "priority",
+    },
+}
+_PROGRAM_KEYS = {
+    "random": {
+        "kind", "transactions", "op_mix", "address_ranges", "burst_lens",
+        "beat_sizes", "threads", "txn_ids", "max_bytes",
+    },
+    "exclusive_loop": {"kind", "counter", "iterations"},
+    "lock_loop": {"kind", "counter", "iterations"},
+    "script": {"kind", "steps"},
+}
+_STEP_KEYS = {"op", "addr", "data", "beats", "beat_size", "thread", "tid", "channel", "wait"}
+
+
+def _check_keys(d, allowed: set, where: str) -> None:
+    """Reject a mapping with keys the format does not define, so a typo
+    cannot silently fall back to a default."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"malformed scenario: {where} must be a mapping")
+    unknown = sorted(str(k) for k in d if k not in allowed)
+    if unknown:
+        raise ScenarioError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
 def _opcode(name: str) -> Opcode:
     try:
         return Opcode[name.upper()]
@@ -262,10 +292,11 @@ def _link_params(d: dict) -> LinkParams:
 def _tag_policy(spec) -> TagPolicy:
     if spec == "single":
         return TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
-    if isinstance(spec, dict) and "per_stream" in spec:
-        return TagPolicy(TagPolicyKind.PER_STREAM, streams=int(spec["per_stream"]))
-    if isinstance(spec, dict) and "pooled" in spec:
-        return TagPolicy(TagPolicyKind.POOLED, capacity=int(spec["pooled"]))
+    if isinstance(spec, dict) and len(spec) == 1:
+        if "per_stream" in spec:
+            return TagPolicy(TagPolicyKind.PER_STREAM, streams=int(spec["per_stream"]))
+        if "pooled" in spec:
+            return TagPolicy(TagPolicyKind.POOLED, capacity=int(spec["pooled"]))
     raise ScenarioError(f"unknown tag policy {spec!r}")
 
 
@@ -285,6 +316,8 @@ def _order_key(family: SocketFamily, step: dict, opcode: Opcode) -> SocketOrderK
 
 def _program(d: dict, family: SocketFamily, master_id: int) -> Program:
     kind = d.get("kind")
+    if kind in _PROGRAM_KEYS:
+        _check_keys(d, _PROGRAM_KEYS[kind], f"{kind} program of master {master_id}")
     if kind == "random":
         mix = {_opcode(k): float(v) for k, v in d["op_mix"].items()}
         return RandomProgram(
@@ -303,7 +336,8 @@ def _program(d: dict, family: SocketFamily, master_id: int) -> Program:
         return LockLoopProgram(int(d["counter"]), int(d["iterations"]))
     if kind == "script":
         steps = []
-        for s in d["steps"]:
+        for i, s in enumerate(d["steps"]):
+            _check_keys(s, _STEP_KEYS, f"script step {i} of master {master_id}")
             opcode = _opcode(s["op"])
             data = bytes.fromhex(s["data"]) if "data" in s else b""
             req = TransactionRequest(
@@ -323,12 +357,16 @@ def _program(d: dict, family: SocketFamily, master_id: int) -> Program:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
+        _check_keys(doc, {"run", "topology", "nius", "workload"}, "the scenario")
         topo_doc = doc["topology"]
-        switches = [
-            SwitchSpec(int(s["id"]), int(s["ports"])) for s in topo_doc["switches"]
-        ]
+        _check_keys(topo_doc, {"switches", "links", "routing"}, "topology")
+        switches = []
+        for s in topo_doc["switches"]:
+            _check_keys(s, {"id", "ports"}, "a switch")
+            switches.append(SwitchSpec(int(s["id"]), int(s["ports"])))
         links = []
         for ln in topo_doc.get("links", []):
+            _check_keys(ln, _LINK_KEYS | {"a", "b"}, "a link")
             links.append(
                 LinkSpec(
                     a_switch=int(ln["a"][0]),
@@ -344,7 +382,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         masters = []
         for n in doc["nius"]:
             niu_id = int(n["id"])
+            if n["role"] in _ROLE_KEYS:
+                _check_keys(n, _ROLE_KEYS[n["role"]], f"NIU {niu_id}")
             link_doc = n.get("link", {})
+            _check_keys(link_doc, _LINK_KEYS, f"the link of NIU {niu_id}")
             attachments.append(
                 AttachmentSpec(
                     niu_id=niu_id,
@@ -392,6 +433,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
         programs: dict[int, Program] = {}
         for w in doc.get("workload", []):
+            _check_keys(w, {"master", "program"}, "a workload entry")
             mid = int(w["master"])
             config = dict(masters).get(mid)
             if config is None:
@@ -405,6 +447,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             master_specs.append(MasterSpec(niu=config, program=programs[mid]))
 
         run_doc = doc.get("run", {})
+        _check_keys(run_doc, {"mode", "seed", "max_cycles", "trace_level"}, "run")
         mode_name = run_doc.get("mode", "wormhole")
         if mode_name not in _MODES:
             raise ScenarioError(f"unknown transport mode {mode_name!r}")
@@ -416,7 +459,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
     scenario = Scenario(

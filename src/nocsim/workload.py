@@ -36,12 +36,15 @@ class Master:
         self.niu = niu
         self.waiting_seq: Optional[int] = None
         self.stall_flagged = False
-        self.issued = 0
 
     # subclass interface ------------------------------------------------------
 
     def next_request(self) -> Optional[tuple[TransactionRequest, bool]]:
-        """The transaction to offer now (request, wait_for_response), or None."""
+        """The transaction to offer now (request, wait_for_response), or None.
+
+        The answer may change only after ``consume`` or ``on_response``; the
+        engine stops asking a master that said None until a response comes.
+        """
         raise NotImplementedError
 
     def consume(self) -> None:
@@ -64,7 +67,6 @@ class Master:
 
     def accepted(self, entry: PendingEntry, wait: bool) -> None:
         self.stall_flagged = False
-        self.issued += 1
         if wait:
             self.waiting_seq = entry.seq
         self.consume()

@@ -109,3 +109,29 @@ def test_run_mode_and_seed_overrides(tmp_path):
     assert main(["run", BASIC, "--mode", "store_and_forward", "--seed", "9",
                  "--out", str(out_b)]) == 0
     assert (out_a / "trace.csv").read_text() == (out_b / "trace.csv").read_text()
+
+
+def _edited(tmp_path, old, new):
+    text = Path(BASIC).read_text()
+    assert old in text
+    path = tmp_path / "edited.yaml"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_run_zero_link_width_exit_one(tmp_path, capsys):
+    assert main(["run", _edited(tmp_path, "width: 4", "width: 0")]) == 1
+    err = capsys.readouterr().err
+    assert "link parameters" in err and "Traceback" not in err
+
+
+def test_compare_links_zero_width_exit_one(capsys):
+    assert main(["compare-links", BASIC, "--widths", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "link parameters" in err and "Traceback" not in err
+
+
+def test_run_unknown_key_exit_one_names_it(tmp_path, capsys):
+    assert main(["run", _edited(tmp_path, "burst_lens:", "burst_len:")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'burst_len'" in err and "Traceback" not in err

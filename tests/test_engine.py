@@ -9,9 +9,9 @@ from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
 from nocsim.engine import Engine, run
-from nocsim.fabric import TransportMode
+from nocsim.fabric import Switch, TransportMode
 from nocsim.link import LinkParams
-from nocsim.niu import SocketFamily
+from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
 from nocsim.scenario import random_scenario
 from nocsim.trace import (
@@ -271,3 +271,33 @@ def test_engine_rejects_invalid_scenario():
     bad.masters[0].niu.priority = 12
     with pytest.raises(nocsim.ScenarioError):
         Engine(bad)
+
+
+def test_posted_decode_miss_as_last_step_ends_run():
+    steps = [(req(0, Opcode.STORE_POSTED, 0x8000, data=b"\x00" * 4), False)]
+    result = run(line_scenario(programs=[steps]))
+    assert not result.timed_out
+    assert result.stats.cycles == 1
+
+
+@pytest.mark.parametrize("mode", list(TransportMode))
+def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
+    # Runs cut off at consecutive cycles end in the cycles a switch sleeps
+    # through, where its streams' credit stalls are still to be added.
+    base = random_scenario(3, total_transactions=60).with_mode(mode)
+    base = base.with_link_params(LinkParams(4, 3, 2))
+
+    def outputs():
+        out = []
+        for max_cycles in [*range(240, 256), base.run.max_cycles]:
+            scenario = copy.deepcopy(base)
+            scenario.run.max_cycles = max_cycles
+            result = run(scenario)
+            out.append((result.trace.to_csv(), result.stats.to_text()))
+        return out
+
+    woken = outputs()
+    always = property(lambda self: 0, lambda self, value: None)
+    for cls in (Switch, InitiatorNiu, TargetNiu):
+        monkeypatch.setattr(cls, "wake_cycle", always, raising=False)
+    assert outputs() == woken

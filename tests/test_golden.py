@@ -38,7 +38,16 @@ def _cases() -> dict:
             .with_mode(m)
             .with_link_params(SLOW_LINK)
         )
+    for seed in range(2):  # cut off mid-run, with packets still streaming
+        cases[f"slow-{seed}-cut"] = lambda s=seed: _cut(
+            random_scenario(s, trace_level="full").with_link_params(SLOW_LINK), 600
+        )
     return cases
+
+
+def _cut(scenario, max_cycles: int):
+    scenario.run.max_cycles = max_cycles
+    return scenario
 
 
 CASES = _cases()
@@ -100,7 +109,9 @@ GOLDEN = {
     "random-9-saf": "4a6f34f1bebf246d974c58867896fd7561348c7fdd65a090f9828a34cfec08e7",
     "random-9-wormhole": "627381c2e2a62828530b9d4eeb0d4964c027bdb6b042f3f98587989752393623",
     "slow-0": "29436763797b94892f3912652b1b91fc322738b9cdc74141c6ece3b96e343b12",
+    "slow-0-cut": "f7bb5e5ced42843b8813c9c5790deefe226b3ba2068c2094015d89fb3a3a6b47",
     "slow-1": "447e560e1fac4391b59308bd5215b81fbf7bb711046d354e9ace6d9b2330f8b9",
+    "slow-1-cut": "01fed158b63b986c00d943e55d663bb0105f3fefc1d7eee2698fb1bd11773ef2",
     "slow-2": "e7abb6d1146dff8ea11d9b86679d97bb9c55db08917760dadb623a7f1af8fc12",
     "slow-3": "636adb9bfc73dfc3b391293dfcd1072f907c2d5b9a10ebca19f3e71f2fd262b4",
 }
