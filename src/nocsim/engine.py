@@ -126,15 +126,11 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
 
 @dataclass(slots=True)
 class _MasterSlot:
-    """A master with its NIU and stats, and whether phase 1 may skip it.
+    """A master with its NIU and stats, and whether phase 1 skips it.
 
-    A master sleeps after an offer that cannot change before something
-    happens at its NIU: ``offer()`` returned None (it waits for a response
-    or has no work left), or ``try_accept`` refused it for lack of a tag
-    (nothing frees a tag but a pending entry completing). Phase 5 wakes it
-    on a delivery or when its NIU's pending table shrinks. A tag stall
-    counts one stall cycle per cycle, so the cycles slept through are added
-    on waking.
+    The module docstring says when a master sleeps and wakes. A tag stall
+    counts once per cycle, so the cycles slept through after one are added
+    on waking; nothing frees a tag but a pending entry completing.
     """
 
     mid: int
