@@ -15,13 +15,16 @@ is in sorted id order everywhere, and workload randomness comes from
 per-master generators seeded from the scenario seed alone.
 
 Each phase visits only the components that can act this cycle; a skipped
-visit is one that would have changed nothing:
+visit could not have moved a flit, a packet or a transaction, and the
+stall counters it would have bumped are added in bulk (see below):
 
-  1. a master sleeps after an offer that cannot change until something
-     happens at its NIU: no offer (it waits for a response or has no work
-     left) or a tag stall. Phase 5 wakes it when its NIU delivers a
-     response or its pending table shrinks;
-  2. an initiator NIU is visited while it has request flits to send;
+  1. a master sleeps while its offer cannot change until something
+     happens at its NIU: after issuing a request it waits for, after
+     offering nothing (it waits for a response or has no work left) and
+     after a tag stall. Phase 5 wakes it when its NIU delivers a response
+     or its pending table shrinks;
+  2. an initiator NIU is visited while it has request flits to send and
+     its channel can take one;
   3. a switch is stepped from its wake cycle on: the next cycle while a
      head waits for a grant, else the earliest arrival on its inputs or
      the cycle a streaming output's channel accepts a flit again. Inside a
@@ -319,6 +322,7 @@ class Engine:
                         )
                     continue
                 master.accepted(entry, wait)
+                slot.asleep = wait  # a waiting master offers nothing until delivery
                 slot.stats.issued += 1
                 rec.event(
                     cycle, f"niu{mid}", REQ_ISSUED,
@@ -331,7 +335,7 @@ class Engine:
             # phase 2: initiator NIUs inject request flits
             for slot in slots:
                 niu = slot.niu
-                if niu.current_flits or niu.inject_queue:
+                if (niu.current_flits or niu.inject_queue) and niu.tx_req.can_send(cycle):
                     packet = niu.step_inject(cycle)
                     if packet is not None:
                         rec.packet_marker(

@@ -531,7 +531,6 @@ class Switch:
             PacketKind.REQUEST: {},
             PacketKind.RESPONSE: {},
         }
-        self.streams = 0  # outputs in the middle of a packet
         self.ready = 0  # ready heads, summed over the outputs
         self.wake_cycle = 0
         self.counted_to = -1  # stall counters are complete up to this cycle
@@ -560,7 +559,7 @@ class Switch:
     def catch_up(self, cycle: int) -> None:
         """Count the stalls of the streams slept through before ``cycle``."""
         skipped = cycle - 1 - self.counted_to
-        if skipped > 0 and self.streams:
+        if skipped > 0:
             for pl in self._planes:
                 for _, out in pl.outputs:
                     if out.active_asm is not None:
@@ -632,7 +631,6 @@ class Switch:
         asm = pl.in_by_port[winner].rx[0]
         out.ready -= 1
         self.ready -= 1
-        self.streams += 1
         out.active_in = winner
         out.active_asm = asm
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
@@ -686,7 +684,6 @@ class Switch:
         rx = in_ch.rx
         popped = rx.popleft()
         assert popped is asm and not asm.unreleased
-        self.streams -= 1
         # the next packet's head is exposed to later ports in this same step
         if rx and (not saf or rx[0].complete):
             self._head_ready(pl, rx[0])
