@@ -1,12 +1,19 @@
 """Golden digests: byte-identical output across commits.
 
 Each case hashes ``trace.csv`` + ``stats.txt`` + the stuck list of one run
-and compares it with a digest committed here. A change that means to alter
-simulated behaviour regenerates the table with
+and compares it with a digest in ``GOLDEN``. The same run also pins the
+post-run audit: the sha256 of ``check_invariants`` output, one violation per
+line, is compared with ``GOLDEN_AUDIT``. A change that means to alter
+simulated behaviour or audit output regenerates the tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so; every other change must leave it untouched.
+and says so; every other change must leave them untouched.
+
+``GOLDEN_AUDIT`` deliberately pins today's false "live twice" tag-liveness
+reports on pooled multi-stream masters at packet/full trace level (see
+``_check_tag_liveness``). The change that fixes them regenerates that table
+on purpose.
 """
 
 import hashlib
@@ -14,7 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from nocsim import Engine, LinkParams, TransportMode, load_scenario, random_scenario
+from nocsim import (
+    Engine,
+    LinkParams,
+    TransportMode,
+    check_invariants,
+    load_scenario,
+    random_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SLOW_LINK = LinkParams(flit_payload_width=4, latency=3, rate_ratio=2)
@@ -53,13 +67,16 @@ def _cut(scenario, max_cycles: int):
 CASES = _cases()
 
 
-def digest(case: str) -> str:
-    result = Engine(CASES[case]()).run()
+def digests(case: str) -> tuple[str, str]:
+    """(run digest, audit digest) of one run of the case."""
+    scenario = CASES[case]()
+    result = Engine(scenario).run()
     h = hashlib.sha256()
     h.update(result.trace.to_csv().encode())
     h.update(result.stats.to_text().encode())
     h.update("\n".join(result.stuck).encode())
-    return h.hexdigest()
+    audit = "\n".join(check_invariants(result.trace, scenario, result.stats))
+    return h.hexdigest(), hashlib.sha256(audit.encode()).hexdigest()
 
 
 GOLDEN = {
@@ -116,12 +133,72 @@ GOLDEN = {
     "slow-3": "636adb9bfc73dfc3b391293dfcd1072f907c2d5b9a10ebca19f3e71f2fd262b4",
 }
 
+GOLDEN_AUDIT = {
+    "file-basic_line": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "file-exclusive_loop": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "file-lock_deadlock": "d06351ed24d06763b7b2b26b2c10adcee5bbf9e112878738a21b98b34260a46e",
+    "file-lock_loop": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "file-qos_contention": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-0-saf": "3f4e58932a7c2432fda8d890675035365d922dcba3573c2367aecb6524e25c36",
+    "random-0-wormhole": "1bca19e6fc428d6ca92db969fa6f069f8e75748cc66de1cf32cc68cc8c404616",
+    "random-1-saf": "b39b8c8bafebdd4f42189cc8cad9bc441538d3a73e1172fbd3a8fc0c16541947",
+    "random-1-wormhole": "fca3a9a51f57fd10f9d83e488de478ae13ea416a570970fcd10347e2268e6db4",
+    "random-10-saf": "183c7b17b53a60fbe2d70efe74b263f514504aa39f5694cb4d29111a41356e55",
+    "random-10-wormhole": "4d453df8a5e5b2de1ed9bf44d6be9f9c8d16c1095b4f93da7fd7c13126873b5f",
+    "random-11-saf": "863d4226f4eb646b30b9536aa54539c9b6736ec437367f4a2283875eb4d4ea62",
+    "random-11-wormhole": "1186e528db506215ed9d6f3ea9f3b9b96b25436d740edc8cb5df17a62c71d3b5",
+    "random-12-saf": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-12-wormhole": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-13-saf": "f586a2f252e219e5f1bc5cbcd21bdd83f0cd7a0550d5e9097ccfe799126933cd",
+    "random-13-wormhole": "62c6a27b4657f9e133f35b6487d34916278f5585a2e571c6a77d197b8a3b36f1",
+    "random-14-saf": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-14-wormhole": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-15-saf": "e6c42d685b2e5336518d860e72a757cd2700214f0f5012677c20f38dfb8b28ad",
+    "random-15-wormhole": "e6c42d685b2e5336518d860e72a757cd2700214f0f5012677c20f38dfb8b28ad",
+    "random-16-saf": "3ef7cfaa84510fbad831df9136838a38336d08fc16fab01346fb678e8b883b28",
+    "random-16-wormhole": "3ef7cfaa84510fbad831df9136838a38336d08fc16fab01346fb678e8b883b28",
+    "random-17-saf": "1e0aaceaef4bac7f119b2bf0bcadfcda1b648909f4065763ccf982e7a65a047b",
+    "random-17-wormhole": "1e0aaceaef4bac7f119b2bf0bcadfcda1b648909f4065763ccf982e7a65a047b",
+    "random-18-saf": "d7b2c56b072725ad14fa416387fee18c4bd7d7c435d99a52b9a923a7725385e5",
+    "random-18-wormhole": "d7b2c56b072725ad14fa416387fee18c4bd7d7c435d99a52b9a923a7725385e5",
+    "random-19-saf": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-19-wormhole": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-2-saf": "98ff830285d9e6d6fb0f97565ccbf002643ee5b8cefd56febd044d05ec456d76",
+    "random-2-wormhole": "1d36eebac2d6ff1b5f6803e414551e4708d559495cbd0b9910700ac643c1cbcd",
+    "random-3-saf": "425fcbf070dca84a57d1453e7021c11db1874ee1627b27b6e74b856680e4c591",
+    "random-3-wormhole": "425fcbf070dca84a57d1453e7021c11db1874ee1627b27b6e74b856680e4c591",
+    "random-4-saf": "940fd285c47482928a19ec9cb57dd24afb1b3dd0c848b9f0513115a533e3b8a7",
+    "random-4-wormhole": "370f1a79bc2737a1a914802b22251991e581f573fdf16f0079018aa8a5754dd3",
+    "random-5-saf": "4cd0b0c0ced561d582613b662dd928c2a0f7534f20957cbe8c5039dbef05a52b",
+    "random-5-wormhole": "4cd0b0c0ced561d582613b662dd928c2a0f7534f20957cbe8c5039dbef05a52b",
+    "random-6-saf": "24bd44c413f3ac41dd0f709f1742ac7174db195dfa2f7c51eee7a8605c8720f2",
+    "random-6-wormhole": "d1affa3af18815cd9aa1a9b0426293a73bb61dfad0f6455d9ff0208b62aa4d6a",
+    "random-7-saf": "a999a318286c641609b66d651c543ed0d848640524caf39eb3c2c62976dc8e39",
+    "random-7-wormhole": "a999a318286c641609b66d651c543ed0d848640524caf39eb3c2c62976dc8e39",
+    "random-8-saf": "d71418bafcbde44ed926b3b7f53bc4897dddaded97af95437472023b12a52020",
+    "random-8-wormhole": "d71418bafcbde44ed926b3b7f53bc4897dddaded97af95437472023b12a52020",
+    "random-9-saf": "7cff2a9d2a85cc01c29daf1eb5a3b769f4dc45647b72e4cbfefa7f52310efdc6",
+    "random-9-wormhole": "b62013dad77e5d509c61dec0ecbb05df6b23d5a6f699a85347297dc289d7108f",
+    "slow-0": "37e36826afc17a7ae83505ec1f29a5b653376da0b3c72cad315031debbab5aaa",
+    "slow-0-cut": "7db93921d2ab9e9aa80ccd81ea38f9b57788057edb03bfdfd6179b6eb646ddf4",
+    "slow-1": "c658ca7abd4a14cadb19403579b51070b7f1e9f4bd4fe1ef37e9f80c8b654e63",
+    "slow-1-cut": "2ce156c093a87896e0a3fc36daa54da27362c430d7bb499b57936f5daa61a3ae",
+    "slow-2": "d2105851d322daeb2f34b9cb507503aef9927e14582c42f7b79db9ecfe633f1a",
+    "slow-3": "425fcbf070dca84a57d1453e7021c11db1874ee1627b27b6e74b856680e4c591",
+}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(case):
-    assert digest(case) == GOLDEN[case]
+    run_digest, audit_digest = digests(case)
+    assert run_digest == GOLDEN[case]
+    assert audit_digest == GOLDEN_AUDIT[case], "check_invariants output changed"
 
 
 if __name__ == "__main__":
-    for name in sorted(CASES):
-        print(f'    "{name}": "{digest(name)}",')
+    table = {name: digests(name) for name in sorted(CASES)}
+    for title, which in (("GOLDEN", 0), ("GOLDEN_AUDIT", 1)):
+        print(f"{title} = {{")
+        for name, pair in table.items():
+            print(f'    "{name}": "{pair[which]}",')
+        print("}")
