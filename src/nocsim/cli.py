@@ -134,11 +134,20 @@ def cmd_compare_modes(args) -> int:
     return EXIT_OK
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ScenarioError(
+            f"{flag} takes comma-separated integers, got {text!r}"
+        ) from None
+
+
 def cmd_compare_links(args) -> int:
     scenario = _apply_overrides(_load(args.scenario), args)
-    widths = [int(x) for x in args.widths.split(",")]
-    latencies = [int(x) for x in args.latencies.split(",")]
-    ratios = [int(x) for x in args.ratios.split(",")]
+    widths = _int_list("--widths", args.widths)
+    latencies = _int_list("--latencies", args.latencies)
+    ratios = _int_list("--ratios", args.ratios)
     baseline = None
     for width in widths:
         for latency in latencies:

@@ -758,6 +758,3 @@ class TargetNiu:
             wake = min(wake, max(cycle + 1, self.tx_resp.next_send))
         self.wake_cycle = wake
         return handled
-
-    def idle(self) -> bool:
-        return not self.response_queue and not self.current_flits

@@ -144,3 +144,67 @@ def bfs_distances(adjacency: dict[int, list[int]], start: int) -> dict[int, int]
                     nxt.append(other)
         frontier = nxt
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Post-run audit references (quadratic, by definition)
+# ---------------------------------------------------------------------------
+
+def tag_liveness_reference(events) -> list[str]:
+    """Tag-liveness audit straight from its definition.
+
+    Windows run from a REQ_ISSUED to the RESP_EMITTED matched to it in issue
+    order per (master, stream), or to the end of the trace; every packet
+    event is checked against every window of its (master, tag).
+    """
+    if not any(ev.kind in ("PKT_INJECTED", "PKT_DELIVERED") for ev in events):
+        return []
+    windows = {}  # (master, tag) -> [[start, end, key], ...]
+    pending = {}  # (master, key) -> [(tag, start), ...]
+    for idx, ev in enumerate(events):
+        if ev.kind == "REQ_ISSUED" and ev.tag >= 0:
+            windows.setdefault((ev.master, ev.tag), []).append([idx, len(events), ev.key])
+            if ev.op != "STORE_POSTED":
+                pending.setdefault((ev.master, ev.key), []).append((ev.tag, idx))
+        elif ev.kind == "RESP_EMITTED" and ev.tag >= 0 and pending.get((ev.master, ev.key)):
+            tag, start = pending[(ev.master, ev.key)].pop(0)
+            for w in windows[(ev.master, tag)]:
+                if w[0] == start:
+                    w[1] = idx
+    out = []
+    for (master, tag), ws in sorted(windows.items()):
+        for a, b in zip(ws, ws[1:]):
+            if b[0] < a[1] and a[2] != b[2]:
+                out.append(
+                    f"tag liveness violation: master {master} tag {tag} live "
+                    f"twice (streams {a[2]} and {b[2]})"
+                )
+    for idx, ev in enumerate(events):
+        if ev.kind in ("PKT_INJECTED", "PKT_DELIVERED") and ev.master >= 0 and ev.tag >= 0:
+            if not any(s <= idx <= e for s, e, _ in windows.get((ev.master, ev.tag), [])):
+                out.append(
+                    f"tag liveness violation: packet event at cycle {ev.cycle} "
+                    f"site {ev.site} carries dead tag {ev.tag} of master {ev.master}"
+                )
+    return out
+
+
+def exclusive_safety_reference(events) -> list[str]:
+    """Exclusive-safety audit straight from its definition: between two
+    consecutive wins on a granule, the second winner armed in between."""
+    by_granule = {}
+    for idx, ev in enumerate(events):
+        if ev.kind in ("MONITOR_ARMED", "MONITOR_CLEARED"):
+            by_granule.setdefault((ev.site, ev.address), []).append((idx, ev))
+    out = []
+    for (site, granule), evs in sorted(by_granule.items(), key=lambda item: item[0]):
+        wins = [(i, ev.master) for i, ev in evs
+                if ev.kind == "MONITOR_CLEARED" and ev.master == ev.tag]
+        for (i1, m1), (i2, m2) in zip(wins, wins[1:]):
+            if not any(ev.kind == "MONITOR_ARMED" and ev.master == m2 and i1 < i < i2
+                       for i, ev in evs):
+                out.append(
+                    f"exclusive safety violation at {site} granule {granule:#x}: "
+                    f"master {m2} won without re-arming after master {m1}'s win"
+                )
+    return out

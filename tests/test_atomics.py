@@ -11,8 +11,12 @@ from nocsim.trace import (
     MONITOR_ARMED,
     MONITOR_CLEARED,
     RESP_EMITTED,
+    Trace,
+    TraceEvent,
     check_invariants,
 )
+
+from oracles import exclusive_safety_reference
 
 COUNTER = 64
 
@@ -62,9 +66,54 @@ def test_exclusive_safety_check_catches_missing_rearm():
         e for i, e in enumerate(events)
         if not (lo < i < hi and e.kind == MONITOR_ARMED and e.master == events[lo].master)
     ]
+    # the win preceding the stripped master's second one is the last it saw
+    m2, granule = events[hi].master, events[hi].address
+    m1 = events[max(i for i in wins if i < hi)].master
     result.trace.events = poisoned
     violations = check_invariants(result.trace)
-    assert any("exclusive safety" in v for v in violations)
+    assert [v for v in violations if v.startswith("exclusive safety")] == [
+        f"exclusive safety violation at {events[hi].site} granule {granule:#x}: "
+        f"master {m2} won without re-arming after master {m1}'s win"
+    ]
+
+
+def _arm(cycle, site, master, granule):
+    return TraceEvent(cycle, site, MONITOR_ARMED, master, "", master, "LOAD_EXCLUSIVE", granule)
+
+
+def _clear(cycle, site, owner, actor, granule):
+    return TraceEvent(cycle, site, MONITOR_CLEARED, owner, "", actor, "STORE_EXCLUSIVE", granule)
+
+
+def test_exclusive_safety_reports_violations_grouped_by_sorted_granule():
+    events = [
+        _arm(0, "niu101", 0, 0x40),
+        _clear(1, "niu101", 0, 0, 0x40),   # first win on the granule
+        _arm(2, "niu100", 2, 0x80),
+        _clear(3, "niu101", 1, 1, 0x40),   # master 1 never armed here
+        _arm(4, "niu100", 3, 0x80),
+        _clear(4, "niu100", 2, 2, 0x80),
+        _clear(5, "niu101", 0, 0, 0x40),   # master 0 armed only before the first win
+        _arm(6, "niu100", 1, 0x40),
+        _clear(7, "niu100", 1, 1, 0x40),
+        _arm(8, "niu100", 0, 0x40),
+        _clear(8, "niu100", 0, 1, 0x40),   # master 1 clears 0's monitor: no win
+        _clear(9, "niu100", 0, 0, 0x40),   # armed after master 1's win: fine
+        _clear(10, "niu100", 3, 3, 0x80),  # master 3 armed only before master 2's win
+        _clear(11, "niu100", 0, 0, 0x40),  # no re-arm after its own win
+    ]
+    expected = [
+        "exclusive safety violation at niu100 granule 0x40: "
+        "master 0 won without re-arming after master 0's win",
+        "exclusive safety violation at niu100 granule 0x80: "
+        "master 3 won without re-arming after master 2's win",
+        "exclusive safety violation at niu101 granule 0x40: "
+        "master 1 won without re-arming after master 0's win",
+        "exclusive safety violation at niu101 granule 0x40: "
+        "master 0 won without re-arming after master 1's win",
+    ]
+    assert check_invariants(Trace(events)) == expected
+    assert exclusive_safety_reference(events) == expected
 
 
 def test_exclusive_scales_to_more_masters():

@@ -135,3 +135,11 @@ def test_run_unknown_key_exit_one_names_it(tmp_path, capsys):
     assert main(["run", _edited(tmp_path, "burst_lens:", "burst_len:")]) == 1
     err = capsys.readouterr().err
     assert "unknown key 'burst_len'" in err and "Traceback" not in err
+
+
+def test_compare_links_non_integer_exit_one_names_flag(capsys):
+    for flag in ("--widths", "--latencies", "--ratios"):
+        assert main(["compare-links", BASIC, flag, "4,abc"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} takes comma-separated integers, got '4,abc'" in err
+        assert "Traceback" not in err
