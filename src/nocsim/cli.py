@@ -175,10 +175,17 @@ def cmd_compare_links(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ScenarioError, so it exits 1 like any
+    other configuration error rather than with argparse's 2 (a timeout)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nocsim", description="layered network-on-chip simulator"
-    )
+    parser = _Parser(prog="nocsim", description="layered network-on-chip simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_mode=True):
@@ -225,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ScenarioError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

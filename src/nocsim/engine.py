@@ -4,7 +4,7 @@ Each cycle advances through a fixed phase order, which is part of the
 external contract (changing it is a breaking change):
 
   1. masters       - react to responses, offer one transaction to their NIU
-  2. initiator NIUs - serialize pending request packets, send one flit
+  2. initiator NIUs - slice the next request packet into flits, send one
   3. switches      - ingest arrivals, arbitrate, forward one flit per output
   4. target NIUs   - consume arrived requests, run them, send response flits
   5. response path - initiator NIUs reassemble responses and emit them to
@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ScenarioError
-from .fabric import ChannelStream, Switch, build_routing
+from .fabric import ChannelStream, Switch
 from .niu import InitiatorNiu, TargetNiu
 from .packet import PacketKind
 from .scenario import (
@@ -137,6 +137,7 @@ class _MasterSlot:
     """
 
     mid: int
+    site: str  # the trace site of the master's NIU
     master: Master
     niu: InitiatorNiu
     stats: MasterStats
@@ -166,13 +167,12 @@ class Engine:
     """Builds the runtime objects for one scenario and runs it to completion."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
+        self.table = scenario.validate()
         self.scenario = scenario
         self.mode = scenario.run.mode
         self.recorder = TraceRecorder(scenario.run.trace_level)
         self.channels: dict[str, ChannelStream] = {}
         self.address_map = scenario.address_map()
-        self.table = build_routing(scenario.topology, scenario.routing)
 
         self.switches: dict[int, Switch] = {
             s.switch_id: Switch(s.switch_id, s.ports, self.table)
@@ -285,13 +285,18 @@ class Engine:
     def run(self) -> RunResult:
         rec = self.recorder
         fabric_cb = rec.fabric_callback()
+        record_packets = rec.record_packets
+        record_hops = rec.record_hops
         mode = self.mode
         slots = [
-            _MasterSlot(mid, self.masters[mid], self.initiators[mid], self.master_stats[mid])
+            _MasterSlot(
+                mid, f"niu{mid}", self.masters[mid], self.initiators[mid],
+                self.master_stats[mid],
+            )
             for mid in self._master_order
         ]
         switches = [self.switches[sid] for sid in self._switch_order]
-        targets = [(tid, self.targets[tid]) for tid in sorted(self.targets)]
+        targets = [(f"niu{tid}", self.targets[tid]) for tid in sorted(self.targets)]
         # masters whose program or NIU still has work; shrinks only in
         # phases 1 and 5, the only places a master or its NIU can finish
         unfinished = {s.mid for s in slots if not s.finished()}
@@ -316,7 +321,7 @@ class Engine:
                     if not master.stall_flagged:
                         master.stall_flagged = True
                         rec.event(
-                            cycle, f"niu{mid}", STALL,
+                            cycle, slot.site, STALL,
                             master=mid, key=request.order_key.short(),
                             op=request.opcode.name, address=request.address,
                         )
@@ -325,7 +330,7 @@ class Engine:
                 slot.asleep = wait  # a waiting master offers nothing until delivery
                 slot.stats.issued += 1
                 rec.event(
-                    cycle, f"niu{mid}", REQ_ISSUED,
+                    cycle, slot.site, REQ_ISSUED,
                     master=mid, key=entry.order_key.short(), tag=entry.tag,
                     op=request.opcode.name, address=request.address,
                 )
@@ -337,24 +342,21 @@ class Engine:
                 niu = slot.niu
                 if (niu.current_flits or niu.inject_queue) and niu.tx_req.can_send(cycle):
                     packet = niu.step_inject(cycle)
-                    if packet is not None:
-                        rec.packet_marker(
-                            cycle, f"niu{slot.mid}", PKT_INJECTED, packet.header_tuple()
-                        )
+                    if packet is not None and record_packets:
+                        rec.packet_marker(cycle, slot.site, PKT_INJECTED, packet)
 
             # phase 3: switches move flits
             for sw in switches:
                 if sw.wake_cycle <= cycle:
-                    sw.step(cycle, mode, fabric_cb)
+                    sw.step(cycle, mode, fabric_cb, record_hops)
 
             # phase 4: target NIUs execute requests and send response flits
-            for tid, tgt in targets:
+            for site, tgt in targets:
                 if tgt.wake_cycle <= cycle:
                     handled = tgt.step(cycle)
-                    for pkt in handled:
-                        rec.packet_marker(
-                            cycle, f"niu{tid}", PKT_DELIVERED, pkt.header_tuple()
-                        )
+                    if record_packets:
+                        for pkt in handled:
+                            rec.packet_marker(cycle, site, PKT_DELIVERED, pkt)
 
             # phase 5: response path back to the sockets
             for slot in slots:
@@ -370,7 +372,7 @@ class Engine:
                         ms.completed += 1
                         ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
-                            cycle, f"niu{mid}", RESP_EMITTED,
+                            cycle, slot.site, RESP_EMITTED,
                             master=mid, key=entry.order_key.short(), tag=entry.tag,
                             op=response.status.name, address=entry.request.address,
                         )
@@ -438,7 +440,7 @@ class Engine:
             sw = self.switches[sid]
             for plane in (PacketKind.REQUEST, PacketKind.RESPONSE):
                 for port, out in sorted(sw.outputs[plane].items()):
-                    site = sw.port_site(plane, port)
+                    site = out.site
                     if plane is PacketKind.REQUEST and out.grants_by_input:
                         stats.switch_grants[site] = dict(
                             sorted(out.grants_by_input.items())

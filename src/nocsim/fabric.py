@@ -5,6 +5,14 @@ Routing looks only at the packet destination, arbitration only at priority
 and source, flow control only at buffer space. The single exception the
 design allows is lock-marked packets: an output port captured by a lock
 acquire admits only its owner's packets until the matching release passes.
+A packet reaches the fabric by reference inside its flits (see link.py);
+an Assembly reads just these four fields of it and passes the rest on
+unread.
+
+Payload bytes are counted, not copied: a channel's receive side records how
+many bytes of each packet have arrived, and a switch forwards by slicing
+those counts for its output link's width, so wormhole and store-and-forward
+timing stay flit-exact without a byte being moved.
 
 Requests and responses travel on physically separate channel planes so a
 backed-up request path can never block responses (and vice versa), which
@@ -19,14 +27,8 @@ from enum import Enum, auto
 from typing import Callable, Optional
 
 from .errors import CreditError, FramingError, LockProtocolError, ScenarioError
-from .link import Flit, FlitKind, LinkParams
-from .packet import LockMarker, PacketKind
-
-# Header tuple field indices (see Packet.header_tuple).
-_HDR_DEST = 0
-_HDR_SRC = 1
-_HDR_PRIORITY = 5
-_HDR_LOCK = 7
+from .link import BODY, HEAD, HEAD_TAIL, TAIL, Flit, LinkParams
+from .packet import LockMarker, Packet, PacketKind
 
 
 class TransportMode(Enum):
@@ -270,36 +272,28 @@ class CreditCounter:
 class Assembly:
     """A packet materializing at a channel's receive side.
 
-    Holds the header, the payload bytes received so far, and bookkeeping for
-    forwarding progress and per-flit credit release.
+    Holds the packet, the four fields the fabric may read from it, the
+    count of payload bytes received so far, and bookkeeping for forwarding
+    progress and per-flit credit release.
     """
 
-    __slots__ = ("header", "buf", "complete", "unreleased", "fwd_head_sent", "fwd_bytes")
+    __slots__ = (
+        "packet", "target_id", "src", "priority", "lock_marker", "received",
+        "complete", "unreleased", "fwd_head_sent", "fwd_bytes",
+    )
 
-    def __init__(self, header: tuple):
-        self.header = header
-        self.buf = bytearray()
-        self.complete = False
+    def __init__(self, packet: Packet, complete: bool):
+        self.packet = packet
+        self.target_id = packet.dest.target_id
+        self.src = packet.src
+        self.priority = packet.priority
+        self.lock_marker = packet.lock_marker
+        self.received = 0  # payload bytes arrived
+        self.complete = complete
         # byte-end offset per retained inbound flit; -1 marks the head flit
         self.unreleased: deque[int] = deque((-1,))
         self.fwd_head_sent = False
-        self.fwd_bytes = 0
-
-    @property
-    def target_id(self) -> int:
-        return self.header[_HDR_DEST].target_id
-
-    @property
-    def src(self) -> int:
-        return self.header[_HDR_SRC]
-
-    @property
-    def priority(self) -> int:
-        return self.header[_HDR_PRIORITY]
-
-    @property
-    def lock_marker(self) -> LockMarker:
-        return self.header[_HDR_LOCK]
+        self.fwd_bytes = 0  # payload bytes forwarded
 
 
 NEVER = 1 << 62  # wake cycle of a component that nothing can wake but a send
@@ -310,12 +304,13 @@ class ChannelStream:
 
     ``sink`` is the switch or NIU that reads the channel. The engine steps
     it only from its ``wake_cycle`` on, and a send lowers that cycle to the
-    flit's arrival.
+    flit's arrival. Credits are taken and returned inline on the hot path;
+    misuse still raises CreditError, as CreditCounter does.
     """
 
     __slots__ = (
         "name", "params", "plane", "credits", "in_flight", "next_send",
-        "flits_sent", "rx", "sink",
+        "flits_sent", "rx", "sink", "delay", "width",
     )
 
     def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
@@ -328,13 +323,20 @@ class ChannelStream:
         self.flits_sent = 0
         self.rx: deque[Assembly] = deque()
         self.sink = None
+        self.delay = 1 + params.latency  # send to arrival, in cycles
+        self.width = params.flit_payload_width
 
     def can_send(self, cycle: int) -> bool:
-        return cycle >= self.next_send and self.credits.can_send()
+        return cycle >= self.next_send and self.credits.credits > 0
 
     def send(self, cycle: int, flit: Flit) -> None:
-        self.credits.consume()
-        arrival = cycle + 1 + self.params.latency
+        cr = self.credits
+        if cr.credits <= 0:
+            raise CreditError("credit accounting: consume at zero")
+        cr.credits -= 1
+        if cr.credits < cr.min_seen:
+            cr.min_seen = cr.credits
+        arrival = cycle + self.delay
         self.in_flight.append((arrival, flit))
         self.next_send = cycle + self.params.rate_ratio
         self.flits_sent += 1
@@ -350,55 +352,40 @@ class ChannelStream:
     def deliver(self, cycle: int) -> None:
         """Move flits whose arrival cycle has come into the receive queue."""
         q = self.in_flight
+        rx = self.rx
         while q and q[0][0] <= cycle:
-            _, flit = q.popleft()
-            self._rx_push(flit)
-
-    def _rx_push(self, flit: Flit) -> None:
-        if flit.is_head:
-            if self.rx and not self.rx[-1].complete:
+            flit = q.popleft()[1]
+            if flit.is_head:
+                if rx and not rx[-1].complete:
+                    raise FramingError(
+                        f"framing violation on {self.name}: head flit interrupts a packet"
+                    )
+                rx.append(Assembly(flit.packet, flit.is_tail))
+                continue
+            if not rx or rx[-1].complete:
                 raise FramingError(
-                    f"framing violation on {self.name}: head flit interrupts a packet"
+                    f"framing violation on {self.name}: stray continuation flit"
                 )
-            asm = Assembly(flit.header)
-            if flit.kind is FlitKind.HEAD_TAIL:
+            asm = rx[-1]
+            asm.received = end = flit.end
+            asm.unreleased.append(end)
+            if flit.is_tail:
                 asm.complete = True
-            self.rx.append(asm)
-            return
-        if not self.rx or self.rx[-1].complete:
-            raise FramingError(
-                f"framing violation on {self.name}: stray continuation flit"
-            )
-        asm = self.rx[-1]
-        asm.buf.extend(flit.data)
-        asm.unreleased.append(len(asm.buf))
-        if flit.is_tail:
-            asm.complete = True
 
-    def release_forwarded(self, asm: Assembly) -> None:
-        """Return credits for inbound flits whose bytes have been forwarded."""
-        pend = asm.unreleased
-        while pend:
-            end = pend[0]
-            if end < 0:
-                if not asm.fwd_head_sent:
-                    break
-            elif end > asm.fwd_bytes:
-                break
-            pend.popleft()
-            self.credits.give_back()
-
-    def pop_complete_packet(self) -> Optional[tuple]:
+    def pop_complete_packet(self) -> Optional[Packet]:
         """Consume the head assembly whole, as an NIU receive side does.
 
-        Returns (header, payload bytes) and frees all its buffer credits.
+        Returns its packet and frees all its buffer credits.
         """
-        if not self.rx or not self.rx[0].complete:
+        rx = self.rx
+        if not rx or not rx[0].complete:
             return None
-        asm = self.rx.popleft()
-        for _ in range(len(asm.unreleased)):
-            self.credits.give_back()
-        return asm.header, bytes(asm.buf)
+        asm = rx.popleft()
+        cr = self.credits
+        if cr.credits + len(asm.unreleased) > cr.depth:
+            raise CreditError("credit accounting: return beyond buffer depth")
+        cr.credits += len(asm.unreleased)
+        return asm.packet
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +455,20 @@ class OutPort:
     ``ready`` counts the heads routed here that may compete for a grant:
     each sits at the front of an input's receive queue, is not granted yet,
     and is whole if the transport mode is store-and-forward. An idle port
-    runs its grant scan only while the count is non-zero.
+    runs its grant scan only while the count is non-zero. ``site`` names
+    the port in trace events and stats.
     """
 
     __slots__ = (
-        "channel", "arbiter", "active_in", "active_asm", "ready",
+        "channel", "site", "arbiter", "active_ch", "active_asm", "ready",
         "grants_by_input", "lock_stall_cycles", "credit_stall_cycles",
     )
 
-    def __init__(self, channel: ChannelStream, nports: int):
+    def __init__(self, channel: ChannelStream, nports: int, site: str):
         self.channel = channel
+        self.site = site
         self.arbiter = ArbiterState(nports)
-        self.active_in: Optional[int] = None
+        self.active_ch: Optional[ChannelStream] = None  # input being streamed
         self.active_asm: Optional[Assembly] = None
         self.ready = 0
         self.grants_by_input: dict[int, int] = {}
@@ -509,7 +498,8 @@ class Switch:
 
     Inputs and outputs are ChannelStream objects per (port, plane); a port
     with no connection simply has no channel. Event reporting goes through a
-    recorder callback supplied by the engine.
+    recorder callback supplied by the engine: lock events always, and a
+    packet's delivery at each output port only when ``record_hops`` is set.
 
     ``wake_cycle`` is the first cycle in which a step can change anything:
     the next cycle while a ready head waits for a grant (see OutPort), else
@@ -522,7 +512,7 @@ class Switch:
     def __init__(self, switch_id: int, nports: int, table: RoutingTable):
         self.switch_id = switch_id
         self.nports = nports
-        self.table = table
+        self.routes = table.ports.get(switch_id, {})  # target NIU id -> output port
         self.inputs: dict[PacketKind, dict[int, ChannelStream]] = {
             PacketKind.REQUEST: {},
             PacketKind.RESPONSE: {},
@@ -543,7 +533,7 @@ class Switch:
         self._rebuild_scan()
 
     def attach_output(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        self.outputs[plane][port] = OutPort(channel, self.nports)
+        self.outputs[plane][port] = OutPort(channel, self.nports, self.port_site(plane, port))
         self._rebuild_scan()
 
     def _rebuild_scan(self) -> None:
@@ -566,7 +556,8 @@ class Switch:
                         out.credit_stall_cycles += skipped
         self.counted_to = cycle - 1
 
-    def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None) -> None:
+    def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None,
+             record_hops: bool = False) -> None:
         saf = mode is TransportMode.STORE_AND_FORWARD
         if cycle - 1 > self.counted_to:
             self.catch_up(cycle)
@@ -589,9 +580,9 @@ class Switch:
                     wake = q[0][0]
             for port, out in pl.outputs:
                 if out.active_asm is not None:
-                    self._continue_stream(cycle, pl, port, out, saf, recorder)
+                    self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
                 elif out.ready:
-                    self._try_grant(cycle, pl, port, out, saf, recorder)
+                    self._try_grant(cycle, pl, port, out, saf, recorder, record_hops)
                 if out.active_asm is not None:
                     resume = max(cycle + 1, out.channel.next_send)
                     if resume < wake:
@@ -604,12 +595,13 @@ class Switch:
     # -- grant ---------------------------------------------------------------
 
     def _head_ready(self, pl: _Plane, asm: Assembly) -> None:
-        pl.out_by_port[self.table.ports[self.switch_id][asm.target_id]].ready += 1
+        pl.out_by_port[self.routes[asm.target_id]].ready += 1
         self.ready += 1
 
-    def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder) -> None:
+    def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
+                   record_hops: bool) -> None:
         candidates = None
-        routes = self.table.ports[self.switch_id]
+        routes = self.routes
         for in_port, ch in pl.inputs:
             rx = ch.rx
             if not rx:
@@ -628,58 +620,65 @@ class Switch:
         if winner is None:
             out.lock_stall_cycles += 1
             return
-        asm = pl.in_by_port[winner].rx[0]
+        in_ch = pl.in_by_port[winner]
+        asm = in_ch.rx[0]
         out.ready -= 1
         self.ready -= 1
-        out.active_in = winner
+        out.active_ch = in_ch
         out.active_asm = asm
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
         if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_ACQUIRE:
             lock_capture(out.arbiter, asm.src)
             if recorder is not None:
-                recorder("LOCK_SET", self.port_site(pl.kind, port), asm.header, cycle)
-        self._continue_stream(cycle, pl, port, out, saf, recorder)
+                recorder("LOCK_SET", out.site, asm.packet, cycle)
+        self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
 
     # -- streaming -----------------------------------------------------------
 
-    def _continue_stream(self, cycle, pl: _Plane, port, out: OutPort, saf: bool,
-                         recorder) -> None:
-        asm = out.active_asm
+    def _continue_stream(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
+                         record_hops: bool) -> None:
+        """Forward the active packet's next flit, sliced for the output link.
+
+        A body flit goes out once a whole output slice of bytes has arrived,
+        the tail once the packet is whole; in between the stream waits.
+        """
         ch = out.channel
-        if not ch.can_send(cycle):
+        if cycle < ch.next_send or ch.credits.credits <= 0:
             out.credit_stall_cycles += 1
             return
-        flit = self._next_flit(asm, ch.params.flit_payload_width)
-        if flit is None:
-            return  # wormhole: payload bytes not yet arrived
-        ch.send(cycle, flit)
-        in_ch = pl.in_by_port[out.active_in]
-        in_ch.release_forwarded(asm)
-        if flit.is_tail:
-            self._finish_stream(cycle, pl, port, out, in_ch, saf, recorder)
-
-    @staticmethod
-    def _next_flit(asm: Assembly, width: int) -> Optional[Flit]:
+        asm = out.active_asm
         if not asm.fwd_head_sent:
             asm.fwd_head_sent = True
-            if asm.complete and not asm.buf:
-                return Flit(FlitKind.HEAD_TAIL, header=asm.header)
-            return Flit(FlitKind.HEAD, header=asm.header)
-        avail = len(asm.buf) - asm.fwd_bytes
-        if avail <= 0:
-            return None
-        if asm.complete and avail <= width:
-            data = bytes(asm.buf[asm.fwd_bytes :])
-            asm.fwd_bytes += avail
-            return Flit(FlitKind.TAIL, data=data)
-        if avail >= width:
-            data = bytes(asm.buf[asm.fwd_bytes : asm.fwd_bytes + width])
-            asm.fwd_bytes += width
-            return Flit(FlitKind.BODY, data=data)
-        return None  # partial slice buffered; wait for more bytes or the tail
+            kind = HEAD_TAIL if asm.complete and not asm.received else HEAD
+            ch.send(cycle, Flit(kind, asm.packet))
+        else:
+            start = asm.fwd_bytes
+            end = start + ch.width
+            if end < asm.received:
+                kind = BODY
+            elif asm.complete:
+                kind = TAIL
+                end = asm.received
+            elif end == asm.received:
+                kind = BODY
+            else:
+                return  # wormhole: a partial slice has arrived; wait for more bytes
+            asm.fwd_bytes = end
+            ch.send(cycle, Flit(kind, asm.packet, start, end))
+        # return the credits of the inbound flits forwarded in full
+        in_ch = out.active_ch
+        pend = asm.unreleased
+        cr = in_ch.credits
+        while pend and pend[0] <= asm.fwd_bytes:
+            pend.popleft()
+            if cr.credits >= cr.depth:
+                raise CreditError("credit accounting: return beyond buffer depth")
+            cr.credits += 1
+        if kind is TAIL or kind is HEAD_TAIL:
+            self._finish_stream(cycle, pl, port, out, in_ch, saf, recorder, record_hops)
 
-    def _finish_stream(self, cycle, pl: _Plane, port, out: OutPort,
-                       in_ch: ChannelStream, saf: bool, recorder) -> None:
+    def _finish_stream(self, cycle, pl: _Plane, port, out: OutPort, in_ch: ChannelStream,
+                       saf: bool, recorder, record_hops: bool) -> None:
         asm = out.active_asm
         rx = in_ch.rx
         popped = rx.popleft()
@@ -687,12 +686,11 @@ class Switch:
         # the next packet's head is exposed to later ports in this same step
         if rx and (not saf or rx[0].complete):
             self._head_ready(pl, rx[0])
-        out.active_in = None
+        out.active_ch = None
         out.active_asm = None
-        site = self.port_site(pl.kind, port)
         if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_RELEASE:
             lock_release(out.arbiter, asm.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:
-                recorder("LOCK_CLEARED", site, asm.header, cycle)
-        if recorder is not None:
-            recorder("PKT_DELIVERED", site, asm.header, cycle)
+                recorder("LOCK_CLEARED", out.site, asm.packet, cycle)
+        if record_hops:
+            recorder("PKT_DELIVERED", out.site, asm.packet, cycle)

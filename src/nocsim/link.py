@@ -1,14 +1,18 @@
 """Physical layer: flit framing and link parameters.
 
-A packet crossing a link is sliced into flits sized for that link. Flits are
-per-link artifacts; a switch forwarding a packet onto a narrower or wider
-link re-slices it, which is why the framing below carries the full header on
-the head flit and plain byte ranges on the rest.
+A packet crossing a link is sliced into flits sized for that link. There is
+one flit form, used by ``serialize`` and by the fabric alike: a flit holds
+its kind, a reference to its packet and the byte range ``[start, end)`` of
+the packet's payload that it stands for. A head flit stands for the header
+and has an empty range. No flit copies payload bytes. Flits are per-link
+artifacts; a switch forwarding a packet onto a narrower or wider link
+re-slices it by counting bytes, and ``deserialize`` rebuilds a packet from
+the slices its flits name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, auto
 
 from .errors import FramingError, ScenarioError
@@ -22,19 +26,25 @@ class FlitKind(Enum):
     HEAD_TAIL = auto()  # single-flit packet
 
 
-@dataclass(frozen=True, slots=True)
+HEAD, BODY, TAIL, HEAD_TAIL = FlitKind.HEAD, FlitKind.BODY, FlitKind.TAIL, FlitKind.HEAD_TAIL
+
+
 class Flit:
-    kind: FlitKind
-    header: tuple | None = None  # packet header fields, head flits only
-    data: bytes = b""
+    """One flit: its kind, its packet and the payload bytes [start, end) it carries."""
+
+    __slots__ = ("kind", "is_head", "is_tail", "packet", "start", "end")
+
+    def __init__(self, kind: FlitKind, packet: Packet, start: int = 0, end: int = 0):
+        self.kind = kind
+        self.is_head = kind is HEAD or kind is HEAD_TAIL
+        self.is_tail = kind is TAIL or kind is HEAD_TAIL
+        self.packet = packet
+        self.start = start
+        self.end = end
 
     @property
-    def is_head(self) -> bool:
-        return self.kind is FlitKind.HEAD or self.kind is FlitKind.HEAD_TAIL
-
-    @property
-    def is_tail(self) -> bool:
-        return self.kind is FlitKind.TAIL or self.kind is FlitKind.HEAD_TAIL
+    def data(self) -> bytes:
+        return self.packet.payload[self.start : self.end]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,64 +76,51 @@ def serialize(packet: Packet, params: LinkParams) -> list[Flit]:
     followed by body slices of flit_payload_width bytes and a tail carrying
     the final slice.
     """
-    header = packet.header_tuple()
-    payload = packet.payload
-    if not payload:
-        return [Flit(FlitKind.HEAD_TAIL, header=header)]
+    size = len(packet.payload)
+    if not size:
+        return [Flit(HEAD_TAIL, packet)]
     width = params.flit_payload_width
-    flits = [Flit(FlitKind.HEAD, header=header)]
-    for start in range(0, len(payload), width):
-        chunk = payload[start : start + width]
-        kind = FlitKind.TAIL if start + width >= len(payload) else FlitKind.BODY
-        flits.append(Flit(kind, data=chunk))
+    flits = [Flit(HEAD, packet)]
+    for start in range(0, size - width, width):
+        flits.append(Flit(BODY, packet, start, start + width))
+    flits.append(Flit(TAIL, packet, (size - 1) // width * width, size))
     return flits
 
 
 def deserialize(flits: list[Flit]) -> Packet:
     """Rebuild the packet from one well-formed flit sequence.
 
-    Raises FramingError for anything that is not exactly HEAD BODY* TAIL or
-    a lone HEAD_TAIL.
+    The header comes from the head flit, the payload from the slices the
+    other flits name. Raises FramingError for anything that is not exactly
+    HEAD BODY* TAIL or a lone HEAD_TAIL, and for a continuation flit that
+    belongs to another packet or does not start where the last one ended.
     """
     if not flits:
         raise FramingError("framing violation: empty flit sequence")
     first = flits[0]
-    if first.header is None or not first.is_head:
+    if not first.is_head:
         raise FramingError(f"framing violation: sequence starts with {first.kind.name}")
-    if first.kind is FlitKind.HEAD_TAIL:
+    packet = first.packet
+    if first.kind is HEAD_TAIL:
         if len(flits) != 1:
             raise FramingError("framing violation: flits after HEAD_TAIL")
-        return packet_from_header(first.header, b"")
-    payload = bytearray()
+        return replace(packet, payload=b"")
     if len(flits) < 2:
         raise FramingError("framing violation: HEAD without TAIL")
+    last = len(flits) - 1
+    parts = []
+    end = 0
     for i, flit in enumerate(flits[1:], start=1):
-        if flit.kind is FlitKind.BODY:
-            if i == len(flits) - 1:
+        if flit.kind is BODY:
+            if i == last:
                 raise FramingError("framing violation: sequence ends on BODY")
-        elif flit.kind is FlitKind.TAIL:
-            if i != len(flits) - 1:
+        elif flit.kind is TAIL:
+            if i != last:
                 raise FramingError("framing violation: TAIL before end of sequence")
         else:
             raise FramingError(f"framing violation: unexpected {flit.kind.name} mid-packet")
-        payload.extend(flit.data)
-    return packet_from_header(first.header, bytes(payload))
-
-
-def packet_from_header(header: tuple, payload: bytes) -> Packet:
-    (dest, src, tag, kind, op, priority, user_bits, lock_marker, payload_len,
-     frag_index, frag_last) = header
-    return Packet(
-        dest=dest,
-        src=src,
-        tag=tag,
-        kind=kind,
-        op=op,
-        priority=priority,
-        user_bits=user_bits,
-        lock_marker=lock_marker,
-        payload=payload,
-        payload_len=payload_len,
-        frag_index=frag_index,
-        frag_last=frag_last,
-    )
+        if flit.packet is not packet or flit.start != end:
+            raise FramingError("framing violation: flit does not continue the packet")
+        end = flit.end
+        parts.append(flit.data)
+    return replace(packet, payload=b"".join(parts))

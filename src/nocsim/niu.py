@@ -28,7 +28,7 @@ from .errors import (
     ScenarioError,
 )
 from .fabric import NEVER, ChannelStream
-from .link import serialize, packet_from_header
+from .link import serialize
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from .transaction import (
     Channel,
@@ -613,11 +613,9 @@ class InitiatorNiu:
         self.rx_resp.deliver(cycle)
         emissions: list[tuple[PendingEntry, TransactionResponse, bool]] = []
         while True:
-            popped = self.rx_resp.pop_complete_packet()
-            if popped is None:
+            packet = self.rx_resp.pop_complete_packet()
+            if packet is None:
                 break
-            header, payload = popped
-            packet = packet_from_header(header, payload)
             done = self.egress_unpack(packet)
             if done is None:
                 continue
@@ -660,6 +658,8 @@ class TargetConfig:
             raise ScenarioError("target region must not be empty")
         if self.memory_size is None:
             self.memory_size = self.region_size
+        if self.memory_size < 0:
+            raise ScenarioError("target memory size must not be negative")
 
 
 class TargetNiu:
@@ -740,11 +740,9 @@ class TargetNiu:
         self.rx_req.deliver(cycle)
         handled = []
         while True:
-            popped = self.rx_req.pop_complete_packet()
-            if popped is None:
+            packet = self.rx_req.pop_complete_packet()
+            if packet is None:
                 break
-            header, payload = popped
-            packet = packet_from_header(header, payload)
             handled.append(packet)
             self.response_queue.append(self.handle_request(packet, cycle))
         if not self.current_flits and self.response_queue:

@@ -1,10 +1,11 @@
 """Uniform transport-layer packet.
 
-The switch fabric sees nothing but these fields. Whatever socket a master
-speaks, its NIU reduces every transaction to packets carrying a destination,
-a source, a tag, and a small set of service bits; the fabric routes on the
-destination and arbitrates on priority, and is otherwise unaware of what the
-packet means.
+Whatever socket a master speaks, its NIU reduces every transaction to
+packets carrying a destination, a source, a tag, and a small set of service
+bits. The switch fabric carries a packet by reference and reads four of its
+fields: it routes on the destination NIU, arbitrates on priority and source,
+and honours the lock marker. It is otherwise unaware of what the packet
+means.
 """
 
 from __future__ import annotations
@@ -65,19 +66,3 @@ class Packet:
     @property
     def exclusive(self) -> bool:
         return bool(self.user_bits & USER_BIT_EXCLUSIVE)
-
-    def header_tuple(self) -> tuple:
-        """All non-payload fields, used for flit framing and equality checks."""
-        return (
-            self.dest,
-            self.src,
-            self.tag,
-            self.kind,
-            self.op,
-            self.priority,
-            self.user_bits,
-            self.lock_marker,
-            self.payload_len,
-            self.frag_index,
-            self.frag_last,
-        )

@@ -9,6 +9,7 @@ experiments the verification suite runs.
 from __future__ import annotations
 
 import copy
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from .errors import ScenarioError
 from .fabric import (
     AttachmentSpec,
     LinkSpec,
+    RoutingTable,
     SwitchSpec,
     Topology,
     TransportMode,
@@ -114,7 +116,8 @@ class Scenario:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self) -> RoutingTable:
+        """Reject an inconsistent scenario; return its checked routing table."""
         if self.run.trace_level not in ("transaction", "packet", "full"):
             raise ScenarioError(f"unknown trace level {self.run.trace_level!r}")
         if self.run.max_cycles < 1:
@@ -138,13 +141,14 @@ class Scenario:
             )
 
         amap = self.address_map()
-        build_routing(self.topology, self.routing)
+        table = build_routing(self.topology, self.routing)
         self._check_buffer_depths()
         for t in self.targets:
             t.validate()
         for m in self.masters:
             m.niu.validate()
             self._check_program(m, amap)
+        return table
 
     def _check_buffer_depths(self) -> None:
         # every buffer must hold the largest packet whole, so store-and-forward
@@ -170,6 +174,23 @@ class Scenario:
         if isinstance(program, RandomProgram):
             if program.transactions < 0:
                 raise ScenarioError("transaction count must not be negative")
+            weights = list(program.op_mix.values())
+            if not all(math.isfinite(w) and w >= 0 for w in weights) or not sum(weights) > 0:
+                raise ScenarioError(
+                    f"master {m.master_id} op_mix weights must be finite, non-negative "
+                    "and not all zero"
+                )
+            for name, values in (
+                ("burst_lens", program.burst_lens), ("beat_sizes", program.beat_sizes),
+            ):
+                if not values or min(values) < 1:
+                    raise ScenarioError(
+                        f"master {m.master_id} {name} must list positive integers"
+                    )
+            if program.threads < 1 or program.txn_ids < 1:
+                raise ScenarioError(f"master {m.master_id} threads and txn_ids must be positive")
+            if not program.address_ranges:
+                raise ScenarioError(f"master {m.master_id} random program has no address range")
             for base, size in program.address_ranges:
                 lo = amap.decode(base)
                 hi = amap.decode(base + size - 1)
@@ -459,7 +480,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
     scenario = Scenario(

@@ -37,13 +37,6 @@ TRACE_LEVELS = {"transaction": 0, "packet": 1, "full": 2}
 
 CSV_HEADER = "cycle,site,kind,master,order_key,tag,op,address"
 
-# Header tuple indices used when recording packet events (Packet.header_tuple).
-_HDR_DEST = 0
-_HDR_SRC = 1
-_HDR_TAG = 2
-_HDR_OP = 4
-
-
 class TraceEvent(NamedTuple):
     cycle: int
     site: str
@@ -91,12 +84,19 @@ class Trace:
 
 
 class TraceRecorder:
-    """Append-only event sink with a detail-level filter."""
+    """Append-only event sink for one detail level.
+
+    Callers consult ``record_packets`` (packet level and up) and
+    ``record_hops`` (full level) before they record a packet event, so a
+    level that drops an event costs no call and builds nothing for it.
+    """
 
     def __init__(self, level: str = "packet"):
         if level not in TRACE_LEVELS:
             raise ValueError(f"unknown trace level {level!r}")
-        self.level = TRACE_LEVELS[level]
+        rank = TRACE_LEVELS[level]
+        self.record_packets = rank >= TRACE_LEVELS["packet"]
+        self.record_hops = rank >= TRACE_LEVELS["full"]
         self.trace = Trace()
 
     def event(self, cycle, site, kind, master=-1, key="", tag=-1, op="", address=-1) -> None:
@@ -104,28 +104,19 @@ class TraceRecorder:
             TraceEvent(cycle, site, kind, master, key, tag, op, address)
         )
 
-    def packet_marker(self, cycle, site, kind, header) -> None:
-        """Record a packet-derived event if the level admits it."""
-        if kind == PKT_DELIVERED and self.level < 2 and site.startswith("sw"):
-            return
-        if kind in (PKT_DELIVERED, PKT_INJECTED) and self.level < 1:
-            return
+    def packet_marker(self, cycle, site, kind, packet) -> None:
+        """Record an event about one packet, read from its header fields."""
         self.trace.events.append(
             TraceEvent(
-                cycle,
-                site,
-                kind,
-                master=header[_HDR_SRC],
-                tag=header[_HDR_TAG],
-                op=header[_HDR_OP].name,
-                address=header[_HDR_DEST].offset,
+                cycle, site, kind, packet.src, "", packet.tag, packet.op.name,
+                packet.dest.offset,
             )
         )
 
     def fabric_callback(self):
-        """Adapter with the (kind, site, header, cycle) signature switches use."""
-        def _record(kind, site, header, cycle):
-            self.packet_marker(cycle, site, kind, header)
+        """Adapter with the (kind, site, packet, cycle) signature switches use."""
+        def _record(kind, site, packet, cycle):
+            self.packet_marker(cycle, site, kind, packet)
         return _record
 
 

@@ -125,6 +125,13 @@ def test_run_zero_link_width_exit_one(tmp_path, capsys):
     assert "link parameters" in err and "Traceback" not in err
 
 
+def test_run_negative_memory_exit_one(tmp_path, capsys):
+    edited = _edited(tmp_path, "region: [0, 4096]}", "region: [0, 4096], memory: -3}")
+    assert main(["run", edited]) == 1
+    err = capsys.readouterr().err
+    assert "memory size" in err and "Traceback" not in err
+
+
 def test_compare_links_zero_width_exit_one(capsys):
     assert main(["compare-links", BASIC, "--widths", "0"]) == 1
     err = capsys.readouterr().err

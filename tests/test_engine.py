@@ -13,8 +13,12 @@ from nocsim.fabric import Switch, TransportMode
 from nocsim.link import LinkParams
 from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
-from nocsim.scenario import random_scenario
+from nocsim.scenario import atomic_loop_scenario, random_scenario
 from nocsim.trace import (
+    LOCK_CLEARED,
+    LOCK_SET,
+    MONITOR_ARMED,
+    MONITOR_CLEARED,
     PKT_DELIVERED,
     PKT_INJECTED,
     REQ_ISSUED,
@@ -301,3 +305,31 @@ def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
     for cls in (Switch, InitiatorNiu, TargetNiu):
         monkeypatch.setattr(cls, "wake_cycle", always, raising=False)
     assert outputs() == woken
+
+
+@pytest.mark.parametrize("kind", ["lock", "exclusive"])
+def test_transaction_level_makes_no_packet_event_calls(kind):
+    # Below packet level the engine and the switches make no recorder call
+    # for a packet event at all; lock and monitor events are recorded at
+    # every level.
+    scenario = atomic_loop_scenario(kind, n_masters=3, iterations=6)
+    engine = Engine(scenario.with_trace_level("transaction"))
+    rec = engine.recorder
+    calls = []
+    record_packet, record_event = rec.packet_marker, rec.event
+    rec.packet_marker = lambda cycle, site, k, packet: (
+        calls.append(k), record_packet(cycle, site, k, packet))
+    rec.event = lambda cycle, site, k, **kw: (calls.append(k), record_event(cycle, site, k, **kw))
+    result = engine.run()
+    assert not result.timed_out
+    assert not {PKT_INJECTED, PKT_DELIVERED} & set(calls)
+    recorded = [ev.kind for ev in result.trace]
+    assert sorted(calls) == sorted(recorded)
+    if kind == "lock":
+        assert recorded.count(LOCK_SET) == recorded.count(LOCK_CLEARED) > 0
+    else:
+        assert recorded.count(MONITOR_ARMED) > 0 and recorded.count(MONITOR_CLEARED) > 0
+    full = run(scenario)
+    assert [ev for ev in full.trace if ev.kind not in (PKT_INJECTED, PKT_DELIVERED)] == list(
+        result.trace
+    )

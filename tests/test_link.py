@@ -75,7 +75,16 @@ def test_framing_extra_after_head_tail():
 
 def test_framing_body_start():
     with pytest.raises(FramingError):
-        deserialize([Flit(FlitKind.BODY, data=b"aa")])
+        deserialize([Flit(FlitKind.BODY, _packet(payload=b"aa"), 0, 2)])
+
+
+def test_framing_continuation_of_another_packet_or_range():
+    head, body, tail = serialize(_packet(payload=bytes(8)), LinkParams(4))
+    _, _, foreign_tail = serialize(_packet(payload=bytes(8)), LinkParams(4))
+    with pytest.raises(FramingError, match="does not continue"):
+        deserialize([head, body, foreign_tail])
+    with pytest.raises(FramingError, match="does not continue"):
+        deserialize([head, tail])  # bytes 0..4 missing
 
 
 def test_framing_empty():
