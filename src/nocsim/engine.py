@@ -28,8 +28,11 @@ stall counters it would have bumped are added in bulk (see below):
   3. a switch is stepped from its wake cycle on: the next cycle while a
      head waits for a grant, else the earliest arrival on its inputs or
      the cycle a streaming output's channel accepts a flit again. Inside a
-     step an idle output runs its grant scan only while a head that may
-     compete is routed to it;
+     step each plane delivers only on the inputs with flits in flight and
+     visits its outputs, in port order, only while it has a ready head or
+     an active stream; an idle output runs its grant scan only while a
+     head that may compete is routed to it, and grants a lone such head
+     without arbitration, as ``arbitrate`` would;
   4. and 5. an NIU is visited from its wake cycle on: the earliest arrival
      on its receive channel, the next cycle while a target has responses
      to send, or the cycle a local error response is queued.

@@ -304,13 +304,16 @@ class ChannelStream:
 
     ``sink`` is the switch or NIU that reads the channel. The engine steps
     it only from its ``wake_cycle`` on, and a send lowers that cycle to the
-    flit's arrival. Credits are taken and returned inline on the hot path;
-    misuse still raises CreditError, as CreditCounter does.
+    flit's arrival. A send into an empty pipe also puts the channel on the
+    ``arrivals`` list of its reading switch plane (``sink_plane``; None when
+    an NIU reads it), so a switch step visits only inputs with flits in
+    flight. Credits are taken and returned inline on the hot path; misuse
+    still raises CreditError, as CreditCounter does.
     """
 
     __slots__ = (
         "name", "params", "plane", "credits", "in_flight", "next_send",
-        "flits_sent", "rx", "sink", "delay", "width",
+        "flits_sent", "rx", "sink", "sink_plane", "delay", "width",
     )
 
     def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
@@ -323,6 +326,7 @@ class ChannelStream:
         self.flits_sent = 0
         self.rx: deque[Assembly] = deque()
         self.sink = None
+        self.sink_plane: Optional[_Plane] = None
         self.delay = 1 + params.latency  # send to arrival, in cycles
         self.width = params.flit_payload_width
 
@@ -337,7 +341,10 @@ class ChannelStream:
         if cr.credits < cr.min_seen:
             cr.min_seen = cr.credits
         arrival = cycle + self.delay
-        self.in_flight.append((arrival, flit))
+        q = self.in_flight
+        if not q and self.sink_plane is not None:
+            self.sink_plane.arrivals.append(self)
+        q.append((arrival, flit))
         self.next_send = cycle + self.params.rate_ratio
         self.flits_sent += 1
         sink = self.sink
@@ -455,8 +462,9 @@ class OutPort:
     ``ready`` counts the heads routed here that may compete for a grant:
     each sits at the front of an input's receive queue, is not granted yet,
     and is whole if the transport mode is store-and-forward. An idle port
-    runs its grant scan only while the count is non-zero. ``site`` names
-    the port in trace events and stats.
+    runs its grant scan only while the count is non-zero; at exactly one it
+    grants that head directly, which is what ``arbitrate`` decides for a
+    single candidate. ``site`` names the port in trace events and stats.
     """
 
     __slots__ = (
@@ -481,16 +489,23 @@ class OutPort:
 # ---------------------------------------------------------------------------
 
 class _Plane:
-    """One plane of a switch: its ports by number and in scan order."""
+    """One plane of a switch: its ports by number and in scan order.
 
-    __slots__ = ("kind", "in_by_port", "out_by_port", "inputs", "outputs")
+    ``arrivals`` lists the inputs with flits in flight (see ChannelStream),
+    in no particular order. ``work`` counts the plane's ready heads plus its
+    active streams; a plane whose count is 0 has no output to visit.
+    """
 
-    def __init__(self, kind: PacketKind, in_by_port: dict, out_by_port: dict):
+    __slots__ = ("kind", "in_by_port", "out_by_port", "inputs", "outputs", "arrivals", "work")
+
+    def __init__(self, kind: PacketKind):
         self.kind = kind
-        self.in_by_port = in_by_port
-        self.out_by_port = out_by_port
-        self.inputs = sorted(in_by_port.items())
-        self.outputs = sorted(out_by_port.items())
+        self.in_by_port: dict[int, ChannelStream] = {}
+        self.out_by_port: dict[int, OutPort] = {}
+        self.inputs: list[tuple[int, ChannelStream]] = []
+        self.outputs: list[tuple[int, OutPort]] = []
+        self.arrivals: list[ChannelStream] = []
+        self.work = 0
 
 
 class Switch:
@@ -507,40 +522,40 @@ class Switch:
     streaming outputs' channels accept a flit again. A send toward the
     switch lowers it. A stream cannot send in a cycle slept through, so
     each such cycle is one credit stall for it, which ``catch_up`` adds.
+
+    Inside a step the same rule holds per port (see _Plane): each plane
+    delivers only on the inputs with flits in flight, and scans its outputs,
+    in port order, only while it has a ready head or an active stream.
+    Delivery only bumps head counts, so the order of the inputs is free.
     """
 
     def __init__(self, switch_id: int, nports: int, table: RoutingTable):
         self.switch_id = switch_id
         self.nports = nports
         self.routes = table.ports.get(switch_id, {})  # target NIU id -> output port
-        self.inputs: dict[PacketKind, dict[int, ChannelStream]] = {
-            PacketKind.REQUEST: {},
-            PacketKind.RESPONSE: {},
-        }
+        self._planes = [_Plane(PacketKind.REQUEST), _Plane(PacketKind.RESPONSE)]
         self.outputs: dict[PacketKind, dict[int, OutPort]] = {
-            PacketKind.REQUEST: {},
-            PacketKind.RESPONSE: {},
+            pl.kind: pl.out_by_port for pl in self._planes
         }
         self.ready = 0  # ready heads, summed over the outputs
+        self.streaming: list[OutPort] = []  # outputs with an active stream
         self.wake_cycle = 0
         self.counted_to = -1  # stall counters are complete up to this cycle
-        # flat iteration orders, rebuilt on attach; the per-cycle loop is hot
-        self._planes: list[_Plane] = []
+
+    def _plane(self, kind: PacketKind) -> _Plane:
+        return self._planes[kind is PacketKind.RESPONSE]
 
     def attach_input(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        self.inputs[plane][port] = channel
+        pl = self._plane(plane)
+        pl.in_by_port[port] = channel
+        pl.inputs = sorted(pl.in_by_port.items())
         channel.sink = self
-        self._rebuild_scan()
+        channel.sink_plane = pl
 
     def attach_output(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        self.outputs[plane][port] = OutPort(channel, self.nports, self.port_site(plane, port))
-        self._rebuild_scan()
-
-    def _rebuild_scan(self) -> None:
-        self._planes = [
-            _Plane(plane, self.inputs[plane], self.outputs[plane])
-            for plane in (PacketKind.REQUEST, PacketKind.RESPONSE)
-        ]
+        pl = self._plane(plane)
+        pl.out_by_port[port] = OutPort(channel, self.nports, self.port_site(plane, port))
+        pl.outputs = sorted(pl.out_by_port.items())
 
     def port_site(self, plane: PacketKind, port: int) -> str:
         suffix = "" if plane is PacketKind.REQUEST else ".rsp"
@@ -550,10 +565,8 @@ class Switch:
         """Count the stalls of the streams slept through before ``cycle``."""
         skipped = cycle - 1 - self.counted_to
         if skipped > 0:
-            for pl in self._planes:
-                for _, out in pl.outputs:
-                    if out.active_asm is not None:
-                        out.credit_stall_cycles += skipped
+            for out in self.streaming:
+                out.credit_stall_cycles += skipped
         self.counted_to = cycle - 1
 
     def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None,
@@ -564,27 +577,33 @@ class Switch:
         self.counted_to = cycle
         self.wake_cycle = wake = NEVER  # sends during this step may lower it
         for pl in self._planes:
-            for _, ch in pl.inputs:
-                q = ch.in_flight
-                if not q:
-                    continue
-                if q[0][0] <= cycle:
-                    rx = ch.rx
-                    no_head = not rx or (saf and not rx[0].complete)
-                    ch.deliver(cycle)
-                    if no_head and (not saf or rx[0].complete):
-                        self._head_ready(pl, rx[0])
-                    if not q:
-                        continue
-                if q[0][0] < wake:
-                    wake = q[0][0]
+            if pl.arrivals:
+                in_flight = []
+                for ch in pl.arrivals:
+                    q = ch.in_flight
+                    if q[0][0] <= cycle:
+                        rx = ch.rx
+                        no_head = not rx or (saf and not rx[0].complete)
+                        ch.deliver(cycle)
+                        if no_head and (not saf or rx[0].complete):
+                            self._head_ready(pl, rx[0])
+                        if not q:
+                            continue
+                    in_flight.append(ch)
+                    if q[0][0] < wake:
+                        wake = q[0][0]
+                pl.arrivals = in_flight
+            if not pl.work:
+                continue
             for port, out in pl.outputs:
                 if out.active_asm is not None:
                     self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
                 elif out.ready:
                     self._try_grant(cycle, pl, port, out, saf, recorder, record_hops)
                 if out.active_asm is not None:
-                    resume = max(cycle + 1, out.channel.next_send)
+                    resume = out.channel.next_send
+                    if resume <= cycle:
+                        resume = cycle + 1
                     if resume < wake:
                         wake = resume
         if self.ready:
@@ -596,39 +615,44 @@ class Switch:
 
     def _head_ready(self, pl: _Plane, asm: Assembly) -> None:
         pl.out_by_port[self.routes[asm.target_id]].ready += 1
+        pl.work += 1
         self.ready += 1
 
     def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
                    record_hops: bool) -> None:
-        candidates = None
         routes = self.routes
-        for in_port, ch in pl.inputs:
-            rx = ch.rx
-            if not rx:
-                continue
+        arbiter = out.arbiter
+        if out.ready == 1:
+            # the lone ready head wins unless a lock owner filters it out
+            for winner, in_ch in pl.inputs:
+                rx = in_ch.rx
+                if rx and (not saf or rx[0].complete) and routes[rx[0].target_id] == port:
+                    break
             asm = rx[0]
-            if saf and not asm.complete:
-                continue
-            if routes[asm.target_id] != port:
-                continue
-            if candidates is None:
-                candidates = []
-            candidates.append(Candidate(in_port, asm.priority, asm.src))
-        if candidates is None:
-            return
-        winner = arbitrate(candidates, out.arbiter)
-        if winner is None:
-            out.lock_stall_cycles += 1
-            return
-        in_ch = pl.in_by_port[winner]
-        asm = in_ch.rx[0]
+            if arbiter.lock_owner is not None and asm.src != arbiter.lock_owner:
+                out.lock_stall_cycles += 1
+                return
+            arbiter.cursor = (winner + 1) % arbiter.nports
+        else:
+            candidates = []
+            for in_port, ch in pl.inputs:
+                rx = ch.rx
+                if rx and (not saf or rx[0].complete) and routes[rx[0].target_id] == port:
+                    candidates.append(Candidate(in_port, rx[0].priority, rx[0].src))
+            winner = arbitrate(candidates, arbiter)
+            if winner is None:
+                out.lock_stall_cycles += 1
+                return
+            in_ch = pl.in_by_port[winner]
+            asm = in_ch.rx[0]
         out.ready -= 1
         self.ready -= 1
         out.active_ch = in_ch
         out.active_asm = asm
+        self.streaming.append(out)
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
         if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_ACQUIRE:
-            lock_capture(out.arbiter, asm.src)
+            lock_capture(arbiter, asm.src)
             if recorder is not None:
                 recorder("LOCK_SET", out.site, asm.packet, cycle)
         self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
@@ -688,6 +712,8 @@ class Switch:
             self._head_ready(pl, rx[0])
         out.active_ch = None
         out.active_asm = None
+        self.streaming.remove(out)
+        pl.work -= 1
         if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_RELEASE:
             lock_release(out.arbiter, asm.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:

@@ -15,6 +15,7 @@ family gains a feature.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -660,6 +661,10 @@ class TargetConfig:
             self.memory_size = self.region_size
         if self.memory_size < 0:
             raise ScenarioError("target memory size must not be negative")
+        if self.memory_size > sys.maxsize:
+            raise ScenarioError(
+                f"target NIU {self.niu_id} memory size exceeds {sys.maxsize} bytes"
+            )
 
 
 class TargetNiu:
@@ -669,7 +674,12 @@ class TargetNiu:
         config.validate()
         self.config = config
         self.niu_id = config.niu_id
-        self.memory = bytearray(config.memory_size)
+        try:
+            self.memory = bytearray(config.memory_size)
+        except MemoryError:
+            raise ScenarioError(
+                f"cannot allocate {config.memory_size} bytes of memory for target NIU {self.niu_id}"
+            ) from None
         self.monitors = ExclusiveMonitorSet(config.monitor_granule)
         self.response_queue: deque[Packet] = deque()
         self.current_flits: deque = deque()

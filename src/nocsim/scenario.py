@@ -302,11 +302,27 @@ def _opcode(name: str) -> Opcode:
         raise ScenarioError(f"unknown opcode {name!r}") from None
 
 
-def _link_params(d: dict) -> LinkParams:
+def _int(value, field: str) -> int:
+    """The value of an integer field. A bool, or a float with a fraction, is
+    rejected rather than truncated; an integral float such as 1.0e+3 is
+    that integer."""
+    if not isinstance(value, bool):
+        if isinstance(value, float):
+            if value.is_integer():
+                return int(value)
+        else:
+            try:
+                return int(value)
+            except (TypeError, ValueError):
+                pass
+    raise ScenarioError(f"{field} must be an integer, got {value!r}")
+
+
+def _link_params(d: dict, where: str) -> LinkParams:
     return LinkParams(
-        flit_payload_width=int(d.get("width", 4)),
-        latency=int(d.get("latency", 1)),
-        rate_ratio=int(d.get("rate_ratio", 1)),
+        flit_payload_width=_int(d.get("width", 4), f"width of {where}"),
+        latency=_int(d.get("latency", 1), f"latency of {where}"),
+        rate_ratio=_int(d.get("rate_ratio", 1), f"rate_ratio of {where}"),
     )
 
 
@@ -315,9 +331,11 @@ def _tag_policy(spec) -> TagPolicy:
         return TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
     if isinstance(spec, dict) and len(spec) == 1:
         if "per_stream" in spec:
-            return TagPolicy(TagPolicyKind.PER_STREAM, streams=int(spec["per_stream"]))
+            streams = _int(spec["per_stream"], "tag_policy per_stream")
+            return TagPolicy(TagPolicyKind.PER_STREAM, streams=streams)
         if "pooled" in spec:
-            return TagPolicy(TagPolicyKind.POOLED, capacity=int(spec["pooled"]))
+            capacity = _int(spec["pooled"], "tag_policy pooled")
+            return TagPolicy(TagPolicyKind.POOLED, capacity=capacity)
     raise ScenarioError(f"unknown tag policy {spec!r}")
 
 
@@ -325,12 +343,12 @@ def _order_key(family: SocketFamily, step: dict, opcode: Opcode) -> SocketOrderK
     if family is SocketFamily.FULLY_ORDERED:
         return SocketOrderKey.single()
     if family is SocketFamily.THREADED:
-        return SocketOrderKey.thread(int(step.get("thread", 0)))
+        return SocketOrderKey.thread(_int(step.get("thread", 0), "thread"))
     channel = step.get("channel")
     if channel is None:
         channel = "read" if opcode.is_load else "write"
     return SocketOrderKey.txn(
-        int(step.get("tid", 0)),
+        _int(step.get("tid", 0), "tid"),
         Channel.READ if str(channel).lower() == "read" else Channel.WRITE,
     )
 
@@ -341,32 +359,39 @@ def _program(d: dict, family: SocketFamily, master_id: int) -> Program:
         _check_keys(d, _PROGRAM_KEYS[kind], f"{kind} program of master {master_id}")
     if kind == "random":
         mix = {_opcode(k): float(v) for k, v in d["op_mix"].items()}
+        where = f"of master {master_id}"
         return RandomProgram(
-            transactions=int(d["transactions"]),
+            transactions=_int(d["transactions"], f"transactions {where}"),
             op_mix=mix,
-            address_ranges=[(int(b), int(s)) for b, s in d["address_ranges"]],
-            burst_lens=[int(x) for x in d.get("burst_lens", [1, 2, 4])],
-            beat_sizes=[int(x) for x in d.get("beat_sizes", [1, 2, 4])],
-            threads=int(d.get("threads", 2)),
-            txn_ids=int(d.get("txn_ids", 4)),
-            max_bytes=int(d.get("max_bytes", 64)),
+            address_ranges=[
+                (_int(b, f"address range base {where}"), _int(s, f"address range size {where}"))
+                for b, s in d["address_ranges"]
+            ],
+            burst_lens=[_int(x, f"burst_lens {where}") for x in d.get("burst_lens", [1, 2, 4])],
+            beat_sizes=[_int(x, f"beat_sizes {where}") for x in d.get("beat_sizes", [1, 2, 4])],
+            threads=_int(d.get("threads", 2), f"threads {where}"),
+            txn_ids=_int(d.get("txn_ids", 4), f"txn_ids {where}"),
+            max_bytes=_int(d.get("max_bytes", 64), f"max_bytes {where}"),
         )
-    if kind == "exclusive_loop":
-        return ExclusiveLoopProgram(int(d["counter"]), int(d["iterations"]))
-    if kind == "lock_loop":
-        return LockLoopProgram(int(d["counter"]), int(d["iterations"]))
+    if kind in ("exclusive_loop", "lock_loop"):
+        loop = ExclusiveLoopProgram if kind == "exclusive_loop" else LockLoopProgram
+        return loop(
+            _int(d["counter"], f"counter of master {master_id}"),
+            _int(d["iterations"], f"iterations of master {master_id}"),
+        )
     if kind == "script":
         steps = []
         for i, s in enumerate(d["steps"]):
-            _check_keys(s, _STEP_KEYS, f"script step {i} of master {master_id}")
+            where = f"script step {i} of master {master_id}"
+            _check_keys(s, _STEP_KEYS, where)
             opcode = _opcode(s["op"])
             data = bytes.fromhex(s["data"]) if "data" in s else b""
             req = TransactionRequest(
                 master_id=master_id,
                 opcode=opcode,
-                address=int(s["addr"]),
-                burst_len=int(s.get("beats", 1)),
-                beat_size=int(s.get("beat_size", 4)),
+                address=_int(s["addr"], f"addr of {where}"),
+                burst_len=_int(s.get("beats", 1), f"beats of {where}"),
+                beat_size=_int(s.get("beat_size", 4), f"beat_size of {where}"),
                 order_key=_order_key(family, s, opcode),
                 data=data,
                 exclusive_flag=opcode.is_exclusive,
@@ -384,25 +409,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
         switches = []
         for s in topo_doc["switches"]:
             _check_keys(s, {"id", "ports"}, "a switch")
-            switches.append(SwitchSpec(int(s["id"]), int(s["ports"])))
+            sid = _int(s["id"], "switch id")
+            switches.append(SwitchSpec(sid, _int(s["ports"], f"ports of switch {sid}")))
         links = []
         for ln in topo_doc.get("links", []):
             _check_keys(ln, _LINK_KEYS | {"a", "b"}, "a link")
             links.append(
                 LinkSpec(
-                    a_switch=int(ln["a"][0]),
-                    a_port=int(ln["a"][1]),
-                    b_switch=int(ln["b"][0]),
-                    b_port=int(ln["b"][1]),
-                    params=_link_params(ln),
-                    buffer_depth=int(ln.get("buffer_depth", 16)),
+                    a_switch=_int(ln["a"][0], "switch of link end a"),
+                    a_port=_int(ln["a"][1], "port of link end a"),
+                    b_switch=_int(ln["b"][0], "switch of link end b"),
+                    b_port=_int(ln["b"][1], "port of link end b"),
+                    params=_link_params(ln, "a link"),
+                    buffer_depth=_int(ln.get("buffer_depth", 16), "buffer_depth of a link"),
                 )
             )
         attachments = []
         targets = []
         masters = []
         for n in doc["nius"]:
-            niu_id = int(n["id"])
+            niu_id = _int(n["id"], "NIU id")
             if n["role"] in _ROLE_KEYS:
                 _check_keys(n, _ROLE_KEYS[n["role"]], f"NIU {niu_id}")
             link_doc = n.get("link", {})
@@ -410,10 +436,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
             attachments.append(
                 AttachmentSpec(
                     niu_id=niu_id,
-                    switch_id=int(n["attach"][0]),
-                    port=int(n["attach"][1]),
-                    params=_link_params(link_doc),
-                    buffer_depth=int(link_doc.get("buffer_depth", 16)),
+                    switch_id=_int(n["attach"][0], f"attach switch of NIU {niu_id}"),
+                    port=_int(n["attach"][1], f"attach port of NIU {niu_id}"),
+                    params=_link_params(link_doc, f"the link of NIU {niu_id}"),
+                    buffer_depth=_int(
+                        link_doc.get("buffer_depth", 16), f"buffer_depth of NIU {niu_id}"
+                    ),
                 )
             )
             if n["role"] == "target":
@@ -421,10 +449,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 targets.append(
                     TargetConfig(
                         niu_id=niu_id,
-                        region_base=int(base),
-                        region_size=int(size),
-                        memory_size=int(n["memory"]) if "memory" in n else None,
-                        monitor_granule=int(n.get("monitor_granule", 8)),
+                        region_base=_int(base, f"region base of NIU {niu_id}"),
+                        region_size=_int(size, f"region size of NIU {niu_id}"),
+                        memory_size=(
+                            _int(n["memory"], f"memory of NIU {niu_id}") if "memory" in n else None
+                        ),
+                        monitor_granule=_int(
+                            n.get("monitor_granule", 8), f"monitor_granule of NIU {niu_id}"
+                        ),
                     )
                 )
             elif n["role"] == "initiator":
@@ -435,10 +467,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     niu_id=niu_id,
                     family=family,
                     tag_policy=_tag_policy(n.get("tag_policy", "single")),
-                    capacity=int(n.get("capacity", MAX_TAGS)),
-                    max_payload=int(n.get("max_payload", 32)),
+                    capacity=_int(n.get("capacity", MAX_TAGS), f"capacity of NIU {niu_id}"),
+                    max_payload=_int(n.get("max_payload", 32), f"max_payload of NIU {niu_id}"),
                     endianness=_ENDIAN[n.get("endianness", "little")],
-                    priority=int(n.get("priority", 0)),
+                    priority=_int(n.get("priority", 0), f"priority of NIU {niu_id}"),
                 )
                 masters.append((niu_id, config))
             else:
@@ -448,14 +480,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         routing_doc = topo_doc.get("routing", "auto")
         if routing_doc != "auto":
             routing = {
-                int(sw): {int(t): int(p) for t, p in targets_map.items()}
+                _int(sw, "routing switch"): {
+                    _int(t, "routing target"): _int(p, "routing port")
+                    for t, p in targets_map.items()
+                }
                 for sw, targets_map in routing_doc.items()
             }
 
         programs: dict[int, Program] = {}
         for w in doc.get("workload", []):
             _check_keys(w, {"master", "program"}, "a workload entry")
-            mid = int(w["master"])
+            mid = _int(w["master"], "workload master")
             config = dict(masters).get(mid)
             if config is None:
                 raise ScenarioError(f"workload references unknown initiator {mid}")
@@ -474,8 +509,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioError(f"unknown transport mode {mode_name!r}")
         run = RunSpec(
             mode=_MODES[mode_name],
-            seed=int(run_doc.get("seed", 1)),
-            max_cycles=int(run_doc.get("max_cycles", DEFAULT_MAX_CYCLES)),
+            seed=_int(run_doc.get("seed", 1), "run seed"),
+            max_cycles=_int(run_doc.get("max_cycles", DEFAULT_MAX_CYCLES), "run max_cycles"),
             trace_level=run_doc.get("trace_level", "packet"),
         )
     except ScenarioError:

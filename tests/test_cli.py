@@ -150,3 +150,16 @@ def test_compare_links_non_integer_exit_one_names_flag(capsys):
         err = capsys.readouterr().err
         assert f"{flag} takes comma-separated integers, got '4,abc'" in err
         assert "Traceback" not in err
+
+
+def test_run_fractional_integer_field_exit_one_names_it(tmp_path, capsys):
+    assert main(["run", _edited(tmp_path, "width: 4", "width: 4.7")]) == 1
+    err = capsys.readouterr().err
+    assert "width of a link must be an integer, got 4.7" in err and "Traceback" not in err
+
+
+def test_run_unallocatable_memory_exit_one(tmp_path, capsys):
+    edited = _edited(tmp_path, "region: [0, 4096]}", "region: [0, 4096], memory: 1.0e+300}")
+    assert main(["run", edited]) == 1
+    err = capsys.readouterr().err
+    assert "target NIU 100 memory size" in err and "Traceback" not in err

@@ -9,7 +9,7 @@ from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
 from nocsim.engine import Engine, run
-from nocsim.fabric import Switch, TransportMode
+from nocsim.fabric import Switch, TransportMode, _Plane
 from nocsim.link import LinkParams
 from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
@@ -301,10 +301,43 @@ def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
         return out
 
     woken = outputs()
+    # the reference steps every switch and NIU in every cycle, and every
+    # switch step visits each input port and, in port order, each output
     always = property(lambda self: 0, lambda self, value: None)
     for cls in (Switch, InitiatorNiu, TargetNiu):
         monkeypatch.setattr(cls, "wake_cycle", always, raising=False)
+    every_input = property(
+        lambda self: [ch for _, ch in self.inputs if ch.in_flight], lambda self, value: None
+    )
+    monkeypatch.setattr(_Plane, "arrivals", every_input)
+    monkeypatch.setattr(_Plane, "work", property(lambda self: 1, lambda self, value: None))
     assert outputs() == woken
+
+
+@pytest.mark.parametrize("mode", list(TransportMode))
+def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
+    # The lone-head grant relies on OutPort.ready being exactly the number
+    # of heads that compete for the port whenever its grant scan runs.
+    scans = []
+    grant = Switch._try_grant
+
+    def checked(self, cycle, pl, port, out, saf, *rest):
+        heads = sum(
+            1 for _, ch in pl.inputs
+            if ch.rx and (not saf or ch.rx[0].complete) and self.routes[ch.rx[0].target_id] == port
+        )
+        assert out.ready == heads, (self.switch_id, port, cycle)
+        scans.append(heads)
+        return grant(self, cycle, pl, port, out, saf, *rest)
+
+    monkeypatch.setattr(Switch, "_try_grant", checked)
+    scenarios = [random_scenario(seed, total_transactions=120) for seed in range(6)]
+    slow = random_scenario(6, total_transactions=120).with_link_params(LinkParams(4, 3, 2))
+    scenarios.append(slow)
+    scenarios.append(atomic_loop_scenario("lock", n_masters=3, iterations=8))
+    for scenario in scenarios:
+        assert not run(scenario.with_mode(mode)).timed_out
+    assert 1 in scans and max(scans) >= 3
 
 
 @pytest.mark.parametrize("kind", ["lock", "exclusive"])

@@ -226,6 +226,50 @@ def test_wormhole_grants_never_interleave_packets():
     assert {first.src, second.src} == {1, 2}  # both sources arrived whole
 
 
+@pytest.mark.parametrize("mode", list(TransportMode))
+@pytest.mark.parametrize("owner", [None, 5, 6])
+def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
+    # A port with a single ready head grants it without building candidates;
+    # winner, cursor and lock stall must be what arbitrate gives for it.
+    import nocsim.fabric
+
+    def no_arbitration(candidates, state):
+        raise AssertionError("arbitrate called for a lone head")
+
+    monkeypatch.setattr(nocsim.fabric, "arbitrate", no_arbitration)
+    nports = 4
+    for in_port in range(3):
+        for cursor in range(nports):
+            table = RoutingTable({0: {100: 3}})
+            sw = Switch(0, nports, table)
+            sw.attach_output(PacketKind.REQUEST, 3,
+                             ChannelStream("out", LinkParams(), 16, PacketKind.REQUEST))
+            ins = [ChannelStream(f"in{p}", LinkParams(), 16, PacketKind.REQUEST) for p in range(3)]
+            for p, ch in enumerate(ins):
+                sw.attach_input(PacketKind.REQUEST, p, ch)
+            out = sw.outputs[PacketKind.REQUEST][3]
+            out.arbiter.cursor = cursor
+            out.arbiter.lock_owner = owner
+            pkt = _packet(5, bytes(12))
+            flits = serialize(pkt, ins[in_port].params)
+            for i, flit in enumerate(flits):
+                ins[in_port].send(i, flit)
+            ref = ArbiterState(nports, cursor, owner)
+            expected = arbitrate([Candidate(in_port, pkt.priority, pkt.src)], ref)
+            cycle = 0
+            while not (out.grants_by_input or out.lock_stall_cycles):  # the first scan
+                assert cycle < 50
+                sw.step(cycle, mode)
+                cycle += 1
+            if expected is None:
+                assert out.lock_stall_cycles == 1 and out.active_asm is None
+                assert out.grants_by_input == {}
+            else:
+                assert out.lock_stall_cycles == 0 and out.active_ch is ins[in_port]
+                assert out.grants_by_input == {in_port: 1}
+            assert (out.arbiter.cursor, out.arbiter.lock_owner) == (ref.cursor, ref.lock_owner)
+
+
 def test_interleaved_foreign_flit_faults():
     ch = ChannelStream("x", LinkParams(), 16, PacketKind.REQUEST)
     head, body, tail = serialize(_packet(1, bytes(8)), ch.params)

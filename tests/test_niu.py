@@ -1,5 +1,7 @@
 """NIU units: decode, tag policies, chopping, byte lanes, monitors, packing."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -525,3 +527,13 @@ def test_target_out_of_bounds_error_slave():
     assert resp.payload == bytes(16)  # zero filled to the requested length
     store = tgt.handle_request(_request_packet(Opcode.STORE, 126, payload=bytes(8)))
     assert store.op is Status.ERROR_SLAVE
+
+
+def test_target_memory_that_cannot_be_allocated_is_a_scenario_error():
+    # 2**62 bytes passes the size check but no address space can hold it,
+    # so the allocation fails at once without touching memory
+    with pytest.raises(ScenarioError, match="cannot allocate 4611686018427387904 bytes of "
+                                            "memory for target NIU 100"):
+        _target(memory=2**62)
+    with pytest.raises(ScenarioError, match="target NIU 100 memory size"):
+        _target(memory=sys.maxsize + 1)

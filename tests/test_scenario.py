@@ -113,6 +113,36 @@ def test_malformed_document_wrapped():
         scenario_from_dict({"topology": {"switches": [{"id": 0}]}})
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["topology"]["links"][0].update(width=4.7),
+     "width of a link must be an integer, got 4.7"),
+    (lambda d: d["topology"]["switches"][0].update(ports=True),
+     "ports of switch 0 must be an integer, got True"),
+    (lambda d: d["workload"][0]["program"].update(transactions=10.5),
+     "transactions of master 0 must be an integer, got 10.5"),
+    (lambda d: d["nius"][1].update(memory=float("inf")),
+     "memory of NIU 100 must be an integer, got inf"),
+    (lambda d: d["run"].update(seed="seven"),
+     "run seed must be an integer, got 'seven'"),
+])
+def test_non_integer_in_integer_field_diagnosed(edit, message):
+    doc = _doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_integral_values_of_integer_fields_load_as_integers():
+    doc = _doc()
+    doc["topology"]["links"][0]["width"] = 8.0
+    doc["workload"][0]["program"]["transactions"] = 1.0e1
+    scenario = scenario_from_dict(doc)
+    assert scenario.topology.links[0].params.flit_payload_width == 8
+    assert scenario.masters[0].program.transactions == 10
+    assert type(scenario.masters[0].program.transactions) is int
+
+
 def test_wait_on_posted_write_rejected():
     with pytest.raises(ScenarioError, match="posted"):
         line_scenario(programs=[[(req(0, Opcode.STORE_POSTED, 0x40), True)]])
