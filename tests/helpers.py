@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 from nocsim.fabric import (
     AttachmentSpec,
     LinkSpec,
@@ -9,7 +12,7 @@ from nocsim.fabric import (
     Topology,
     TransportMode,
 )
-from nocsim.link import LinkParams
+from nocsim.link import LinkParams, flit_count
 from nocsim.niu import (
     Endianness,
     InitiatorConfig,
@@ -22,6 +25,7 @@ from nocsim.scenario import MasterSpec, RunSpec, Scenario, ScriptProgram
 from nocsim.transaction import Opcode, SocketOrderKey, TransactionRequest
 
 SINGLE = TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
+WIDTHS = (2, 3, 4, 5, 8, 16)
 
 
 def pooled(n: int) -> TagPolicy:
@@ -114,4 +118,24 @@ def line_scenario(
         masters=masters,
     )
     scenario.validate()
+    return scenario
+
+
+def mixed_widths(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario with each link and attachment width drawn from WIDTHS.
+
+    A buffer too shallow for the largest packet at its new width is deepened
+    to exactly that packet, as the scenario checks require.
+    """
+    rng = random.Random(seed)
+    worst = scenario.max_payload()
+
+    def rewidth(spec):
+        width = rng.choice(WIDTHS)
+        depth = max(spec.buffer_depth, flit_count(worst, width))
+        return replace(spec, params=LinkParams(width), buffer_depth=depth)
+
+    topo = scenario.topology
+    topo.links = [rewidth(ln) for ln in topo.links]
+    topo.attachments = [rewidth(at) for at in topo.attachments]
     return scenario

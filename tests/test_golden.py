@@ -20,6 +20,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from helpers import mixed_widths
 
 from nocsim import (
     Engine,
@@ -56,6 +57,19 @@ def _cases() -> dict:
         cases[f"slow-{seed}-cut"] = lambda s=seed: _cut(
             random_scenario(s, trace_level="full").with_link_params(SLOW_LINK), 600
         )
+    # every link and attachment its own width, so packets are re-sliced at
+    # most hops; the cut-off runs end with packets spread over several hops
+    for seed in range(4):
+        for name, mode in MODES.items():
+            cases[f"mixed-{seed}-{name}"] = (
+                lambda s=seed, m=mode: mixed_widths(
+                    random_scenario(s, trace_level="full").with_mode(m), s
+                )
+            )
+    for seed, mode in enumerate(MODES.values()):
+        cases[f"mixed-{seed}-cut"] = lambda s=seed, m=mode: _cut(
+            mixed_widths(random_scenario(s, trace_level="full").with_mode(m), s), 300
+        )
     return cases
 
 
@@ -85,6 +99,16 @@ GOLDEN = {
     "file-lock_deadlock": "d2c48bbfdf096093bee06fe45ea19ba6342848709f824bae1966006f67f31923",
     "file-lock_loop": "a50e3f5a305897d159a073fd4aa73236e218e6ddb8f55485eef8be2bb0384fcd",
     "file-qos_contention": "906c909ac66bd49992f0b40ee56493eb9825a17d04e2de59bfc2dca34c39fc0b",
+    "mixed-0-cut": "94ffaae3347c33f280847cfb751059b50542dfa1f962c847c75f22b21ea07ff4",
+    "mixed-0-saf": "da7059ba8b54804f67a6c1c269a98b16dfeb6fb7850d59535a37f018633fcac9",
+    "mixed-0-wormhole": "20a478739eec4d147cf2cc5c1f242dcd7deef1c036be5c374eba1e62b79bcb85",
+    "mixed-1-cut": "c6f6534d4809cca699ab4f1f8547d7fa48d76c6e68fc7a1bc3d503119cf57a7e",
+    "mixed-1-saf": "3c77a643ba184d8fe25c0a106499ebbeb37fe665fd51a5e422ec4d7d0df17a90",
+    "mixed-1-wormhole": "1746b8939a75a306c89c0c0e09325642b9d65f6c9436ccf8f3b07cc6c8d1db05",
+    "mixed-2-saf": "121bc0827f608e12389faa7608917a3e444838e89b4e4f59d51426731158dff5",
+    "mixed-2-wormhole": "fdca28159e8aeda736d077f88b3e621e615a66eefd7e12bba91bce73fe5f0939",
+    "mixed-3-saf": "6ffb69b48841a4cef9ae54e74cac2f0fa79e247c46d5a1cfe5865d83e505ee30",
+    "mixed-3-wormhole": "3c4b5a7e7663caff3b82ad19455ce65f399e174a84e2dc41cae6e776aafc876d",
     "random-0-saf": "619e044a3bffecc36e51b2f4508fc95c8e86d965d6471491cfbb72baf62d12af",
     "random-0-wormhole": "e43222f4df2bf309f7ae71632e12e1d0ad8b8c9b77efb6841d6a68bfca09f315",
     "random-1-saf": "c54b32d722c5c70603ef7ce0703768459b8f3f93682ee500959ecba86669709c",
@@ -139,6 +163,16 @@ GOLDEN_AUDIT = {
     "file-lock_deadlock": "d06351ed24d06763b7b2b26b2c10adcee5bbf9e112878738a21b98b34260a46e",
     "file-lock_loop": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "file-qos_contention": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "mixed-0-cut": "b3888968f08815cf79b5dfc79e3e4938f56fe612414f378c9d2f0feaab4934f5",
+    "mixed-0-saf": "ea45c9ea492ffdf73b50197ae5e65a78465de3f3a2471de283a812e845dc83b3",
+    "mixed-0-wormhole": "8583f170532d75d75bfd22c0c96c1a615176d5072fb95eeae4f19879586cafc6",
+    "mixed-1-cut": "b7670f954d57e8710a0566fa532158061ae23cfb07f84d6ef9e5680b5881d2ee",
+    "mixed-1-saf": "ef494653a922bfe0e9bf2fb5ab51a70a865c195e0556c6e0359fec16973411a2",
+    "mixed-1-wormhole": "18bdaea5bf0981f8de917da3ce0fe6ee34305445f1a9362fec85e15226db2949",
+    "mixed-2-saf": "89d5bf5f21c2241ac024d1bf5145a47ae1ba3a6de3f04ba5325a57d4263f7204",
+    "mixed-2-wormhole": "354c163f799cddbbd5f6b26928108add846d3b08bc3a5cee44b2311eeb3fc3b1",
+    "mixed-3-saf": "425fcbf070dca84a57d1453e7021c11db1874ee1627b27b6e74b856680e4c591",
+    "mixed-3-wormhole": "425fcbf070dca84a57d1453e7021c11db1874ee1627b27b6e74b856680e4c591",
     "random-0-saf": "3f4e58932a7c2432fda8d890675035365d922dcba3573c2367aecb6524e25c36",
     "random-0-wormhole": "1bca19e6fc428d6ca92db969fa6f069f8e75748cc66de1cf32cc68cc8c404616",
     "random-1-saf": "b39b8c8bafebdd4f42189cc8cad9bc441538d3a73e1172fbd3a8fc0c16541947",
