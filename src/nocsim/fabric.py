@@ -6,13 +6,15 @@ and source, flow control only at buffer space. The single exception the
 design allows is lock-marked packets: an output port captured by a lock
 acquire admits only its owner's packets until the matching release passes.
 A packet reaches the fabric by reference inside its flits (see link.py);
-an Assembly reads just these four fields of it and passes the rest on
-unread.
+a switch reads just these four fields of it and passes the rest on unread.
 
-Payload bytes are counted, not copied: a channel's receive side records how
-many bytes of each packet have arrived, and a switch forwards by slicing
-those counts for its output link's width, so wormhole and store-and-forward
-timing stay flit-exact without a byte being moved.
+A channel's receive side is a flit buffer, as in hardware: each delivered
+flit holds one credit until the switch has forwarded all of its bytes.
+Payload bytes are counted, not copied: the buffer records how many bytes of
+its newest packet have arrived, and a switch sends the packet's flits for
+its output link's width (sliced once per width, see link.serialize) as the
+bytes they stand for arrive, so wormhole and store-and-forward timing stay
+flit-exact without a byte being moved.
 
 Requests and responses travel on physically separate channel planes so a
 backed-up request path can never block responses (and vice versa), which
@@ -27,7 +29,7 @@ from enum import Enum, auto
 from typing import Callable, Optional
 
 from .errors import CreditError, FramingError, LockProtocolError, ScenarioError
-from .link import BODY, HEAD, HEAD_TAIL, TAIL, Flit, LinkParams
+from .link import Flit, LinkParams, serialize
 from .packet import LockMarker, Packet, PacketKind
 
 
@@ -240,8 +242,9 @@ def validate_routing(topology: Topology, table: RoutingTable) -> None:
 class CreditCounter:
     """Per-channel credit counter initialized to the receiver buffer depth.
 
-    Faults on misuse: these exceptions fire only on internal accounting
-    bugs, never on legitimate backpressure.
+    ChannelStream takes and returns credits inline and faults on misuse with
+    CreditError, which fires only on internal accounting bugs, never on
+    legitimate backpressure.
     """
 
     __slots__ = ("depth", "credits", "min_seen")
@@ -253,54 +256,21 @@ class CreditCounter:
         self.credits = depth
         self.min_seen = depth
 
-    def can_send(self) -> bool:
-        return self.credits > 0
-
-    def consume(self) -> None:
-        if self.credits <= 0:
-            raise CreditError("credit accounting: consume at zero")
-        self.credits -= 1
-        if self.credits < self.min_seen:
-            self.min_seen = self.credits
-
-    def give_back(self) -> None:
-        if self.credits >= self.depth:
-            raise CreditError("credit accounting: return beyond buffer depth")
-        self.credits += 1
-
-
-class Assembly:
-    """A packet materializing at a channel's receive side.
-
-    Holds the packet, the four fields the fabric may read from it, the
-    count of payload bytes received so far, and bookkeeping for forwarding
-    progress and per-flit credit release.
-    """
-
-    __slots__ = (
-        "packet", "target_id", "src", "priority", "lock_marker", "received",
-        "complete", "unreleased", "fwd_head_sent", "fwd_bytes",
-    )
-
-    def __init__(self, packet: Packet, complete: bool):
-        self.packet = packet
-        self.target_id = packet.dest.target_id
-        self.src = packet.src
-        self.priority = packet.priority
-        self.lock_marker = packet.lock_marker
-        self.received = 0  # payload bytes arrived
-        self.complete = complete
-        # byte-end offset per retained inbound flit; -1 marks the head flit
-        self.unreleased: deque[int] = deque((-1,))
-        self.fwd_head_sent = False
-        self.fwd_bytes = 0  # payload bytes forwarded
-
 
 NEVER = 1 << 62  # wake cycle of a component that nothing can wake but a send
 
 
 class ChannelStream:
-    """One directed flit pipe: credits, latency/rate pipeline, receive queue.
+    """One directed flit pipe: credits, latency/rate pipeline, flit buffer.
+
+    ``rx`` is the receive side's buffer: the delivered flits that still hold
+    a credit, oldest first, so ``credits + len(in_flight) + len(rx)`` is
+    always the buffer depth. ``tails`` counts the tail flits in it, so the
+    oldest packet in the buffer is whole iff ``tails > 0``; ``received`` is
+    the payload bytes of the newest packet delivered so far, and ``open``
+    is set between a packet's head and its tail, for the framing checks. A
+    switch reading the channel sets ``waiting`` to the output port that the
+    head at the front of ``rx`` is routed to while it waits for a grant.
 
     ``sink`` is the switch or NIU that reads the channel. The engine steps
     it only from its ``wake_cycle`` on, and a send lowers that cycle to the
@@ -308,12 +278,13 @@ class ChannelStream:
     ``arrivals`` list of its reading switch plane (``sink_plane``; None when
     an NIU reads it), so a switch step visits only inputs with flits in
     flight. Credits are taken and returned inline on the hot path; misuse
-    still raises CreditError, as CreditCounter does.
+    raises CreditError.
     """
 
     __slots__ = (
         "name", "params", "plane", "credits", "in_flight", "next_send",
-        "flits_sent", "rx", "sink", "sink_plane", "delay", "width",
+        "flits_sent", "rx", "tails", "received", "open", "waiting", "sink",
+        "sink_plane", "delay",
     )
 
     def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
@@ -324,11 +295,14 @@ class ChannelStream:
         self.in_flight: deque[tuple[int, Flit]] = deque()
         self.next_send = 0
         self.flits_sent = 0
-        self.rx: deque[Assembly] = deque()
+        self.rx: deque[Flit] = deque()
+        self.tails = 0
+        self.received = 0
+        self.open = False
+        self.waiting: Optional[int] = None
         self.sink = None
         self.sink_plane: Optional[_Plane] = None
         self.delay = 1 + params.latency  # send to arrival, in cycles
-        self.width = params.flit_payload_width
 
     def can_send(self, cycle: int) -> bool:
         return cycle >= self.next_send and self.credits.credits > 0
@@ -357,42 +331,60 @@ class ChannelStream:
         return q[0][0] if q else NEVER
 
     def deliver(self, cycle: int) -> None:
-        """Move flits whose arrival cycle has come into the receive queue."""
+        """Move flits whose arrival cycle has come into the flit buffer."""
         q = self.in_flight
         rx = self.rx
         while q and q[0][0] <= cycle:
             flit = q.popleft()[1]
             if flit.is_head:
-                if rx and not rx[-1].complete:
+                if self.open:
                     raise FramingError(
                         f"framing violation on {self.name}: head flit interrupts a packet"
                     )
-                rx.append(Assembly(flit.packet, flit.is_tail))
-                continue
-            if not rx or rx[-1].complete:
+                self.received = 0
+            elif self.open:
+                self.received = flit.end
+            else:
                 raise FramingError(
                     f"framing violation on {self.name}: stray continuation flit"
                 )
-            asm = rx[-1]
-            asm.received = end = flit.end
-            asm.unreleased.append(end)
             if flit.is_tail:
-                asm.complete = True
+                self.tails += 1
+                self.open = False
+            else:
+                self.open = True
+            rx.append(flit)
+
+    def release(self, count: int) -> None:
+        """Return the credits of ``count`` flits popped from the buffer."""
+        cr = self.credits
+        if cr.credits + count > cr.depth:
+            raise CreditError("credit accounting: return beyond buffer depth")
+        cr.credits += count
+
+    def pop_packet(self) -> Packet:
+        """Pop the oldest packet's flits, through its tail, freeing their credits."""
+        rx = self.rx
+        count = 1
+        flit = rx.popleft()
+        while not flit.is_tail:
+            flit = rx.popleft()
+            count += 1
+        self.tails -= 1
+        self.release(count)
+        return flit.packet
 
     def pop_complete_packet(self) -> Optional[Packet]:
-        """Consume the head assembly whole, as an NIU receive side does.
+        """Consume the oldest packet whole, as an NIU receive side does.
 
-        Returns its packet and frees all its buffer credits.
+        Returns it, or None while it is not whole. The packet leaves the
+        fabric here, so its slicing into flits is dropped with it.
         """
-        rx = self.rx
-        if not rx or not rx[0].complete:
+        if not self.tails:
             return None
-        asm = rx.popleft()
-        cr = self.credits
-        if cr.credits + len(asm.unreleased) > cr.depth:
-            raise CreditError("credit accounting: return beyond buffer depth")
-        cr.credits += len(asm.unreleased)
-        return asm.packet
+        packet = self.pop_packet()
+        packet.sliced = None
+        return packet
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +452,20 @@ class OutPort:
     """Per-(output port, plane) switch state: arbiter, lock, active stream.
 
     ``ready`` counts the heads routed here that may compete for a grant:
-    each sits at the front of an input's receive queue, is not granted yet,
-    and is whole if the transport mode is store-and-forward. An idle port
-    runs its grant scan only while the count is non-zero; at exactly one it
-    grants that head directly, which is what ``arbitrate`` decides for a
-    single candidate. ``site`` names the port in trace events and stats.
+    each sits at the front of an input's flit buffer, is not granted yet,
+    and is whole if the transport mode is store-and-forward; its input's
+    ``waiting`` names this port. An idle port runs its grant scan only while
+    the count is non-zero; at exactly one it grants that head directly,
+    which is what ``arbitrate`` decides for a single candidate.
+
+    The active stream is the packet granted from input ``active_ch``, its
+    flits for this port's link width, and the index of the next to send.
+    ``site`` names the port in trace events and stats.
     """
 
     __slots__ = (
-        "channel", "site", "arbiter", "active_ch", "active_asm", "ready",
-        "grants_by_input", "lock_stall_cycles", "credit_stall_cycles",
+        "channel", "site", "arbiter", "active_ch", "active_pkt", "flits", "next_flit",
+        "ready", "grants_by_input", "lock_stall_cycles", "credit_stall_cycles",
     )
 
     def __init__(self, channel: ChannelStream, nports: int, site: str):
@@ -477,7 +473,9 @@ class OutPort:
         self.site = site
         self.arbiter = ArbiterState(nports)
         self.active_ch: Optional[ChannelStream] = None  # input being streamed
-        self.active_asm: Optional[Assembly] = None
+        self.active_pkt: Optional[Packet] = None
+        self.flits: list[Flit] = []
+        self.next_flit = 0
         self.ready = 0
         self.grants_by_input: dict[int, int] = {}
         self.lock_stall_cycles = 0
@@ -527,6 +525,11 @@ class Switch:
     delivers only on the inputs with flits in flight, and scans its outputs,
     in port order, only while it has a ready head or an active stream.
     Delivery only bumps head counts, so the order of the inputs is free.
+
+    Each input is a flit buffer (see ChannelStream). A head is routed once,
+    when it becomes ready; a stream sends the packet's flits for its
+    output's width and pops the inbound flits whose bytes have all gone
+    out, returning their credits.
     """
 
     def __init__(self, switch_id: int, nports: int, table: RoutingTable):
@@ -583,10 +586,11 @@ class Switch:
                     q = ch.in_flight
                     if q[0][0] <= cycle:
                         rx = ch.rx
-                        no_head = not rx or (saf and not rx[0].complete)
+                        no_head = not rx or (saf and not ch.tails)
                         ch.deliver(cycle)
-                        if no_head and (not saf or rx[0].complete):
-                            self._head_ready(pl, rx[0])
+                        # rx[0] is no head when the delivery continues a stream
+                        if no_head and rx[0].is_head and (not saf or ch.tails):
+                            self._head_ready(pl, ch)
                         if not q:
                             continue
                     in_flight.append(ch)
@@ -596,11 +600,11 @@ class Switch:
             if not pl.work:
                 continue
             for port, out in pl.outputs:
-                if out.active_asm is not None:
+                if out.active_pkt is not None:
                     self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
                 elif out.ready:
                     self._try_grant(cycle, pl, port, out, saf, recorder, record_hops)
-                if out.active_asm is not None:
+                if out.active_pkt is not None:
                     resume = out.channel.next_send
                     if resume <= cycle:
                         resume = cycle + 1
@@ -613,110 +617,102 @@ class Switch:
 
     # -- grant ---------------------------------------------------------------
 
-    def _head_ready(self, pl: _Plane, asm: Assembly) -> None:
-        pl.out_by_port[self.routes[asm.target_id]].ready += 1
+    def _head_ready(self, pl: _Plane, ch: ChannelStream) -> None:
+        ch.waiting = port = self.routes[ch.rx[0].packet.dest.target_id]
+        pl.out_by_port[port].ready += 1
         pl.work += 1
         self.ready += 1
 
     def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
                    record_hops: bool) -> None:
-        routes = self.routes
         arbiter = out.arbiter
         if out.ready == 1:
             # the lone ready head wins unless a lock owner filters it out
             for winner, in_ch in pl.inputs:
-                rx = in_ch.rx
-                if rx and (not saf or rx[0].complete) and routes[rx[0].target_id] == port:
+                if in_ch.waiting == port:
                     break
-            asm = rx[0]
-            if arbiter.lock_owner is not None and asm.src != arbiter.lock_owner:
+            pkt = in_ch.rx[0].packet
+            if arbiter.lock_owner is not None and pkt.src != arbiter.lock_owner:
                 out.lock_stall_cycles += 1
                 return
             arbiter.cursor = (winner + 1) % arbiter.nports
         else:
             candidates = []
             for in_port, ch in pl.inputs:
-                rx = ch.rx
-                if rx and (not saf or rx[0].complete) and routes[rx[0].target_id] == port:
-                    candidates.append(Candidate(in_port, rx[0].priority, rx[0].src))
+                if ch.waiting == port:
+                    head = ch.rx[0].packet
+                    candidates.append(Candidate(in_port, head.priority, head.src))
             winner = arbitrate(candidates, arbiter)
             if winner is None:
                 out.lock_stall_cycles += 1
                 return
             in_ch = pl.in_by_port[winner]
-            asm = in_ch.rx[0]
+            pkt = in_ch.rx[0].packet
+        in_ch.waiting = None
         out.ready -= 1
         self.ready -= 1
         out.active_ch = in_ch
-        out.active_asm = asm
+        out.active_pkt = pkt
+        out.flits = serialize(pkt, out.channel.params)
+        out.next_flit = 0
         self.streaming.append(out)
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
-        if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_ACQUIRE:
-            lock_capture(arbiter, asm.src)
+        if pl.kind is PacketKind.REQUEST and pkt.lock_marker is LockMarker.LOCK_ACQUIRE:
+            lock_capture(arbiter, pkt.src)
             if recorder is not None:
-                recorder("LOCK_SET", out.site, asm.packet, cycle)
+                recorder("LOCK_SET", out.site, pkt, cycle)
         self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
 
     # -- streaming -----------------------------------------------------------
 
     def _continue_stream(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
                          record_hops: bool) -> None:
-        """Forward the active packet's next flit, sliced for the output link.
+        """Forward the active packet's next flit for the output link.
 
-        A body flit goes out once a whole output slice of bytes has arrived,
-        the tail once the packet is whole; in between the stream waits.
+        The head goes out at once, a body flit once all of its bytes have
+        arrived, the tail once the packet is whole; in between the stream
+        waits. The active packet is the oldest in the input's buffer, so it
+        is whole iff the buffer holds a tail, and else it is the newest, so
+        ``received`` counts its bytes.
         """
         ch = out.channel
         if cycle < ch.next_send or ch.credits.credits <= 0:
             out.credit_stall_cycles += 1
             return
-        asm = out.active_asm
-        if not asm.fwd_head_sent:
-            asm.fwd_head_sent = True
-            kind = HEAD_TAIL if asm.complete and not asm.received else HEAD
-            ch.send(cycle, Flit(kind, asm.packet))
-        else:
-            start = asm.fwd_bytes
-            end = start + ch.width
-            if end < asm.received:
-                kind = BODY
-            elif asm.complete:
-                kind = TAIL
-                end = asm.received
-            elif end == asm.received:
-                kind = BODY
-            else:
-                return  # wormhole: a partial slice has arrived; wait for more bytes
-            asm.fwd_bytes = end
-            ch.send(cycle, Flit(kind, asm.packet, start, end))
-        # return the credits of the inbound flits forwarded in full
         in_ch = out.active_ch
-        pend = asm.unreleased
-        cr = in_ch.credits
-        while pend and pend[0] <= asm.fwd_bytes:
-            pend.popleft()
-            if cr.credits >= cr.depth:
-                raise CreditError("credit accounting: return beyond buffer depth")
-            cr.credits += 1
-        if kind is TAIL or kind is HEAD_TAIL:
+        i = out.next_flit
+        flit = out.flits[i]
+        if i and not in_ch.tails and (flit.is_tail or flit.end > in_ch.received):
+            return  # wormhole: the flit's bytes have not all arrived; wait for more
+        out.next_flit = i + 1
+        ch.send(cycle, flit)
+        if flit.is_tail:
+            in_ch.pop_packet()
             self._finish_stream(cycle, pl, port, out, in_ch, saf, recorder, record_hops)
+            return
+        # pop the inbound flits forwarded in full; the tail stays until the end
+        rx = in_ch.rx
+        end = flit.end
+        count = 0
+        while rx and rx[0].end <= end:
+            rx.popleft()
+            count += 1
+        if count:
+            in_ch.release(count)
 
     def _finish_stream(self, cycle, pl: _Plane, port, out: OutPort, in_ch: ChannelStream,
                        saf: bool, recorder, record_hops: bool) -> None:
-        asm = out.active_asm
-        rx = in_ch.rx
-        popped = rx.popleft()
-        assert popped is asm and not asm.unreleased
+        pkt = out.active_pkt
         # the next packet's head is exposed to later ports in this same step
-        if rx and (not saf or rx[0].complete):
-            self._head_ready(pl, rx[0])
+        if in_ch.rx and (not saf or in_ch.tails):
+            self._head_ready(pl, in_ch)
         out.active_ch = None
-        out.active_asm = None
+        out.active_pkt = None
         self.streaming.remove(out)
         pl.work -= 1
-        if pl.kind is PacketKind.REQUEST and asm.lock_marker is LockMarker.LOCK_RELEASE:
-            lock_release(out.arbiter, asm.src, f" at sw{self.switch_id} port {port}")
+        if pl.kind is PacketKind.REQUEST and pkt.lock_marker is LockMarker.LOCK_RELEASE:
+            lock_release(out.arbiter, pkt.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:
-                recorder("LOCK_CLEARED", out.site, asm.packet, cycle)
+                recorder("LOCK_CLEARED", out.site, pkt, cycle)
         if record_hops:
-            recorder("PKT_DELIVERED", out.site, asm.packet, cycle)
+            recorder("PKT_DELIVERED", out.site, pkt, cycle)

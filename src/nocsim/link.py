@@ -5,9 +5,10 @@ one flit form, used by ``serialize`` and by the fabric alike: a flit holds
 its kind, a reference to its packet and the byte range ``[start, end)`` of
 the packet's payload that it stands for. A head flit stands for the header
 and has an empty range. No flit copies payload bytes. Flits are per-link
-artifacts; a switch forwarding a packet onto a narrower or wider link
-re-slices it by counting bytes, and ``deserialize`` rebuilds a packet from
-the slices its flits name.
+artifacts, but a packet is not sliced again for a link of the width it was
+last sliced for: ``serialize`` keeps that slicing on the packet, so a switch
+forwarding onto a link as wide as the one before sends the flits it
+received. ``deserialize`` rebuilds a packet from the slices its flits name.
 """
 
 from __future__ import annotations
@@ -74,16 +75,23 @@ def serialize(packet: Packet, params: LinkParams) -> list[Flit]:
 
     Empty payloads produce a single HEAD_TAIL flit; otherwise the head is
     followed by body slices of flit_payload_width bytes and a tail carrying
-    the final slice.
+    the final slice. The list is kept on the packet (``Packet.sliced``) and
+    returned again while the width stays the same, so callers must not
+    change it.
     """
+    width = params.flit_payload_width
+    sliced = packet.sliced
+    if sliced is not None and sliced[0] == width:
+        return sliced[1]
     size = len(packet.payload)
     if not size:
-        return [Flit(HEAD_TAIL, packet)]
-    width = params.flit_payload_width
-    flits = [Flit(HEAD, packet)]
-    for start in range(0, size - width, width):
-        flits.append(Flit(BODY, packet, start, start + width))
-    flits.append(Flit(TAIL, packet, (size - 1) // width * width, size))
+        flits = [Flit(HEAD_TAIL, packet)]
+    else:
+        flits = [Flit(HEAD, packet)]
+        for start in range(0, size - width, width):
+            flits.append(Flit(BODY, packet, start, start + width))
+        flits.append(Flit(TAIL, packet, (size - 1) // width * width, size))
+    packet.sliced = (width, flits)
     return flits
 
 

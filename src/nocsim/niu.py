@@ -189,9 +189,6 @@ class PendingTable:
     def is_full(self) -> bool:
         return self.count >= self.capacity
 
-    def live_tags(self) -> list[int]:
-        return sorted(self.entries)
-
     def insert(self, tag: int, entry: PendingEntry) -> None:
         if self.count >= self.capacity:
             raise ScenarioError("pending table overflow")

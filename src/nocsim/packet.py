@@ -10,9 +10,9 @@ means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Union
+from typing import Optional, Union
 
 from .transaction import Opcode, Status
 
@@ -47,7 +47,8 @@ class Packet:
     addressed at the target (loads carry no payload but still state how many
     bytes they want back). For responses `op` is a Status. `frag_index` and
     `frag_last` tie burst chops back together at the initiator; the fabric
-    never reads them.
+    never reads them. `sliced` is the physical layer's cache of the packet's
+    latest slicing into flits, as (link width, flits); see link.serialize.
     """
 
     dest: PacketDest
@@ -62,6 +63,7 @@ class Packet:
     payload_len: int = 0
     frag_index: int = 0
     frag_last: bool = True
+    sliced: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def exclusive(self) -> bool:

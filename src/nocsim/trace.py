@@ -79,9 +79,6 @@ class Trace:
         lines.extend(ev.csv_line() for ev in self.events)
         return "\n".join(lines) + "\n"
 
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.kind == kind]
-
 
 class TraceRecorder:
     """Append-only event sink for one detail level.

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from helpers import line_scenario, per_stream, req
+from helpers import line_scenario, mixed_widths, per_stream, req
 from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
@@ -318,15 +318,23 @@ def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
 def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
     # The lone-head grant relies on OutPort.ready being exactly the number
     # of heads that compete for the port whenever its grant scan runs.
+    # A head competes when it is at the front of an input's flit buffer, its
+    # input is not being streamed (a granted head stays there until it is
+    # forwarded), and its packet is whole under store-and-forward.
     scans = []
     grant = Switch._try_grant
 
     def checked(self, cycle, pl, port, out, saf, *rest):
-        heads = sum(
-            1 for _, ch in pl.inputs
-            if ch.rx and (not saf or ch.rx[0].complete) and self.routes[ch.rx[0].target_id] == port
-        )
+        streamed = {o.active_ch for _, o in pl.outputs}
+        competing = [
+            ch for _, ch in pl.inputs
+            if ch.rx and ch.rx[0].is_head and ch not in streamed and (not saf or ch.tails)
+            and self.routes[ch.rx[0].packet.dest.target_id] == port
+        ]
+        heads = len(competing)
         assert out.ready == heads, (self.switch_id, port, cycle)
+        waiting = [ch for _, ch in pl.inputs if ch.waiting == port]
+        assert waiting == competing, (self.switch_id, port, cycle)
         scans.append(heads)
         return grant(self, cycle, pl, port, out, saf, *rest)
 
@@ -338,6 +346,42 @@ def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
     for scenario in scenarios:
         assert not run(scenario.with_mode(mode)).timed_out
     assert 1 in scans and max(scans) >= 3
+
+
+@pytest.mark.parametrize("mode", list(TransportMode))
+def test_every_credit_is_on_a_link_in_a_buffer_or_free(monkeypatch, mode):
+    # After every component step (nothing else touches a channel) each
+    # channel's credits, flits in flight and buffered flits add up to its
+    # depth, and its tail count is the number of tails in its buffer.
+    channels = []
+    checks = [0]
+
+    def conserved(step):
+        def checked(self, *args):
+            result = step(self, *args)
+            for ch in channels:
+                assert ch.credits.credits + len(ch.in_flight) + len(ch.rx) == ch.credits.depth, (
+                    ch.name
+                )
+                assert ch.tails == sum(1 for f in ch.rx if f.is_tail), ch.name
+            checks[0] += 1
+            return result
+
+        return checked
+
+    for cls, name in ((Switch, "step"), (InitiatorNiu, "step_inject"),
+                      (InitiatorNiu, "step_egress"), (TargetNiu, "step")):
+        monkeypatch.setattr(cls, name, conserved(getattr(cls, name)))
+    scenarios = [random_scenario(seed, total_transactions=120) for seed in range(3)]
+    scenarios += [mixed_widths(random_scenario(seed, total_transactions=120), seed)
+                  for seed in range(3, 6)]
+    scenarios.append(atomic_loop_scenario("lock", n_masters=3, iterations=8))
+    for scenario in scenarios:
+        engine = Engine(scenario.with_mode(mode))
+        channels[:] = engine.channels.values()
+        assert not engine.run().timed_out
+        assert all(not ch.rx and not ch.in_flight for ch in channels)
+    assert checks[0] > 10_000
 
 
 @pytest.mark.parametrize("kind", ["lock", "exclusive"])

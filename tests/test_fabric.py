@@ -12,7 +12,6 @@ from nocsim.fabric import (
     ArbiterState,
     AttachmentSpec,
     Candidate,
-    CreditCounter,
     LinkSpec,
     RoutingTable,
     SwitchSpec,
@@ -262,11 +261,11 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
                 sw.step(cycle, mode)
                 cycle += 1
             if expected is None:
-                assert out.lock_stall_cycles == 1 and out.active_asm is None
-                assert out.grants_by_input == {}
+                assert out.lock_stall_cycles == 1 and out.active_pkt is None
+                assert out.grants_by_input == {} and ins[in_port].waiting == 3
             else:
                 assert out.lock_stall_cycles == 0 and out.active_ch is ins[in_port]
-                assert out.grants_by_input == {in_port: 1}
+                assert out.grants_by_input == {in_port: 1} and ins[in_port].waiting is None
             assert (out.arbiter.cursor, out.arbiter.lock_owner) == (ref.cursor, ref.lock_owner)
 
 
@@ -277,48 +276,104 @@ def test_interleaved_foreign_flit_faults():
     ch.send(1, body)
     foreign_head, _, _ = serialize(_packet(2, bytes(8)), ch.params)
     ch.send(2, foreign_head)
-    with pytest.raises(FramingError, match="framing violation"):
+    with pytest.raises(FramingError) as err:
         ch.deliver(100)
+    assert str(err.value) == "framing violation on x: head flit interrupts a packet"
+
+
+@pytest.mark.parametrize("lead", [[], ["head", "tail"]])
+def test_stray_continuation_flit_faults(lead):
+    # a body flit with no open packet to continue, on an empty buffer or
+    # right after a whole packet
+    ch = ChannelStream("x", LinkParams(), 16, PacketKind.REQUEST)
+    head, body, tail = serialize(_packet(1, bytes(8)), ch.params)
+    flits = {"head": head, "tail": tail}
+    for i, name in enumerate(lead):
+        ch.send(i, flits[name])
+    ch.send(len(lead), body)
+    with pytest.raises(FramingError) as err:
+        ch.deliver(100)
+    assert str(err.value) == "framing violation on x: stray continuation flit"
 
 
 # -- credit flow ------------------------------------------------------------------
+# A send takes a credit; a flit holds it in flight and in the receive buffer,
+# and gives it back when its bytes have been forwarded or its packet consumed.
+
+CONSUME_AT_ZERO = "credit accounting: consume at zero"
+BEYOND_DEPTH = "credit accounting: return beyond buffer depth"
+
+
+def _lone_flit():
+    return serialize(_packet(1, op=Opcode.LOAD), LinkParams())[0]  # a lone HEAD_TAIL
+
+
+def _conserved(ch):
+    depth = ch.credits.depth
+    return ch.credits.credits + len(ch.in_flight) + len(ch.rx) == depth
+
 
 def test_credit_counter_basics():
-    c = CreditCounter(2)
-    assert c.can_send()
-    c.consume()
-    c.consume()
-    assert not c.can_send()
-    c.give_back()
-    assert c.can_send()
+    ch = ChannelStream("x", LinkParams(), 2, PacketKind.REQUEST)
+    assert ch.can_send(0)
+    ch.send(0, _lone_flit())
+    ch.send(1, _lone_flit())
+    assert not ch.can_send(2) and ch.credits.min_seen == 0
+    ch.deliver(10)
+    assert ch.credits.credits == 0 and len(ch.rx) == 2  # buffered flits hold theirs
+    assert ch.pop_complete_packet() is not None
+    assert ch.can_send(2) and ch.credits.credits == 1 and _conserved(ch)
 
 
 def test_credit_faults_on_misuse():
-    c = CreditCounter(1)
-    c.consume()
-    with pytest.raises(CreditError):
-        c.consume()
-    c.give_back()
-    with pytest.raises(CreditError):
-        c.give_back()
+    ch = ChannelStream("x", LinkParams(), 1, PacketKind.REQUEST)
+    ch.send(0, _lone_flit())
+    with pytest.raises(CreditError) as err:
+        ch.send(1, _lone_flit())
+    assert str(err.value) == CONSUME_AT_ZERO
+    ch.deliver(10)
+    ch.credits.credits = 1  # an accounting bug: the buffered flit's credit is back early
+    with pytest.raises(CreditError) as err:
+        ch.pop_complete_packet()
+    assert str(err.value) == BEYOND_DEPTH
+
+
+@pytest.mark.parametrize("mode", list(TransportMode))
+def test_switch_forward_returning_credit_beyond_depth_faults(mode):
+    sw, (cin, _), _ = _mini_switch()
+    for i, flit in enumerate(serialize(_packet(1, bytes(8)), cin.params)):
+        cin.send(i, flit)
+    sw.step(10, mode)  # all three flits buffered; the head is forwarded
+    assert len(cin.rx) == 2 and _conserved(cin)
+    cin.credits.credits = cin.credits.depth  # an accounting bug, as above
+    with pytest.raises(CreditError) as err:
+        sw.step(11, mode)
+    assert str(err.value) == BEYOND_DEPTH
+
+
+def _check_against_model(depth, ops):
+    # a model counter alongside the channel over a send/consume mix; one
+    # delivery and one consumed packet give back one credit
+    ch = ChannelStream("x", LinkParams(), depth, PacketKind.REQUEST)
+    model = depth
+    for cycle, send in enumerate(ops):
+        if send and model > 0:
+            ch.send(cycle, _lone_flit())
+            model -= 1
+        elif not send and model < depth:
+            ch.deliver(cycle + ch.delay)
+            assert ch.pop_complete_packet() is not None
+            model += 1
+        assert ch.can_send(cycle + 1) == (model > 0)
+        assert 0 <= ch.credits.credits == model <= depth
+        assert _conserved(ch)
+    assert ch.credits.min_seen >= 0
 
 
 def test_credit_random_schedule_stays_in_bounds():
-    # model counter alongside the real one over a random consume/return mix
     rng = random.Random(7)
     for depth in (1, 2, 5, 16):
-        c = CreditCounter(depth)
-        model = depth
-        for _ in range(10_000):
-            if rng.random() < 0.5 and model > 0:
-                c.consume()
-                model -= 1
-            elif model < depth:
-                c.give_back()
-                model += 1
-            assert c.credits == model
-            assert 0 <= c.credits <= depth
-        assert c.min_seen >= 0
+        _check_against_model(depth, [rng.random() < 0.5 for _ in range(10_000)])
 
 
 @settings(max_examples=100, derandomize=True)
@@ -327,16 +382,7 @@ def test_credit_random_schedule_stays_in_bounds():
     ops=st.lists(st.booleans(), max_size=200),
 )
 def test_credit_property_model(depth, ops):
-    c = CreditCounter(depth)
-    model = depth
-    for consume in ops:
-        if consume and model > 0:
-            c.consume()
-            model -= 1
-        elif not consume and model < depth:
-            c.give_back()
-            model += 1
-        assert 0 <= c.credits == model <= depth
+    _check_against_model(depth, ops)
 
 
 # -- re-slicing -------------------------------------------------------------------
