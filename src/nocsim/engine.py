@@ -202,7 +202,7 @@ class Engine:
             def monitor_event(cycle, kind, owner, actor, opcode, granule, _tid=tid):
                 self.recorder.event(
                     cycle, f"niu{_tid}", kind,
-                    master=owner, tag=actor, op=opcode.name, address=granule,
+                    master=owner, tag=actor, op=opcode.label, address=granule,
                 )
 
             self.targets[tid] = TargetNiu(cfg, monitor_event)
@@ -214,9 +214,10 @@ class Engine:
 
     def _build_channels(self) -> None:
         topo = self.scenario.topology
+        suffix = {PacketKind.REQUEST: "req", PacketKind.RESPONSE: "rsp"}
         for ln in topo.links:
             a, ap, b, bp = ln.a_switch, ln.a_port, ln.b_switch, ln.b_port
-            for plane, tagname in ((PacketKind.REQUEST, "req"), (PacketKind.RESPONSE, "rsp")):
+            for plane, tagname in suffix.items():
                 fwd = self._channel(
                     f"sw{a}p{ap}-sw{b}p{bp}.{tagname}", ln.params, ln.buffer_depth, plane
                 )
@@ -228,39 +229,23 @@ class Engine:
                 self.switches[b].attach_output(plane, bp, rev)
                 self.switches[a].attach_input(plane, ap, rev)
         for at in topo.attachments:
-            sw, port = at.switch_id, at.port
-            if at.niu_id in self.initiators:
-                niu = self.initiators[at.niu_id]
-                tx = self._channel(
-                    f"niu{at.niu_id}-sw{sw}p{port}.req", at.params, at.buffer_depth,
-                    PacketKind.REQUEST,
-                )
-                niu.tx_req = tx
-                self.switches[sw].attach_input(PacketKind.REQUEST, port, tx)
-                rx = self._channel(
-                    f"sw{sw}p{port}-niu{at.niu_id}.rsp", at.params, at.buffer_depth,
-                    PacketKind.RESPONSE,
-                )
-                niu.rx_resp = rx
-                rx.sink = niu
-                self.switches[sw].attach_output(PacketKind.RESPONSE, port, rx)
-            elif at.niu_id in self.targets:
-                tgt = self.targets[at.niu_id]
-                rx = self._channel(
-                    f"sw{sw}p{port}-niu{at.niu_id}.req", at.params, at.buffer_depth,
-                    PacketKind.REQUEST,
-                )
-                tgt.rx_req = rx
-                rx.sink = tgt
-                self.switches[sw].attach_output(PacketKind.REQUEST, port, rx)
-                tx = self._channel(
-                    f"niu{at.niu_id}-sw{sw}p{port}.rsp", at.params, at.buffer_depth,
-                    PacketKind.RESPONSE,
-                )
-                tgt.tx_resp = tx
-                self.switches[sw].attach_input(PacketKind.RESPONSE, port, tx)
+            sw, port, nid = at.switch_id, at.port, at.niu_id
+            # an initiator sends requests and receives responses; a target the reverse
+            if nid in self.initiators:
+                niu, up, down = self.initiators[nid], PacketKind.REQUEST, PacketKind.RESPONSE
+            elif nid in self.targets:
+                niu, up, down = self.targets[nid], PacketKind.RESPONSE, PacketKind.REQUEST
             else:
-                raise ScenarioError(f"attachment references undeclared NIU {at.niu_id}")
+                raise ScenarioError(f"attachment references undeclared NIU {nid}")
+            niu.tx = self._channel(
+                f"niu{nid}-sw{sw}p{port}.{suffix[up]}", at.params, at.buffer_depth, up
+            )
+            self.switches[sw].attach_input(up, port, niu.tx)
+            niu.rx = self._channel(
+                f"sw{sw}p{port}-niu{nid}.{suffix[down]}", at.params, at.buffer_depth, down
+            )
+            niu.rx.sink = niu
+            self.switches[sw].attach_output(down, port, niu.rx)
 
     def _build_masters(self) -> None:
         seed = self.scenario.run.seed
@@ -287,7 +272,8 @@ class Engine:
 
     def run(self) -> RunResult:
         rec = self.recorder
-        fabric_cb = rec.fabric_callback()
+        # read here, so a wrapper installed on the recorder before run() is called
+        packet_marker = rec.packet_marker
         record_packets = rec.record_packets
         record_hops = rec.record_hops
         mode = self.mode
@@ -325,8 +311,8 @@ class Engine:
                         master.stall_flagged = True
                         rec.event(
                             cycle, slot.site, STALL,
-                            master=mid, key=request.order_key.short(),
-                            op=request.opcode.name, address=request.address,
+                            master=mid, key=request.order_key.stream,
+                            op=request.opcode.label, address=request.address,
                         )
                     continue
                 master.accepted(entry, wait)
@@ -334,8 +320,8 @@ class Engine:
                 slot.stats.issued += 1
                 rec.event(
                     cycle, slot.site, REQ_ISSUED,
-                    master=mid, key=entry.order_key.short(), tag=entry.tag,
-                    op=request.opcode.name, address=request.address,
+                    master=mid, key=entry.order_key.stream, tag=entry.tag,
+                    op=request.opcode.label, address=request.address,
                 )
                 if slot.finished():
                     unfinished.discard(mid)
@@ -343,15 +329,15 @@ class Engine:
             # phase 2: initiator NIUs inject request flits
             for slot in slots:
                 niu = slot.niu
-                if (niu.current_flits or niu.inject_queue) and niu.tx_req.can_send(cycle):
+                if (niu.flits is not None or niu.inject_queue) and niu.tx.can_send(cycle):
                     packet = niu.step_inject(cycle)
                     if packet is not None and record_packets:
-                        rec.packet_marker(cycle, slot.site, PKT_INJECTED, packet)
+                        packet_marker(cycle, slot.site, PKT_INJECTED, packet)
 
             # phase 3: switches move flits
             for sw in switches:
                 if sw.wake_cycle <= cycle:
-                    sw.step(cycle, mode, fabric_cb, record_hops)
+                    sw.step(cycle, mode, packet_marker, record_hops)
 
             # phase 4: target NIUs execute requests and send response flits
             for site, tgt in targets:
@@ -359,7 +345,7 @@ class Engine:
                     handled = tgt.step(cycle)
                     if record_packets:
                         for pkt in handled:
-                            rec.packet_marker(cycle, site, PKT_DELIVERED, pkt)
+                            packet_marker(cycle, site, PKT_DELIVERED, pkt)
 
             # phase 5: response path back to the sockets
             for slot in slots:
@@ -376,8 +362,8 @@ class Engine:
                         ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
                             cycle, slot.site, RESP_EMITTED,
-                            master=mid, key=entry.order_key.short(), tag=entry.tag,
-                            op=response.status.name, address=entry.request.address,
+                            master=mid, key=entry.order_key.stream, tag=entry.tag,
+                            op=response.status.label, address=entry.request.address,
                         )
                     master.deliver(entry, response)
                 if slot.asleep and (emissions or niu.pending.count < slot.stall_pending):

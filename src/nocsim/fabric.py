@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CreditError, FramingError, LockProtocolError, ScenarioError
 from .link import Flit, LinkParams, serialize
@@ -36,6 +36,11 @@ from .packet import LockMarker, Packet, PacketKind
 class TransportMode(Enum):
     STORE_AND_FORWARD = auto()
     WORMHOLE = auto()
+
+
+# bound once: an attribute read on an Enum class goes through its metaclass
+STORE_AND_FORWARD, REQUEST = TransportMode.STORE_AND_FORWARD, PacketKind.REQUEST
+LOCK_ACQUIRE, LOCK_RELEASE = LockMarker.LOCK_ACQUIRE, LockMarker.LOCK_RELEASE
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +405,7 @@ class ArbiterState:
     lock_owner: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(NamedTuple):
     input_port: int
     priority: int
     src: int
@@ -511,7 +515,8 @@ class Switch:
 
     Inputs and outputs are ChannelStream objects per (port, plane); a port
     with no connection simply has no channel. Event reporting goes through a
-    recorder callback supplied by the engine: lock events always, and a
+    recorder callback supplied by the engine, called as
+    ``recorder(cycle, site, kind, packet)``: lock events always, and a
     packet's delivery at each output port only when ``record_hops`` is set.
 
     ``wake_cycle`` is the first cycle in which a step can change anything:
@@ -574,7 +579,7 @@ class Switch:
 
     def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None,
              record_hops: bool = False) -> None:
-        saf = mode is TransportMode.STORE_AND_FORWARD
+        saf = mode is STORE_AND_FORWARD
         if cycle - 1 > self.counted_to:
             self.catch_up(cycle)
         self.counted_to = cycle
@@ -657,10 +662,10 @@ class Switch:
         out.next_flit = 0
         self.streaming.append(out)
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
-        if pl.kind is PacketKind.REQUEST and pkt.lock_marker is LockMarker.LOCK_ACQUIRE:
+        if pkt.lock_marker is LOCK_ACQUIRE and pl.kind is REQUEST:
             lock_capture(arbiter, pkt.src)
             if recorder is not None:
-                recorder("LOCK_SET", out.site, pkt, cycle)
+                recorder(cycle, out.site, "LOCK_SET", pkt)
         self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
 
     # -- streaming -----------------------------------------------------------
@@ -710,9 +715,9 @@ class Switch:
         out.active_pkt = None
         self.streaming.remove(out)
         pl.work -= 1
-        if pl.kind is PacketKind.REQUEST and pkt.lock_marker is LockMarker.LOCK_RELEASE:
+        if pkt.lock_marker is LOCK_RELEASE and pl.kind is REQUEST:
             lock_release(out.arbiter, pkt.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:
-                recorder("LOCK_CLEARED", out.site, pkt, cycle)
+                recorder(cycle, out.site, "LOCK_CLEARED", pkt)
         if record_hops:
-            recorder("PKT_DELIVERED", out.site, pkt, cycle)
+            recorder(cycle, out.site, "PKT_DELIVERED", pkt)

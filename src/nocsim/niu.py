@@ -29,7 +29,7 @@ from .errors import (
     ScenarioError,
 )
 from .fabric import NEVER, ChannelStream
-from .link import serialize
+from .link import Flit, serialize
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from .transaction import (
     Channel,
@@ -42,6 +42,11 @@ from .transaction import (
     needs_response,
     validate_request,
 )
+
+# Enum members read per transaction, bound once: an attribute read on an
+# Enum class goes through its metaclass (about 100 ns).
+READEX, LOCKED_RELEASE, POSTED = Opcode.READEX, Opcode.STORE_LOCKED_RELEASE, Opcode.STORE_POSTED
+OKAY, REQUEST, RESPONSE, NO_LOCK = Status.OKAY, PacketKind.REQUEST, PacketKind.RESPONSE, LockMarker.NONE
 
 # Tag field width; bounds every tag policy.
 TAG_BITS = 4
@@ -101,10 +106,6 @@ class AddressMap:
         return None
 
 
-def address_decode(address: int, address_map: AddressMap) -> Optional[tuple[int, int]]:
-    return address_map.decode(address)
-
-
 # ---------------------------------------------------------------------------
 # Tag assignment
 # ---------------------------------------------------------------------------
@@ -113,6 +114,9 @@ class TagPolicyKind(Enum):
     SINGLE_OUTSTANDING = auto()
     PER_STREAM = auto()
     POOLED = auto()
+
+
+SINGLE_OUTSTANDING, PER_STREAM = TagPolicyKind.SINGLE_OUTSTANDING, TagPolicyKind.PER_STREAM
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,10 +171,6 @@ class PendingEntry:
     frags_expected: int
     frags: dict[int, tuple[Status, bytes]] = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        return len(self.frags) == self.frags_expected
-
 
 class PendingTable:
     """Live transactions of one initiator, keyed by tag.
@@ -185,9 +185,6 @@ class PendingTable:
         self.capacity = capacity
         self.entries: dict[int, deque[PendingEntry]] = {}
         self.count = 0
-
-    def is_full(self) -> bool:
-        return self.count >= self.capacity
 
     def insert(self, tag: int, entry: PendingEntry) -> None:
         if self.count >= self.capacity:
@@ -224,15 +221,16 @@ def assign_tag(
 
     A stall is ordinary flow control; the NIU retries on a later cycle.
     """
-    if pending.is_full():
+    if pending.count >= pending.capacity:
         return None
-    if policy.kind is TagPolicyKind.SINGLE_OUTSTANDING:
+    kind = policy.kind
+    if kind is SINGLE_OUTSTANDING:
         return 0 if pending.count == 0 else None
-    if policy.kind is TagPolicyKind.PER_STREAM:
+    if kind is PER_STREAM:
         tag = stream_tag(key)
         if tag >= policy.streams:
             raise ScenarioError(
-                f"order key {key.short()} maps to tag {tag}, beyond {policy.streams} streams"
+                f"order key {key.stream} maps to tag {tag}, beyond {policy.streams} streams"
             )
         q = pending.entries.get(tag)
         if not q:
@@ -318,6 +316,8 @@ class ExclusiveMonitorSet:
         self, master_id: int, offset: int, nbytes: int, exclusive: bool
     ) -> list[int]:
         """Apply a successful store; returns the masters whose monitors cleared."""
+        if not self.monitors:
+            return []
         first = self._base(offset)
         last = self._base(offset + max(nbytes, 1) - 1)
         cleared = sorted(
@@ -342,17 +342,17 @@ class ReleaseGate:
     """
 
     def __init__(self):
-        self._streams: dict[tuple, deque[int]] = {}
+        self._streams: dict[str, deque[int]] = {}  # by SocketOrderKey.stream
         self._done: dict[int, object] = {}
 
     def register(self, seq: int, key: SocketOrderKey) -> None:
-        self._streams.setdefault(key.stream_id(), deque()).append(seq)
+        self._streams.setdefault(key.stream, deque()).append(seq)
 
     def complete(self, seq: int, key: SocketOrderKey, payload) -> list[tuple[int, object]]:
         """Mark seq complete; return every (seq, payload) now free to emit."""
         self._done[seq] = payload
         out = []
-        q = self._streams[key.stream_id()]
+        q = self._streams[key.stream]
         while q and q[0] in self._done:
             s = q.popleft()
             out.append((s, self._done.pop(s)))
@@ -412,38 +412,31 @@ class InitiatorNiu:
         config.validate()
         self.config = config
         self.niu_id = config.niu_id
+        self.variant = _FAMILY_VARIANT[config.family]
         self.address_map = address_map
         self.pending = PendingTable(min(config.capacity, config.tag_policy.max_outstanding()))
         self.gate = ReleaseGate()
         self.next_seq = 0
         self.inject_queue: deque[Packet] = deque()
-        self.current_flits: deque = deque()
-        self._current_packet: Optional[Packet] = None
+        self.flits: Optional[list[Flit]] = None  # of the packet being sent; None between
+        self.next_flit = 0  # index into flits of the next to send
         self.emit_buffer: list[tuple[PendingEntry, TransactionResponse]] = []
         self.lock_held_address: Optional[int] = None
         # wired by the engine
-        self.tx_req: Optional[ChannelStream] = None
-        self.rx_resp: Optional[ChannelStream] = None
-        # first cycle in which step_egress can act; rx_resp sends lower it
+        self.tx: Optional[ChannelStream] = None  # requests out
+        self.rx: Optional[ChannelStream] = None  # responses in
+        # first cycle in which step_egress can act; rx sends lower it
         self.wake_cycle = 0
 
     # -- socket side ----------------------------------------------------------
 
-    def _check_key(self, req: TransactionRequest) -> None:
-        want = _FAMILY_VARIANT[self.config.family]
-        if req.order_key.variant is not want:
-            raise ScenarioError(
-                f"NIU {self.niu_id} speaks {self.config.family.name}, "
-                f"got {req.order_key.variant.name} order key"
-            )
-
     def _check_lock_protocol(self, req: TransactionRequest) -> None:
-        if req.opcode is Opcode.READEX:
+        if req.opcode is READEX:
             if self.lock_held_address is not None:
                 raise LockProtocolError(
                     f"master {req.master_id} issued READEX while one is outstanding"
                 )
-        elif req.opcode is Opcode.STORE_LOCKED_RELEASE:
+        elif req.opcode is LOCKED_RELEASE:
             if self.lock_held_address is None:
                 raise LockProtocolError(
                     f"master {req.master_id} released a lock it does not hold"
@@ -461,54 +454,60 @@ class InitiatorNiu:
         response without injecting anything into the fabric.
         """
         decoded = self.address_map.decode(req.address)
-        if decoded is not None and self.pending.is_full():
+        pending = self.pending
+        if decoded is not None and pending.count >= pending.capacity:
             return None  # guaranteed tag stall; full checks run once a slot frees
         violations = validate_request(req)
         if violations:
             raise ScenarioError(f"invalid request reached NIU {self.niu_id}: {violations}")
-        self._check_key(req)
-        self._check_lock_protocol(req)
+        opcode = req.opcode
+        key = req.order_key
+        if key.variant is not self.variant:
+            raise ScenarioError(
+                f"NIU {self.niu_id} speaks {self.config.family.name}, "
+                f"got {key.variant.name} order key"
+            )
+        locking = opcode is READEX or opcode is LOCKED_RELEASE
+        if locking:
+            self._check_lock_protocol(req)
 
         if decoded is None:
             return self._local_error(req, cycle, Status.ERROR_DECODE)
         target_id, offset = decoded
 
-        spans = chop_spans(req.byte_length, req.beat_size, self.config.max_payload)
-        if len(spans) > 1 and (req.opcode.is_exclusive or req.opcode in (Opcode.READEX, Opcode.STORE_LOCKED_RELEASE)):
-            raise ScenarioError(
-                f"{req.opcode.name} burst of {req.byte_length} bytes does not fit "
-                f"one packet (max payload {self.config.max_payload})"
-            )
+        nbytes = req.burst_len * req.beat_size
+        max_payload = self.config.max_payload
+        if nbytes <= max_payload:
+            spans = [(0, nbytes)]  # what chop_spans gives for a burst that fits
+        else:
+            spans = chop_spans(nbytes, req.beat_size, max_payload)
+            if opcode.is_exclusive or locking:
+                raise ScenarioError(
+                    f"{opcode.name} burst of {nbytes} bytes does not fit "
+                    f"one packet (max payload {max_payload})"
+                )
 
-        tag = assign_tag(self.config.tag_policy, req.order_key, self.pending, target_id)
+        tag = assign_tag(self.config.tag_policy, key, pending, target_id)
         if tag is None:
             return None
 
-        entry = PendingEntry(
-            seq=self.next_seq,
-            request=req,
-            order_key=req.order_key,
-            issue_cycle=cycle,
-            target_id=target_id,
-            tag=tag,
-            frags_expected=len(spans),
-        )
+        entry = PendingEntry(self.next_seq, req, key, cycle, target_id, tag, len(spans))
         self.next_seq += 1
-        self.pending.insert(tag, entry)
-        if needs_response(req.opcode):
-            self.gate.register(entry.seq, req.order_key)
+        pending.insert(tag, entry)
+        if opcode is not POSTED:
+            self.gate.register(entry.seq, key)
 
         data = b""
-        if req.opcode.is_store:
+        if opcode.is_store:
             data = endianness_convert(
                 req.data, req.beat_size, self.config.endianness, FABRIC_ENDIANNESS
             )
         user_bits = USER_BIT_EXCLUSIVE if req.exclusive_flag else 0
-        lock_marker = LockMarker.NONE
-        if req.opcode is Opcode.READEX:
+        lock_marker = NO_LOCK
+        if opcode is READEX:
             lock_marker = LockMarker.LOCK_ACQUIRE
             self.lock_held_address = req.address
-        elif req.opcode is Opcode.STORE_LOCKED_RELEASE:
+        elif opcode is LOCKED_RELEASE:
             lock_marker = LockMarker.LOCK_RELEASE
             self.lock_held_address = None
 
@@ -519,8 +518,8 @@ class InitiatorNiu:
                     dest=PacketDest(target_id, offset + span_off),
                     src=self.niu_id,
                     tag=tag,
-                    kind=PacketKind.REQUEST,
-                    op=req.opcode,
+                    kind=REQUEST,
+                    op=opcode,
                     priority=self.config.priority,
                     user_bits=user_bits,
                     lock_marker=lock_marker,
@@ -533,15 +532,8 @@ class InitiatorNiu:
         return entry
 
     def _local_error(self, req: TransactionRequest, cycle: int, status: Status) -> PendingEntry:
-        entry = PendingEntry(
-            seq=self.next_seq,
-            request=req,
-            order_key=req.order_key,
-            issue_cycle=cycle,
-            target_id=-1,
-            tag=-1,
-            frags_expected=0,
-        )
+        # no target, no tag, no fragments
+        entry = PendingEntry(self.next_seq, req, req.order_key, cycle, -1, -1, 0)
         self.next_seq += 1
         if needs_response(req.opcode):
             self.gate.register(entry.seq, req.order_key)
@@ -557,49 +549,53 @@ class InitiatorNiu:
 
     def step_inject(self, cycle: int) -> Optional[Packet]:
         """Send at most one request flit; returns the packet when its head goes out."""
-        if not self.current_flits:
+        flits = self.flits
+        if flits is None:
             if not self.inject_queue:
                 return None
-            packet = self.inject_queue.popleft()
-            self.current_flits.extend(serialize(packet, self.tx_req.params))
-            self._current_packet = packet
-        if not self.tx_req.can_send(cycle):
+            self.flits = flits = serialize(self.inject_queue.popleft(), self.tx.params)
+            self.next_flit = 0
+        if not self.tx.can_send(cycle):
             return None
-        flit = self.current_flits.popleft()
-        self.tx_req.send(cycle, flit)
+        i = self.next_flit
+        flit = flits[i]
+        self.tx.send(cycle, flit)
+        if i + 1 == len(flits):
+            self.flits = None
+        else:
+            self.next_flit = i + 1
         if flit.is_head:
-            return self._current_packet
+            return flit.packet
         return None
 
     def egress_unpack(self, packet: Packet) -> Optional[tuple[PendingEntry, TransactionResponse]]:
         """Fold one response packet into its pending entry.
 
         Returns the reconstructed transaction response once the last fragment
-        arrives; None while fragments are still outstanding.
+        arrives; None while fragments are still outstanding. Its status is
+        the first non-OKAY fragment status by index. The lone fragment of a
+        single-fragment entry is the response as it stands and is not filed.
         """
-        entry = self.pending.head(packet.tag)
+        tag, index = packet.tag, packet.frag_index
+        entry = self.pending.head(tag)
         if entry is None:
-            raise OrphanResponseError(
-                f"orphan response at NIU {self.niu_id}: tag {packet.tag} not live"
-            )
-        if packet.frag_index in entry.frags:
-            raise OrphanResponseError(
-                f"duplicate response fragment {packet.frag_index} for tag {packet.tag}"
-            )
-        entry.frags[packet.frag_index] = (packet.op, packet.payload)
-        if not entry.complete:
-            return None
-        self.pending.pop(packet.tag)
+            raise OrphanResponseError(f"orphan response at NIU {self.niu_id}: tag {tag} not live")
+        frags = entry.frags
+        if index in frags:
+            raise OrphanResponseError(f"duplicate response fragment {index} for tag {tag}")
+        if entry.frags_expected == 1 and index == 0:
+            status, raw = packet.op, packet.payload
+        else:
+            frags[index] = (packet.op, packet.payload)
+            if len(frags) != entry.frags_expected:
+                return None
+            parts = [frags[i] for i in range(entry.frags_expected)]
+            status = next((s for s, _ in parts if s is not OKAY), OKAY)
+            raw = b"".join(payload for _, payload in parts)
+        self.pending.pop(tag)
         req = entry.request
-        status = Status.OKAY
-        for i in range(entry.frags_expected):
-            frag_status, _ = entry.frags[i]
-            if frag_status is not Status.OKAY:
-                status = frag_status
-                break
         data = b""
         if req.opcode.is_load:
-            raw = b"".join(entry.frags[i][1] for i in range(entry.frags_expected))
             data = endianness_convert(
                 raw, req.beat_size, FABRIC_ENDIANNESS, self.config.endianness
             )
@@ -608,32 +604,33 @@ class InitiatorNiu:
 
     def step_egress(self, cycle: int) -> list[tuple[PendingEntry, TransactionResponse, bool]]:
         """Drain response packets; return (entry, response, socket_visible) emissions."""
-        self.rx_resp.deliver(cycle)
+        rx = self.rx
+        rx.deliver(cycle)
         emissions: list[tuple[PendingEntry, TransactionResponse, bool]] = []
         while True:
-            packet = self.rx_resp.pop_complete_packet()
+            packet = rx.pop_complete_packet()
             if packet is None:
                 break
             done = self.egress_unpack(packet)
             if done is None:
                 continue
             entry, response = done
-            if needs_response(entry.request.opcode):
-                released = self.gate.complete(entry.seq, entry.order_key, (entry, response))
-                emissions.extend((e, r, True) for _, (e, r) in released)
-            else:
+            if entry.request.opcode is POSTED:
                 emissions.append((entry, response, False))
+            else:
+                for _, (e, r) in self.gate.complete(entry.seq, entry.order_key, done):
+                    emissions.append((e, r, True))
         if self.emit_buffer:
             emissions.extend((e, r, True) for e, r in self.emit_buffer)
             self.emit_buffer.clear()
-        self.wake_cycle = self.rx_resp.next_arrival()
+        self.wake_cycle = rx.next_arrival()
         return emissions
 
     def idle(self) -> bool:
         return (
             self.pending.count == 0
             and not self.inject_queue
-            and not self.current_flits
+            and self.flits is None
             and not self.emit_buffer
             and self.gate.held() == 0
         )
@@ -679,11 +676,12 @@ class TargetNiu:
             ) from None
         self.monitors = ExclusiveMonitorSet(config.monitor_granule)
         self.response_queue: deque[Packet] = deque()
-        self.current_flits: deque = deque()
+        self.flits: Optional[list[Flit]] = None  # as in InitiatorNiu
+        self.next_flit = 0
         # wired by the engine
-        self.rx_req: Optional[ChannelStream] = None
-        self.tx_resp: Optional[ChannelStream] = None
-        # first cycle in which step can act; rx_req sends lower it
+        self.rx: Optional[ChannelStream] = None  # requests in
+        self.tx: Optional[ChannelStream] = None  # responses out
+        # first cycle in which step can act; rx sends lower it
         self.wake_cycle = 0
         # monitor_event(cycle, kind, owner, actor, opcode, granule)
         self.monitor_event = monitor_event
@@ -693,39 +691,40 @@ class TargetNiu:
         off = pkt.dest.offset
         length = pkt.payload_len
         opcode = pkt.op
-        status = Status.OKAY
+        status = OKAY
+        user_bits = 0
         data = b""
-        granule = self.monitors._base(off)
+        monitors = self.monitors
         if off < 0 or off + length > len(self.memory):
             status = Status.ERROR_SLAVE
             if opcode.is_load:
                 data = bytes(length)
-        elif opcode in (Opcode.LOAD, Opcode.READEX):
+        elif opcode.is_load:  # LOAD, READEX, LOAD_EXCLUSIVE
             data = bytes(self.memory[off : off + length])
-        elif opcode is Opcode.LOAD_EXCLUSIVE:
-            data = bytes(self.memory[off : off + length])
-            self.monitors.arm(pkt.src, off)
-            self._emit_monitor(cycle, "MONITOR_ARMED", pkt.src, pkt.src, opcode, granule)
-            status = Status.EXOKAY
-        elif opcode is Opcode.STORE_EXCLUSIVE:
-            if self.monitors.is_armed(pkt.src, off):
+            if opcode.is_exclusive:
+                monitors.arm(pkt.src, off)
+                self._emit_monitor(cycle, "MONITOR_ARMED", pkt.src, pkt.src, opcode, off)
+                status = Status.EXOKAY
+                user_bits = USER_BIT_EXCLUSIVE
+        elif opcode.is_exclusive:  # STORE_EXCLUSIVE
+            user_bits = USER_BIT_EXCLUSIVE
+            if monitors.is_armed(pkt.src, off):
                 self.memory[off : off + length] = pkt.payload
-                for m in self.monitors.observe_store(pkt.src, off, length, exclusive=True):
-                    self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, granule)
+                for m in monitors.observe_store(pkt.src, off, length, exclusive=True):
+                    self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, off)
                 status = Status.EXOKAY
             else:
                 status = Status.EXFAIL
         else:  # STORE, STORE_POSTED, STORE_LOCKED_RELEASE
             self.memory[off : off + length] = pkt.payload
-            for m in self.monitors.observe_store(pkt.src, off, length, exclusive=False):
-                self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, granule)
+            for m in monitors.observe_store(pkt.src, off, length, exclusive=False):
+                self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, off)
 
-        user_bits = USER_BIT_EXCLUSIVE if status in (Status.EXOKAY, Status.EXFAIL) else 0
         return Packet(
             dest=PacketDest(pkt.src, 0),
             src=pkt.src,
             tag=pkt.tag,
-            kind=PacketKind.RESPONSE,
+            kind=RESPONSE,
             op=status,
             priority=pkt.priority,
             user_bits=user_bits,
@@ -735,8 +734,9 @@ class TargetNiu:
             frag_last=pkt.frag_last,
         )
 
-    def _emit_monitor(self, cycle, kind, owner, actor, opcode, granule) -> None:
+    def _emit_monitor(self, cycle, kind, owner, actor, opcode, offset) -> None:
         if self.monitor_event is not None:
+            granule = self.monitors._base(offset)
             self.monitor_event(cycle, kind, owner, actor, opcode, granule)
 
     def step(self, cycle: int) -> list[Packet]:
@@ -744,22 +744,28 @@ class TargetNiu:
 
         Returns the request packets handled this cycle (for tracing).
         """
-        self.rx_req.deliver(cycle)
+        rx = self.rx
+        rx.deliver(cycle)
         handled = []
         while True:
-            packet = self.rx_req.pop_complete_packet()
+            packet = rx.pop_complete_packet()
             if packet is None:
                 break
             handled.append(packet)
             self.response_queue.append(self.handle_request(packet, cycle))
-        if not self.current_flits and self.response_queue:
-            self.current_flits.extend(
-                serialize(self.response_queue.popleft(), self.tx_resp.params)
-            )
-        if self.current_flits and self.tx_resp.can_send(cycle):
-            self.tx_resp.send(cycle, self.current_flits.popleft())
-        wake = self.rx_req.next_arrival()
-        if self.current_flits or self.response_queue:
-            wake = min(wake, max(cycle + 1, self.tx_resp.next_send))
+        flits = self.flits
+        if flits is None and self.response_queue:
+            self.flits = flits = serialize(self.response_queue.popleft(), self.tx.params)
+            self.next_flit = 0
+        if flits is not None and self.tx.can_send(cycle):
+            i = self.next_flit
+            self.tx.send(cycle, flits[i])
+            if i + 1 == len(flits):
+                self.flits = flits = None
+            else:
+                self.next_flit = i + 1
+        wake = rx.next_arrival()
+        if flits is not None or self.response_queue:
+            wake = min(wake, max(cycle + 1, self.tx.next_send))
         self.wake_cycle = wake
         return handled

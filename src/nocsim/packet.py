@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .transaction import Opcode, Status
 
@@ -31,8 +31,7 @@ class LockMarker(Enum):
     LOCK_RELEASE = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class PacketDest:
+class PacketDest(NamedTuple):
     """Routing address: owning NIU plus byte offset inside it."""
 
     target_id: int

@@ -105,16 +105,10 @@ class TraceRecorder:
         """Record an event about one packet, read from its header fields."""
         self.trace.events.append(
             TraceEvent(
-                cycle, site, kind, packet.src, "", packet.tag, packet.op.name,
+                cycle, site, kind, packet.src, "", packet.tag, packet.op.label,
                 packet.dest.offset,
             )
         )
-
-    def fabric_callback(self):
-        """Adapter with the (kind, site, packet, cycle) signature switches use."""
-        def _record(kind, site, packet, cycle):
-            self.packet_marker(cycle, site, kind, packet)
-        return _record
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ socket-specific signals, only at these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, auto
+from functools import lru_cache
 
 from .errors import OrderKeyError
 
@@ -20,7 +21,12 @@ ADDRESS_LIMIT = 1 << ADDRESS_BITS
 
 
 class Opcode(Enum):
-    """Transaction kinds available to masters."""
+    """Transaction kinds available to masters.
+
+    Each member's facts are plain attributes, set once below: ``is_store``,
+    ``is_load``, ``is_exclusive`` and ``label`` (the name traces print).
+    Reading one costs no ``Enum.__hash__`` call and no descriptor call.
+    """
 
     LOAD = auto()
     STORE = auto()
@@ -30,22 +36,13 @@ class Opcode(Enum):
     LOAD_EXCLUSIVE = auto()
     STORE_EXCLUSIVE = auto()
 
-    @property
-    def is_store(self) -> bool:
-        return self in _STORE_OPS
 
-    @property
-    def is_load(self) -> bool:
-        return self not in _STORE_OPS
-
-    @property
-    def is_exclusive(self) -> bool:
-        return self in (Opcode.LOAD_EXCLUSIVE, Opcode.STORE_EXCLUSIVE)
-
-
-_STORE_OPS = frozenset(
-    {Opcode.STORE, Opcode.STORE_POSTED, Opcode.STORE_LOCKED_RELEASE, Opcode.STORE_EXCLUSIVE}
-)
+for _op in Opcode:
+    _op.is_store = _op in (
+        Opcode.STORE, Opcode.STORE_POSTED, Opcode.STORE_LOCKED_RELEASE, Opcode.STORE_EXCLUSIVE
+    )
+    _op.is_load = not _op.is_store
+    _op.is_exclusive = _op in (Opcode.LOAD_EXCLUSIVE, Opcode.STORE_EXCLUSIVE)
 
 
 def needs_response(opcode: Opcode) -> bool:
@@ -54,13 +51,17 @@ def needs_response(opcode: Opcode) -> bool:
 
 
 class Status(Enum):
-    """Response status taxonomy."""
+    """Response status taxonomy; ``label`` is the name traces print."""
 
     OKAY = auto()
     EXOKAY = auto()
     EXFAIL = auto()
     ERROR_DECODE = auto()
     ERROR_SLAVE = auto()
+
+
+for _member in (*Opcode, *Status):
+    _member.label = _member.name
 
 
 class Channel(Enum):
@@ -83,22 +84,39 @@ class SocketOrderKey:
     SINGLE is used by fully-ordered sockets (one stream per master),
     THREAD by threaded sockets (one stream per thread id), TXN_ID by
     ID-based sockets (one stream per (transaction id, channel) pair).
+
+    ``stream``, set at construction, is equal for two keys of one variant
+    exactly when their ``stream_id()`` is; traces print it and the release
+    gate keys on it. The constructors return one shared key per stream.
     """
 
     variant: OrderVariant
     thread_id: int = 0
     txn_id: int = 0
     channel: Channel = Channel.READ
+    stream: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.variant is OrderVariant.SINGLE:
+            stream = "single"
+        elif self.variant is OrderVariant.THREAD:
+            stream = f"thread:{self.thread_id}"
+        else:
+            stream = f"txnid:{self.txn_id}:{self.channel.name}"
+        object.__setattr__(self, "stream", stream)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def single(cls) -> "SocketOrderKey":
         return cls(OrderVariant.SINGLE)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def thread(cls, thread_id: int) -> "SocketOrderKey":
         return cls(OrderVariant.THREAD, thread_id=thread_id)
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def txn(cls, txn_id: int, channel: Channel) -> "SocketOrderKey":
         return cls(OrderVariant.TXN_ID, txn_id=txn_id, channel=channel)
 
@@ -109,14 +127,6 @@ class SocketOrderKey:
         if self.variant is OrderVariant.THREAD:
             return (OrderVariant.THREAD, self.thread_id)
         return (OrderVariant.TXN_ID, self.txn_id, self.channel)
-
-    def short(self) -> str:
-        """Compact text form used in traces."""
-        if self.variant is OrderVariant.SINGLE:
-            return "single"
-        if self.variant is OrderVariant.THREAD:
-            return f"thread:{self.thread_id}"
-        return f"txnid:{self.txn_id}:{self.channel.name}"
 
 
 class OrderClass(Enum):
@@ -132,7 +142,7 @@ def order_class(a: SocketOrderKey, b: SocketOrderKey) -> OrderClass:
     """
     if a.variant is not b.variant:
         raise OrderKeyError(f"heterogeneous order keys: {a.variant.name} vs {b.variant.name}")
-    if a.stream_id() == b.stream_id():
+    if a.stream == b.stream:
         return OrderClass.SAME_STREAM
     return OrderClass.INDEPENDENT
 

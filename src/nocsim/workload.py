@@ -165,7 +165,16 @@ def generate_random_steps(
 
 
 class _AtomicLoopMaster(Master):
-    """Shared machinery for the two read-modify-write loop flavors."""
+    """Shared machinery for the two read-modify-write loop flavors.
+
+    An iteration loads the counter with ``load_op`` and stores it plus one
+    with ``store_op``. The store completes it if its status is ``store_ok``
+    (any status when that is None), and else counts as a failure.
+    """
+
+    load_op: Opcode
+    store_op: Opcode
+    store_ok: Optional[Status]
 
     def __init__(self, master_id: int, niu: InitiatorNiu, counter_address: int, iterations: int):
         super().__init__(master_id, niu)
@@ -190,6 +199,23 @@ class _AtomicLoopMaster(Master):
             exclusive_flag=opcode.is_exclusive,
         )
 
+    def next_request(self):
+        if self.completed_iterations >= self.iterations:
+            return None
+        if self.loaded_value is None:
+            return self._request(self.load_op), True
+        return self._request(self.store_op, self.loaded_value + 1), True
+
+    def on_response(self, request, response) -> None:
+        if request.opcode is self.load_op:
+            self.loaded_value = int.from_bytes(response.data, "little")
+        elif request.opcode is self.store_op:
+            if self.store_ok is None or response.status is self.store_ok:
+                self.completed_iterations += 1
+            else:
+                self.failures += 1
+            self.loaded_value = None
+
     def done(self) -> bool:
         return self.completed_iterations >= self.iterations and self.waiting_seq is None
 
@@ -200,37 +226,10 @@ class _AtomicLoopMaster(Master):
 class ExclusiveLoopMaster(_AtomicLoopMaster):
     """Increment a shared counter with load-exclusive / store-exclusive retries."""
 
-    def next_request(self):
-        if self.completed_iterations >= self.iterations:
-            return None
-        if self.loaded_value is None:
-            return self._request(Opcode.LOAD_EXCLUSIVE), True
-        return self._request(Opcode.STORE_EXCLUSIVE, self.loaded_value + 1), True
-
-    def on_response(self, request, response) -> None:
-        if request.opcode is Opcode.LOAD_EXCLUSIVE:
-            self.loaded_value = int.from_bytes(response.data, "little")
-        elif request.opcode is Opcode.STORE_EXCLUSIVE:
-            if response.status is Status.EXOKAY:
-                self.completed_iterations += 1
-            else:
-                self.failures += 1
-            self.loaded_value = None
+    load_op, store_op, store_ok = Opcode.LOAD_EXCLUSIVE, Opcode.STORE_EXCLUSIVE, Status.EXOKAY
 
 
 class LockLoopMaster(_AtomicLoopMaster):
     """Increment a shared counter under a READEX .. locked-release sequence."""
 
-    def next_request(self):
-        if self.completed_iterations >= self.iterations:
-            return None
-        if self.loaded_value is None:
-            return self._request(Opcode.READEX), True
-        return self._request(Opcode.STORE_LOCKED_RELEASE, self.loaded_value + 1), True
-
-    def on_response(self, request, response) -> None:
-        if request.opcode is Opcode.READEX:
-            self.loaded_value = int.from_bytes(response.data, "little")
-        elif request.opcode is Opcode.STORE_LOCKED_RELEASE:
-            self.completed_iterations += 1
-            self.loaded_value = None
+    load_op, store_op, store_ok = Opcode.READEX, Opcode.STORE_LOCKED_RELEASE, None

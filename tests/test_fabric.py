@@ -404,8 +404,8 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     sw.attach_input(PacketKind.REQUEST, 0, cin)
     sw.attach_output(PacketKind.REQUEST, 1, out)
     tgt = TargetNiu(TargetConfig(100, 0, 64))
-    tgt.rx_req = out
-    tgt.tx_resp = ChannelStream("rsp", out_params, 64, PacketKind.RESPONSE)
+    tgt.rx = out
+    tgt.tx = ChannelStream("rsp", out_params, 64, PacketKind.RESPONSE)
     payload = bytes(range(1, size + 1))
     op = Opcode.STORE if size else Opcode.LOAD
     pkt = Packet(dest=PacketDest(100, 8), src=1, tag=0, kind=PacketKind.REQUEST,

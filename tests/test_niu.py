@@ -26,12 +26,13 @@ from nocsim.niu import (
     TagPolicyKind,
     TargetConfig,
     TargetNiu,
-    address_decode,
     assign_tag,
     chop_spans,
     endianness_convert,
     stream_tag,
 )
+from nocsim.fabric import ChannelStream
+from nocsim.link import LinkParams, serialize
 from nocsim.packet import Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from nocsim.transaction import (
     Channel,
@@ -47,15 +48,15 @@ TWO_REGIONS = AddressMap([(0x0000, 0x1000, 0), (0x1000, 0x1000, 1)])
 # -- address decode ----------------------------------------------------------
 
 def test_decode_basic():
-    assert address_decode(0x1004, TWO_REGIONS) == (1, 0x004)
+    assert TWO_REGIONS.decode(0x1004) == (1, 0x004)
 
 
 def test_decode_boundary_inclusive_below():
-    assert address_decode(0x0FFF, TWO_REGIONS) == (0, 0xFFF)
+    assert TWO_REGIONS.decode(0x0FFF) == (0, 0xFFF)
 
 
 def test_decode_miss_past_end():
-    assert address_decode(0x2000, TWO_REGIONS) is None
+    assert TWO_REGIONS.decode(0x2000) is None
 
 
 def test_decode_miss_in_gap():
@@ -461,6 +462,108 @@ def test_egress_big_endian_socket_sees_converted_data():
     assert response.data == bytes([4, 3, 2, 1])
 
 
+
+@pytest.mark.parametrize("beats", [1, 3, 4, 5, 8, 9])
+def test_ingress_packets_follow_chop_spans(beats):
+    # a burst that fits one packet takes a shortcut past chop_spans; either
+    # way the packets are the spans chop_spans gives
+    niu = _initiator(max_payload=16)
+    data = bytes(range(beats * 4))
+    request = TransactionRequest(
+        master_id=0, opcode=Opcode.STORE, address=0x100, burst_len=beats,
+        beat_size=4, order_key=SocketOrderKey.single(), data=data,
+    )
+    entry = niu.try_accept(request, cycle=0)
+    spans = chop_spans(beats * 4, 4, 16)
+    assert entry.frags_expected == len(spans)
+    assert [(p.dest.offset - 0x100, p.payload_len, p.frag_index, p.frag_last, p.payload)
+            for p in niu.inject_queue] == [
+        (off, n, i, i == len(spans) - 1, data[off : off + n]) for i, (off, n) in enumerate(spans)
+    ]
+
+
+def test_inject_sends_the_serialized_flits_in_order():
+    niu = _initiator(max_payload=16)
+    niu.tx = ChannelStream("req", LinkParams(4), 64, PacketKind.REQUEST)
+    data = bytes(range(32))
+    niu.try_accept(TransactionRequest(
+        master_id=0, opcode=Opcode.STORE, address=0x100, burst_len=8, beat_size=4,
+        order_key=SocketOrderKey.single(), data=data,
+    ), cycle=0)
+    first, second = niu.inject_queue
+    returned = [niu.step_inject(cycle) for cycle in range(12)]
+    sent = [flit for _, flit in niu.tx.in_flight]
+    assert sent == serialize(first, niu.tx.params) + serialize(second, niu.tx.params)
+    # the packet is returned when its head goes out, and only then
+    assert [i for i, pkt in enumerate(returned) if pkt is not None] == [0, 5]
+    assert returned[0] is first and returned[5] is second
+    assert niu.flits is None and not niu.inject_queue
+
+
+def _chopped_load(n_frags):
+    """An initiator with one load pending that comes back in n_frags fragments."""
+    niu = _initiator(max_payload=16)
+    entry = niu.try_accept(_load(beats=4 * n_frags), cycle=0)
+    assert entry.frags_expected == n_frags
+    return niu, entry
+
+
+STATUS_RUNS = [
+    (Status.OKAY,), (Status.EXFAIL,), (Status.ERROR_SLAVE,),
+    (Status.OKAY, Status.OKAY), (Status.OKAY, Status.ERROR_SLAVE),
+    (Status.ERROR_SLAVE, Status.OKAY), (Status.ERROR_DECODE, Status.ERROR_SLAVE),
+    (Status.OKAY, Status.OKAY, Status.EXFAIL), (Status.OKAY, Status.ERROR_SLAVE, Status.EXFAIL),
+]
+
+
+@pytest.mark.parametrize("statuses", STATUS_RUNS)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_egress_status_is_first_non_okay_fragment_on_both_paths(statuses, reverse):
+    # one fragment takes the single-fragment path, several are filed by index;
+    # both give the first non-OKAY status by index and the payloads in order
+    niu, entry = _chopped_load(len(statuses))
+    payloads = [bytes([i]) * 16 for i in range(len(statuses))]
+    order = list(range(len(statuses)))[::-1 if reverse else 1]
+    results = [
+        niu.egress_unpack(_response_packet(
+            niu, entry, i, i == len(statuses) - 1, statuses[i], payloads[i]
+        ))
+        for i in order
+    ]
+    assert results[:-1] == [None] * (len(statuses) - 1)
+    done_entry, response = results[-1]
+    assert done_entry is entry and niu.pending.count == 0
+    assert response.status is next((s for s in statuses if s is not Status.OKAY), Status.OKAY)
+    assert response.data == b"".join(payloads)
+
+
+def _orphan_message(niu, packet):
+    with pytest.raises(OrphanResponseError) as caught:
+        niu.egress_unpack(packet)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("n_frags", [1, 2])
+def test_egress_orphan_and_duplicate_messages_on_both_paths(n_frags):
+    niu, entry = _chopped_load(n_frags)
+    # a tag with no live entry
+    stray = _response_packet(niu, entry, payload=bytes(16))
+    stray.tag = 3
+    assert _orphan_message(niu, stray) == "orphan response at NIU 0: tag 3 not live"
+    # a fragment index already filed
+    entry.frags[0] = (Status.OKAY, bytes(16))
+    again = _response_packet(niu, entry, 0, n_frags == 1, payload=bytes(16))
+    assert _orphan_message(niu, again) == f"duplicate response fragment 0 for tag {entry.tag}"
+    # a response after the entry completed
+    entry.frags.clear()
+    for i in range(n_frags):
+        done = niu.egress_unpack(_response_packet(niu, entry, i, i == n_frags - 1,
+                                                  payload=bytes(16)))
+    assert done is not None and niu.pending.count == 0
+    late = _response_packet(niu, entry, n_frags - 1, True, payload=bytes(16))
+    assert _orphan_message(niu, late) == f"orphan response at NIU 0: tag {entry.tag} not live"
+
+
 # -- target handling -----------------------------------------------------------------
 
 def _target(memory=4096, granule=8) -> TargetNiu:
@@ -537,3 +640,19 @@ def test_target_memory_that_cannot_be_allocated_is_a_scenario_error():
         _target(memory=2**62)
     with pytest.raises(ScenarioError, match="target NIU 100 memory size"):
         _target(memory=sys.maxsize + 1)
+
+
+def test_store_emits_monitor_events_only_for_armed_monitors():
+    events = []
+    tgt = TargetNiu(TargetConfig(niu_id=100, region_base=0, region_size=4096),
+                    lambda *event: events.append(event))
+    # no monitor armed: the store clears nothing and emits nothing
+    tgt.handle_request(_request_packet(Opcode.STORE, 64, payload=bytes(4), src=2), cycle=5)
+    assert events == [] and tgt.monitors.monitors == {}
+    assert ExclusiveMonitorSet().observe_store(0, 64, 4, exclusive=True) == []
+    tgt.handle_request(_request_packet(Opcode.LOAD_EXCLUSIVE, 68, payload_len=4, src=1), cycle=6)
+    assert events == [(6, "MONITOR_ARMED", 1, 1, Opcode.LOAD_EXCLUSIVE, 64)]
+    # another master's monitor armed on the granule: the store clears it
+    tgt.handle_request(_request_packet(Opcode.STORE, 64, payload=bytes(4), src=2), cycle=7)
+    assert events[1:] == [(7, "MONITOR_CLEARED", 1, 2, Opcode.STORE, 64)]
+    assert not tgt.monitors.is_armed(1, 64)

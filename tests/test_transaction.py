@@ -1,19 +1,25 @@
 """Transaction layer: opcodes, validation, ordering classification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nocsim.errors import OrderKeyError
+from nocsim.niu import SocketFamily
 from nocsim.transaction import (
     Channel,
     Opcode,
     OrderClass,
+    OrderVariant,
     SocketOrderKey,
+    Status,
     TransactionRequest,
     needs_response,
     order_class,
     validate_request,
 )
+from nocsim.workload import generate_random_steps
 
 
 def test_needs_response():
@@ -22,6 +28,30 @@ def test_needs_response():
     assert needs_response(Opcode.STORE_EXCLUSIVE) is True
     # the posted write is the only fire-and-forget opcode
     assert [op for op in Opcode if not needs_response(op)] == [Opcode.STORE_POSTED]
+
+
+# opcode: (is_store, is_load, is_exclusive, label)
+OPCODE_FACTS = {
+    Opcode.LOAD: (False, True, False, "LOAD"),
+    Opcode.STORE: (True, False, False, "STORE"),
+    Opcode.STORE_POSTED: (True, False, False, "STORE_POSTED"),
+    Opcode.READEX: (False, True, False, "READEX"),
+    Opcode.STORE_LOCKED_RELEASE: (True, False, False, "STORE_LOCKED_RELEASE"),
+    Opcode.LOAD_EXCLUSIVE: (False, True, True, "LOAD_EXCLUSIVE"),
+    Opcode.STORE_EXCLUSIVE: (True, False, True, "STORE_EXCLUSIVE"),
+}
+
+
+def test_opcode_facts_are_pinned():
+    assert set(OPCODE_FACTS) == set(Opcode)
+    for op, facts in OPCODE_FACTS.items():
+        assert (op.is_store, op.is_load, op.is_exclusive, op.label) == facts, op
+
+
+def test_status_labels_are_pinned():
+    assert [status.label for status in Status] == [
+        "OKAY", "EXOKAY", "EXFAIL", "ERROR_DECODE", "ERROR_SLAVE"
+    ]
 
 
 def _req(**kw):
@@ -116,3 +146,68 @@ def test_order_class_symmetric_and_reflexive(variant, data):
     b = data.draw(_keys(variant))
     assert order_class(a, a) is OrderClass.SAME_STREAM
     assert order_class(a, b) is order_class(b, a)
+
+
+def _key_grid():
+    """Keys over variants x thread ids x txn ids x channels, built directly
+    (each a key of its own) and through the shared constructors."""
+    ids = (0, 1, 2, 10, 21)
+    keys = [
+        SocketOrderKey(variant, thread_id, txn_id, channel)
+        for variant in OrderVariant
+        for thread_id in ids
+        for txn_id in ids
+        for channel in Channel
+    ]
+    keys.append(SocketOrderKey.single())
+    keys += [SocketOrderKey.thread(t) for t in ids]
+    keys += [SocketOrderKey.txn(t, channel) for t in ids for channel in Channel]
+    return keys
+
+
+def test_stream_text_matches_exactly_when_stream_id_does():
+    keys = _key_grid()
+    for a in keys:
+        for b in keys:
+            same = a.stream_id() == b.stream_id()
+            assert (a.stream == b.stream) is same, (a, b)
+            if a.variant is not b.variant:
+                with pytest.raises(OrderKeyError, match="heterogeneous order keys"):
+                    order_class(a, b)
+            else:
+                expected = OrderClass.SAME_STREAM if same else OrderClass.INDEPENDENT
+                assert order_class(a, b) is expected, (a, b)
+
+
+def test_stream_text_is_the_trace_form():
+    assert SocketOrderKey(OrderVariant.SINGLE, 3, 4, Channel.WRITE).stream == "single"
+    assert SocketOrderKey.thread(7).stream == "thread:7"
+    assert SocketOrderKey.txn(5, Channel.WRITE).stream == "txnid:5:WRITE"
+    assert SocketOrderKey(OrderVariant.TXN_ID, txn_id=2).stream == "txnid:2:READ"
+
+
+def test_constructors_share_one_key_per_stream():
+    assert SocketOrderKey.single() is SocketOrderKey.single()
+    assert SocketOrderKey.thread(3) is SocketOrderKey.thread(3)
+    assert SocketOrderKey.txn(1, Channel.READ) is SocketOrderKey.txn(1, Channel.READ)
+    assert SocketOrderKey.txn(1, Channel.READ) is not SocketOrderKey.txn(1, Channel.WRITE)
+    # a key built directly is its own object, equal to the shared one
+    direct = SocketOrderKey(OrderVariant.THREAD, thread_id=3)
+    assert direct is not SocketOrderKey.thread(3)
+    assert direct == SocketOrderKey.thread(3)
+    assert hash(direct) == hash(SocketOrderKey.thread(3))
+
+
+@pytest.mark.parametrize("family", list(SocketFamily))
+def test_random_steps_share_one_key_per_stream(family):
+    steps = generate_random_steps(
+        master_id=0, family=family, rng=random.Random(7), transactions=200,
+        op_mix={Opcode.LOAD: 1.0, Opcode.STORE: 1.0, Opcode.STORE_POSTED: 1.0},
+        address_ranges=[(0, 4096)], burst_lens=[1, 2, 4], beat_sizes=[4],
+        threads=3, txn_ids=4,
+    )
+    objects: dict[tuple, set[int]] = {}
+    for request, _ in steps:
+        objects.setdefault(request.order_key.stream_id(), set()).add(id(request.order_key))
+    assert len(objects) > 1 or family is SocketFamily.FULLY_ORDERED
+    assert all(len(ids) == 1 for ids in objects.values())
