@@ -8,7 +8,6 @@ experiments the verification suite runs.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -223,30 +222,25 @@ class Scenario:
             raise ScenarioError(f"unknown program type {type(program).__name__}")
 
     # -- derived variants ---------------------------------------------------------
+    # A variant shares all but ``run`` with its base (``with_link_params`` also
+    # gets its own topology): replace, never edit in place, any other part.
 
     def with_mode(self, mode: TransportMode) -> "Scenario":
-        out = copy.deepcopy(self)
-        out.run.mode = mode
-        return out
+        return replace(self, run=replace(self.run, mode=mode))
 
     def with_seed(self, seed: int) -> "Scenario":
-        out = copy.deepcopy(self)
-        out.run.seed = seed
-        return out
+        return replace(self, run=replace(self.run, seed=seed))
 
     def with_trace_level(self, level: str) -> "Scenario":
-        out = copy.deepcopy(self)
-        out.run.trace_level = level
-        return out
+        return replace(self, run=replace(self.run, trace_level=level))
 
     def with_link_params(self, params: LinkParams) -> "Scenario":
         """Same scenario with every link and attachment using `params`."""
-        out = copy.deepcopy(self)
-        out.topology.links = [replace(ln, params=params) for ln in out.topology.links]
-        out.topology.attachments = [
-            replace(at, params=params) for at in out.topology.attachments
-        ]
-        return out
+        topo = self.topology
+        links = [replace(ln, params=params) for ln in topo.links]
+        attachments = [replace(at, params=params) for at in topo.attachments]
+        topology = replace(topo, links=links, attachments=attachments)
+        return replace(self, run=replace(self.run), topology=topology)
 
 
 # ---------------------------------------------------------------------------

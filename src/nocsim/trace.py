@@ -115,8 +115,8 @@ class TraceRecorder:
 # Transaction projection
 # ---------------------------------------------------------------------------
 
-def _needs_response_name(op_name: str) -> bool:
-    return op_name != Opcode.STORE_POSTED.name
+# the trace name of the one opcode that gets no response (``needs_response``)
+_POSTED_NAME = Opcode.STORE_POSTED.name
 
 
 def transaction_projection(trace: Trace) -> dict[int, dict[str, list[tuple]]]:
@@ -147,7 +147,7 @@ def transaction_projection(trace: Trace) -> dict[int, dict[str, list[tuple]]]:
             joined = []
             ri = 0
             for op, address in issues[master][key]:
-                if _needs_response_name(op):
+                if op != _POSTED_NAME:
                     status = statuses[ri] if ri < len(statuses) else ""
                     ri += 1
                 else:
@@ -225,7 +225,7 @@ def _check_streams(trace: Trace) -> list[str]:
                 f"{stream[0]} stream {stream[1]}"
             )
     for stream, ilist in sorted(issues.items()):
-        expected = [ev for ev in ilist if _needs_response_name(ev.op)]
+        expected = [ev for ev in ilist if ev.op != _POSTED_NAME]
         got = resps.get(stream, [])
         for i, (req, resp) in enumerate(zip(expected, got)):
             if (req.address, req.tag) != (resp.address, resp.tag):
@@ -286,7 +286,7 @@ def _check_tag_liveness(trace: Trace) -> list[str]:
                 window = [idx, end_of_trace, ev.key]
                 windows.setdefault(mt, []).append(window)
                 open_count[mt] = open_count.get(mt, 0) + 1
-                if _needs_response_name(ev.op):
+                if ev.op != _POSTED_NAME:
                     awaiting.setdefault((ev.master, ev.key), deque()).append((ev.tag, window))
         elif kind == RESP_EMITTED:
             if ev.tag >= 0:

@@ -10,6 +10,7 @@ the read-modify-write of locked sequences are exercised.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Optional
 
 from .errors import ScenarioError
@@ -21,8 +22,6 @@ from .transaction import (
     Status,
     TransactionRequest,
     TransactionResponse,
-    needs_response,
-    validate_request,
 )
 
 COUNTER_BYTES = 4  # atomic loop counters are 4-byte little-endian words
@@ -78,19 +77,11 @@ class Master:
 
 
 class ScriptedMaster(Master):
-    """Plays back a fixed list of (request, wait) steps."""
+    """Plays back a fixed list of (request, wait) steps, checked before it is built."""
 
     def __init__(self, master_id: int, niu: InitiatorNiu,
                  steps: list[tuple[TransactionRequest, bool]]):
         super().__init__(master_id, niu)
-        for request, wait in steps:
-            problems = validate_request(request)
-            if problems:
-                raise ScenarioError(f"master {master_id} script step invalid: {problems}")
-            if wait and not needs_response(request.opcode):
-                raise ScenarioError(
-                    f"master {master_id} cannot wait on a posted write"
-                )
         self.steps = steps
         self.index = 0
 
@@ -119,47 +110,51 @@ def generate_random_steps(
     txn_ids: int = 4,
     max_bytes: int = 64,
 ) -> list[tuple[TransactionRequest, bool]]:
-    """Deterministically expand a random-program spec into scripted steps."""
+    """Deterministically expand a random-program spec into scripted steps.
+
+    Facts fixed per program are worked out once, outside the per-step draws.
+    """
     allowed = {Opcode.LOAD, Opcode.STORE, Opcode.STORE_POSTED}
     if set(op_mix) - allowed:
         raise ScenarioError(
             "random programs may only mix LOAD, STORE, and STORE_POSTED"
         )
     opcodes = sorted(op_mix, key=lambda o: o.name)
-    weights = [op_mix[o] for o in opcodes]
+    cum_weights = list(accumulate(op_mix[o] for o in opcodes))
+    choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes
+    fitting = {beat: [b for b in burst_lens if b * beat <= max_bytes] for beat in beat_sizes}
+    if family is SocketFamily.FULLY_ORDERED:
+        single = SocketOrderKey.single()
+
+        def order_key(opcode: Opcode) -> SocketOrderKey:
+            return single
+    elif family is SocketFamily.THREADED:
+        thread = SocketOrderKey.thread
+
+        def order_key(opcode: Opcode) -> SocketOrderKey:
+            return thread(randrange(threads))
+    else:
+        txn, load, read, write = SocketOrderKey.txn, Opcode.LOAD, Channel.READ, Channel.WRITE
+
+        def order_key(opcode: Opcode) -> SocketOrderKey:
+            return txn(randrange(txn_ids), read if opcode is load else write)
+
     steps = []
     for _ in range(transactions):
-        opcode = rng.choices(opcodes, weights)[0]
-        beat = rng.choice(beat_sizes)
-        candidates = [b for b in burst_lens if b * beat <= max_bytes]
-        burst = rng.choice(candidates) if candidates else 1
+        opcode = choices(opcodes, cum_weights=cum_weights)[0]
+        beat = choice(beat_sizes)
+        candidates = fitting[beat]
+        burst = choice(candidates) if candidates else 1
         nbytes = burst * beat
-        base, size = rng.choice(address_ranges)
+        base, size = choice(address_ranges)
         if size < nbytes:
             raise ScenarioError(f"address range of size {size} too small for {nbytes}-byte burst")
         slots = (size - nbytes) // beat + 1
-        address = base + rng.randrange(slots) * beat
-        if family is SocketFamily.FULLY_ORDERED:
-            key = SocketOrderKey.single()
-        elif family is SocketFamily.THREADED:
-            key = SocketOrderKey.thread(rng.randrange(threads))
-        else:
-            channel = Channel.READ if opcode is Opcode.LOAD else Channel.WRITE
-            key = SocketOrderKey.txn(rng.randrange(txn_ids), channel)
-        data = rng.randbytes(nbytes) if opcode.is_store else b""
+        address = base + randrange(slots) * beat
+        key = order_key(opcode)
+        data = randbytes(nbytes) if opcode.is_store else b""
         steps.append(
-            (
-                TransactionRequest(
-                    master_id=master_id,
-                    opcode=opcode,
-                    address=address,
-                    burst_len=burst,
-                    beat_size=beat,
-                    order_key=key,
-                    data=data,
-                ),
-                False,
-            )
+            (TransactionRequest(master_id, opcode, address, burst, beat, key, data), False)
         )
     return steps
 

@@ -122,7 +122,9 @@ def line_scenario(
 
 
 def mixed_widths(scenario: Scenario, seed: int) -> Scenario:
-    """The scenario with each link and attachment width drawn from WIDTHS.
+    """A variant of the scenario, each link and attachment width drawn from WIDTHS.
+
+    The variant has its own topology, so the scenario passed in is unchanged.
 
     A buffer too shallow for the largest packet at its new width is deepened
     to exactly that packet, as the scenario checks require.
@@ -136,6 +138,6 @@ def mixed_widths(scenario: Scenario, seed: int) -> Scenario:
         return replace(spec, params=LinkParams(width), buffer_depth=depth)
 
     topo = scenario.topology
-    topo.links = [rewidth(ln) for ln in topo.links]
-    topo.attachments = [rewidth(at) for at in topo.attachments]
-    return scenario
+    links = [rewidth(ln) for ln in topo.links]
+    attachments = [rewidth(at) for at in topo.attachments]
+    return replace(scenario, topology=replace(topo, links=links, attachments=attachments))

@@ -1,12 +1,16 @@
 """Scenario model: YAML loading, validation diagnostics, derived variants."""
 
+import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import line_scenario, req
 
-from nocsim.engine import run, scripted_steps_for
+from nocsim import transaction
+from nocsim.engine import Engine, run, scripted_steps_for
 from nocsim.errors import ScenarioError
 from nocsim.fabric import TransportMode
 from nocsim.link import LinkParams
@@ -150,7 +154,12 @@ def test_wait_on_posted_write_rejected():
 
 def test_with_variants_do_not_alias():
     base = line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)]])
+    run_spec = replace(base.run)
+    links, attachments = base.topology.links, base.topology.attachments
+    saved_links, saved_attachments = list(links), list(attachments)
     modified = base.with_link_params(LinkParams(8, 3, 2))
+    assert base.topology.links is links and links == saved_links
+    assert base.topology.attachments is attachments and attachments == saved_attachments
     assert base.topology.links[0].params.flit_payload_width == 4
     assert modified.topology.links[0].params.flit_payload_width == 8
     assert modified.topology.attachments[0].params.latency == 3
@@ -159,6 +168,56 @@ def test_with_variants_do_not_alias():
     assert other_mode.run.mode is TransportMode.STORE_AND_FORWARD
     reseeded = base.with_seed(99)
     assert base.run.seed != 99 and reseeded.run.seed == 99
+    quiet = base.with_trace_level("transaction")
+    assert base.run.trace_level == "full" and quiet.run.trace_level == "transaction"
+    # each variant's run is its own: cutting it short, as a CLI override or
+    # a cut-off test case does, leaves the base as it was
+    for variant in (modified, other_mode, reseeded, quiet):
+        variant.run.max_cycles = 7
+        assert base.run == run_spec
+    # the parts a variant does not replace are shared, not copied
+    assert reseeded.masters is base.masters and modified.targets is base.targets
+
+
+def _count_validate_request(monkeypatch) -> list:
+    """Record every validate_request call, patched in each module that calls it."""
+    calls = []
+    original = transaction.validate_request
+
+    def counted(request):
+        calls.append(request)
+        return original(request)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nocsim" and getattr(module, "validate_request", None) is original:
+            monkeypatch.setattr(module, "validate_request", counted)
+    return calls
+
+
+def test_engine_checks_no_random_step(monkeypatch):
+    scenario = random_scenario(5)
+    calls = _count_validate_request(monkeypatch)
+    Engine(scenario)
+    assert calls == []
+
+
+def test_engine_checks_each_script_step_once(monkeypatch):
+    programs = [
+        [(req(0, Opcode.STORE, 0x40), True), (req(0, Opcode.LOAD, 0x40), True)],
+        [(req(1, Opcode.STORE_POSTED, 0x80), False), (req(1, Opcode.LOAD, 0x80, 2), False)],
+    ]
+    scenario = line_scenario(programs=programs)
+    calls = _count_validate_request(monkeypatch)
+    Engine(scenario)
+    requests = [request for program in programs for request, _ in program]
+    assert Counter(map(id, calls)) == Counter(map(id, requests))
+
+
+def test_engine_rejects_script_step_edited_after_load():
+    scenario = line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)] * 2])
+    scenario.masters[0].program.steps[1] = (req(0, Opcode.LOAD, 0x42), True)
+    with pytest.raises(ScenarioError, match="master 0 script step 1: .*not aligned"):
+        Engine(scenario)
 
 
 def test_random_scenario_is_deterministic():
