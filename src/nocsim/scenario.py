@@ -198,6 +198,31 @@ class Scenario:
                         f"master {m.master_id} range [{base:#x},{base+size:#x}) "
                         "does not sit inside a single target region"
                     )
+            if program.transactions == 0:
+                return
+            # every step generate_random_steps can draw must be valid as built:
+            # a power-of-two beat, at a multiple of it, inside the range
+            for beat in program.beat_sizes:
+                if beat & (beat - 1):
+                    raise ScenarioError(
+                        f"master {m.master_id} beat size {beat} is not a power of two"
+                    )
+            largest = max(
+                max((b for b in program.burst_lens if b * beat <= program.max_bytes), default=1)
+                * beat
+                for beat in program.beat_sizes
+            )
+            for base, size in program.address_ranges:
+                where = f"master {m.master_id} range [{base:#x},{base+size:#x})"
+                misaligned = [beat for beat in program.beat_sizes if base % beat]
+                if misaligned:
+                    raise ScenarioError(
+                        f"{where} base is not a multiple of beat size {misaligned[0]}"
+                    )
+                if size < largest:
+                    raise ScenarioError(
+                        f"{where} is smaller than the largest burst ({largest} bytes)"
+                    )
         elif isinstance(program, (ExclusiveLoopProgram, LockLoopProgram)):
             if m.niu.endianness is not Endianness.LITTLE:
                 raise ScenarioError("atomic loop masters must use little-endian sockets")

@@ -191,61 +191,111 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     liveness, lock window mutual exclusion, and exclusive-access safety.
     Credit bounds are audited from the run's channel telemetry when stats
     are supplied (the trace itself carries no flit-level events).
+    ``scenario`` is accepted for callers that pass it and is not read.
 
-    Runs in time linear in the trace length: each check walks the events
-    once, and only the streams, tags and granules it reports on are sorted.
+    One walk over the events checks streams, lock windows and exclusive
+    safety; tag liveness walks the trace again only when that walk saw a
+    packet event. Time is linear in the trace length, and only the streams,
+    tags and granules reported on are sorted. Violations are listed by
+    check: streams, tag liveness, locks, exclusive safety, credit bounds.
     """
-    violations: list[str] = []
-    violations.extend(_check_streams(trace))
-    violations.extend(_check_tag_liveness(trace))
-    violations.extend(_check_lock_windows(trace))
-    violations.extend(_check_exclusive_safety(trace))
+    # per (master, stream): [unmatched events of the side that is ahead,
+    # pairs made, first mismatch, issued]; a stream's non-posted requests and
+    # its responses pair by position, whichever of the two comes first
+    streams: dict[tuple[int, str], list] = {}
+    locked: dict[str, tuple[int, int]] = {}  # site -> (owner, cycle locked)
+    locks = []
+    # last win per (site, granule), last MONITOR_ARMED per (site, granule, master)
+    last_win: dict[tuple[str, int], tuple[int, int]] = {}
+    last_arm: dict[tuple[str, int, int], int] = {}
+    exclusive: dict[tuple[str, int], list[str]] = {}
+    packets = False
+    for idx, ev in enumerate(trace.events):
+        kind = ev.kind
+        if kind == STALL:
+            continue
+        if kind == REQ_ISSUED or kind == RESP_EMITTED:
+            state = streams.get((ev.master, ev.key))
+            if state is None:
+                state = streams[(ev.master, ev.key)] = [deque(), 0, "", False]
+            if kind == REQ_ISSUED:
+                state[3] = True
+                if ev.op == _POSTED_NAME:
+                    continue
+            ahead = state[0]
+            if not ahead or ahead[0].kind == kind:
+                ahead.append(ev)
+                continue
+            other = ahead.popleft()
+            if not state[2] and (other.address != ev.address or other.tag != ev.tag):
+                req, resp = (ev, other) if kind == REQ_ISSUED else (other, ev)
+                state[2] = (
+                    f"stream order violation: master {ev.master} stream {ev.key} "
+                    f"position {state[1]}: issued {req.op}@{req.address} tag {req.tag} "
+                    f"at cycle {req.cycle}, emitted {resp.op}@{resp.address} tag "
+                    f"{resp.tag} at cycle {resp.cycle}"
+                )
+            state[1] += 1
+        elif kind == PKT_DELIVERED:
+            packets = True
+            if locked:
+                held = locked.get(ev.site)
+                if held is not None and ev.master != held[0]:
+                    locks.append(
+                        f"lock violation: packet of master {ev.master} crossed "
+                        f"{ev.site} at cycle {ev.cycle} while locked by {held[0]} "
+                        f"since cycle {held[1]}"
+                    )
+        elif kind == PKT_INJECTED:
+            packets = True
+        elif kind == LOCK_SET:
+            locked[ev.site] = (ev.master, ev.cycle)
+        elif kind == LOCK_CLEARED:
+            locked.pop(ev.site, None)
+        elif kind == MONITOR_ARMED:
+            last_arm[(ev.site, ev.address, ev.master)] = idx
+        elif kind == MONITOR_CLEARED and ev.master == ev.tag:
+            # a win: the acting master owns the monitor; between two wins on
+            # a granule the second winner must have armed after the first
+            granule = (ev.site, ev.address)
+            prev = last_win.get(granule)
+            if prev is not None and last_arm.get((ev.site, ev.address, ev.master), -1) < prev[0]:
+                exclusive.setdefault(granule, []).append(
+                    f"exclusive safety violation at {ev.site} granule {ev.address:#x}: "
+                    f"master {ev.master} won without re-arming after master {prev[1]}'s win"
+                )
+            last_win[granule] = (idx, ev.master)
+    ordered = sorted(streams)
+    violations = [
+        f"conservation violation: response without request for master {m} stream {k}"
+        for m, k in ordered if not streams[(m, k)][3]
+    ]
+    for m, k in ordered:
+        ahead, _, mismatch, issued = streams[(m, k)]
+        if not issued:
+            continue
+        if mismatch:
+            violations.append(mismatch)
+        if ahead and ahead[0].kind == RESP_EMITTED:
+            violations.append(
+                f"conservation violation: {len(ahead)} extra "
+                f"response(s) for master {m} stream {k}"
+            )
+        elif ahead:
+            violations.append(
+                f"conservation violation: {len(ahead)} request(s) "
+                f"without response for master {m} stream {k}"
+            )
+    if packets:
+        violations.extend(_check_tag_liveness(trace))
+    violations.extend(locks)
+    violations.extend(v for granule in sorted(exclusive) for v in exclusive[granule])
     if stats is not None:
         for name, ch in sorted(stats.channels.items()):
             if not 0 <= ch["min_credits"] <= ch["depth"]:
                 violations.append(
                     f"credit bounds violated on {name}: min {ch['min_credits']}"
                 )
-    return violations
-
-
-def _check_streams(trace: Trace) -> list[str]:
-    violations = []
-    issues: dict[tuple[int, str], list[TraceEvent]] = {}
-    resps: dict[tuple[int, str], list[TraceEvent]] = {}
-    for ev in trace.events:
-        if ev.kind == REQ_ISSUED:
-            issues.setdefault((ev.master, ev.key), []).append(ev)
-        elif ev.kind == RESP_EMITTED:
-            resps.setdefault((ev.master, ev.key), []).append(ev)
-    for stream, rlist in sorted(resps.items()):
-        if stream not in issues:
-            violations.append(
-                f"conservation violation: response without request for master "
-                f"{stream[0]} stream {stream[1]}"
-            )
-    for stream, ilist in sorted(issues.items()):
-        expected = [ev for ev in ilist if ev.op != _POSTED_NAME]
-        got = resps.get(stream, [])
-        for i, (req, resp) in enumerate(zip(expected, got)):
-            if (req.address, req.tag) != (resp.address, resp.tag):
-                violations.append(
-                    "stream order violation: master "
-                    f"{stream[0]} stream {stream[1]} position {i}: issued "
-                    f"{req.op}@{req.address} tag {req.tag} at cycle {req.cycle}, "
-                    f"emitted {resp.op}@{resp.address} tag {resp.tag} at cycle {resp.cycle}"
-                )
-                break
-        if len(got) > len(expected):
-            violations.append(
-                f"conservation violation: {len(got) - len(expected)} extra "
-                f"response(s) for master {stream[0]} stream {stream[1]}"
-            )
-        elif len(got) < len(expected):
-            violations.append(
-                f"conservation violation: {len(expected) - len(got)} request(s) "
-                f"without response for master {stream[0]} stream {stream[1]}"
-            )
     return violations
 
 
@@ -268,9 +318,6 @@ def _check_tag_liveness(trace: Trace) -> list[str]:
     real double use needs a trace event at tag release.
     """
     events = trace.events
-    # a transaction-level trace has no packet events: nothing to audit
-    if not any(ev.kind in (PKT_INJECTED, PKT_DELIVERED) for ev in events):
-        return []
     end_of_trace = len(events)
     # live windows per (master, tag): [issue_idx, close_idx, stream key]
     windows: dict[tuple[int, int], list[list]] = {}
@@ -311,54 +358,6 @@ def _check_tag_liveness(trace: Trace) -> list[str]:
                 )
     violations.extend(dead)
     return violations
-
-
-def _check_lock_windows(trace: Trace) -> list[str]:
-    violations = []
-    owner_at: dict[str, Optional[int]] = {}
-    window_start: dict[str, int] = {}
-    for ev in trace.events:
-        if ev.kind == LOCK_SET:
-            owner_at[ev.site] = ev.master
-            window_start[ev.site] = ev.cycle
-        elif ev.kind == LOCK_CLEARED:
-            owner_at[ev.site] = None
-        elif ev.kind == PKT_DELIVERED and ev.site in owner_at:
-            owner = owner_at[ev.site]
-            if owner is not None and ev.master != owner:
-                violations.append(
-                    f"lock violation: packet of master {ev.master} crossed "
-                    f"{ev.site} at cycle {ev.cycle} while locked by {owner} "
-                    f"since cycle {window_start[ev.site]}"
-                )
-    return violations
-
-
-def _check_exclusive_safety(trace: Trace) -> list[str]:
-    """Between consecutive exclusive-store wins on a granule, the second
-    winner must have armed its monitor after the first win.
-
-    A win is a MONITOR_CLEARED whose acting master owns the monitor. One
-    walk keeps the last win per (site, granule) and the last MONITOR_ARMED
-    per (site, granule, master); violations are reported grouped by sorted
-    (site, granule), in win order within each.
-    """
-    last_win: dict[tuple[str, int], tuple[int, int]] = {}
-    last_arm: dict[tuple[str, int, int], int] = {}
-    found: dict[tuple[str, int], list[str]] = {}
-    for idx, ev in enumerate(trace.events):
-        if ev.kind == MONITOR_ARMED:
-            last_arm[(ev.site, ev.address, ev.master)] = idx
-        elif ev.kind == MONITOR_CLEARED and ev.master == ev.tag:
-            granule = (ev.site, ev.address)
-            prev = last_win.get(granule)
-            if prev is not None and last_arm.get((ev.site, ev.address, ev.master), -1) < prev[0]:
-                found.setdefault(granule, []).append(
-                    f"exclusive safety violation at {ev.site} granule {ev.address:#x}: "
-                    f"master {ev.master} won without re-arming after master {prev[1]}'s win"
-                )
-            last_win[granule] = (idx, ev.master)
-    return [v for granule in sorted(found) for v in found[granule]]
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,8 @@ def bfs_distances(adjacency: dict[int, list[int]], start: int) -> dict[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Post-run audit references (quadratic, by definition)
+# Post-run audit references: one walk per check, tag liveness and exclusive
+# safety quadratic, by definition
 # ---------------------------------------------------------------------------
 
 def tag_liveness_reference(events) -> list[str]:
@@ -206,5 +207,69 @@ def exclusive_safety_reference(events) -> list[str]:
                 out.append(
                     f"exclusive safety violation at {site} granule {granule:#x}: "
                     f"master {m2} won without re-arming after master {m1}'s win"
+                )
+    return out
+
+
+def stream_order_reference(events) -> list[str]:
+    """Stream-order and conservation audit straight from its definition.
+
+    Per sorted (master, stream), the i-th non-posted request pairs with the
+    i-th response; reports responses on streams with no request, then per
+    stream the first pair whose (address, tag) differ and the surplus of
+    either side.
+    """
+    issues, resps = {}, {}
+    for ev in events:
+        if ev.kind == "REQ_ISSUED":
+            issues.setdefault((ev.master, ev.key), []).append(ev)
+        elif ev.kind == "RESP_EMITTED":
+            resps.setdefault((ev.master, ev.key), []).append(ev)
+    out = [
+        f"conservation violation: response without request for master {master} "
+        f"stream {key}"
+        for master, key in sorted(resps) if (master, key) not in issues
+    ]
+    for (master, key), requests in sorted(issues.items()):
+        expected = [ev for ev in requests if ev.op != "STORE_POSTED"]
+        got = resps.get((master, key), [])
+        for i, (req, resp) in enumerate(zip(expected, got)):
+            if (req.address, req.tag) != (resp.address, resp.tag):
+                out.append(
+                    f"stream order violation: master {master} stream {key} position {i}: "
+                    f"issued {req.op}@{req.address} tag {req.tag} at cycle {req.cycle}, "
+                    f"emitted {resp.op}@{resp.address} tag {resp.tag} at cycle {resp.cycle}"
+                )
+                break
+        if len(got) > len(expected):
+            out.append(
+                f"conservation violation: {len(got) - len(expected)} extra "
+                f"response(s) for master {master} stream {key}"
+            )
+        elif len(got) < len(expected):
+            out.append(
+                f"conservation violation: {len(expected) - len(got)} request(s) "
+                f"without response for master {master} stream {key}"
+            )
+    return out
+
+
+def lock_window_reference(events) -> list[str]:
+    """Lock-window audit: a packet delivered at a site between a LOCK_SET
+    there and the next LOCK_CLEARED belongs to the lock's owner. Reported in
+    trace order."""
+    out = []
+    owner_at, since = {}, {}
+    for ev in events:
+        if ev.kind == "LOCK_SET":
+            owner_at[ev.site], since[ev.site] = ev.master, ev.cycle
+        elif ev.kind == "LOCK_CLEARED":
+            owner_at[ev.site] = None
+        elif ev.kind == "PKT_DELIVERED" and owner_at.get(ev.site) is not None:
+            if ev.master != owner_at[ev.site]:
+                out.append(
+                    f"lock violation: packet of master {ev.master} crossed "
+                    f"{ev.site} at cycle {ev.cycle} while locked by {owner_at[ev.site]} "
+                    f"since cycle {since[ev.site]}"
                 )
     return out

@@ -1,5 +1,6 @@
-"""Post-run audits: each flags a poisoned trace, by exact message text, and
-the one-pass audits agree with their definitions on poisoned real traces."""
+"""Post-run audits: each flags a poisoned trace, by exact message text, the
+one-walk audit agrees with the per-check references on poisoned real traces,
+and it walks a trace once, or twice when the trace has packet events."""
 
 import random
 
@@ -19,7 +20,12 @@ from nocsim.trace import (
     check_invariants,
 )
 
-from oracles import exclusive_safety_reference, tag_liveness_reference
+from oracles import (
+    exclusive_safety_reference,
+    lock_window_reference,
+    stream_order_reference,
+    tag_liveness_reference,
+)
 
 
 def _of(violations, prefix):
@@ -68,6 +74,60 @@ def test_tag_live_twice_across_streams():
     ]
 
 
+def test_response_before_its_request_pairs_by_position():
+    events = [
+        TraceEvent(0, "niu0", RESP_EMITTED, 0, "thread:0", 1, "OKAY", 0x10),
+        TraceEvent(1, "niu0", REQ_ISSUED, 0, "thread:0", 1, "LOAD", 0x10),
+        TraceEvent(2, "niu0", REQ_ISSUED, 0, "thread:0", 2, "STORE_POSTED", 0x40),
+        TraceEvent(3, "niu0", RESP_EMITTED, 0, "thread:0", 3, "OKAY", 0x20),
+        TraceEvent(4, "niu0", REQ_ISSUED, 0, "thread:0", 3, "STORE", 0x30),
+        TraceEvent(5, "niu0", REQ_ISSUED, 0, "thread:0", 4, "LOAD", 0x50),
+        TraceEvent(6, "niu0", RESP_EMITTED, 1, "thread:0", 0, "OKAY", 0x10),
+    ]
+    assert check_invariants(Trace(events)) == [
+        "conservation violation: response without request for master 1 stream thread:0",
+        "stream order violation: master 0 stream thread:0 position 1: issued "
+        "STORE@48 tag 3 at cycle 4, emitted OKAY@32 tag 3 at cycle 3",
+        "conservation violation: 1 request(s) without response for master 0 "
+        "stream thread:0",
+    ]
+    # cut before the last request, then before the store that answers the
+    # early response: the surplus moves to the response side
+    assert check_invariants(Trace(events[:5])) == [
+        "stream order violation: master 0 stream thread:0 position 1: issued "
+        "STORE@48 tag 3 at cycle 4, emitted OKAY@32 tag 3 at cycle 3",
+    ]
+    assert check_invariants(Trace(events[:4])) == [
+        "conservation violation: 1 extra response(s) for master 0 stream thread:0",
+    ]
+
+
+class _CountedWalks(list):
+    """An event list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _walks(trace):
+    trace.events = _CountedWalks(trace.events)
+    check_invariants(trace)
+    return trace.events.walks
+
+
+def test_transaction_level_trace_is_walked_once():
+    result = run(random_scenario(2, trace_level="transaction"))
+    assert _walks(result.trace) == 1
+
+
+def test_full_level_trace_is_walked_twice():
+    result = run(atomic_loop_scenario("lock", n_masters=2, iterations=3))
+    assert result.trace.events and _walks(result.trace) == 2
+
+
 def test_foreign_packet_inside_lock_window():
     result = run(atomic_loop_scenario("lock", n_masters=2, iterations=2))
     events = result.trace.events
@@ -98,15 +158,36 @@ def test_credit_bounds_from_stats():
 
 
 def _poisoned(events, rng):
-    """A copy with random events dropped (monitor arms more often) and
-    random events duplicated elsewhere."""
+    """A copy with random events dropped (monitor arms more often), random
+    events duplicated elsewhere, neighbouring events swapped (so a response
+    can come before its request) and events retagged."""
     out = [
         e for e in events
         if rng.random() >= (0.3 if e.kind == MONITOR_ARMED else 0.03)
     ]
     for _ in range(rng.randrange(4)):
         out.insert(rng.randrange(len(out) + 1), rng.choice(events))
+    for _ in range(rng.randrange(12)):
+        i = rng.randrange(len(out) - 1)
+        out[i], out[i + 1] = out[i + 1], out[i]
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(out))
+        out[i] = out[i]._replace(tag=rng.randrange(-1, 8))
     return out
+
+
+def _credit_bounds(stats):
+    return [
+        f"credit bounds violated on {name}: min {ch['min_credits']}"
+        for name, ch in sorted(stats.channels.items())
+        if not 0 <= ch["min_credits"] <= ch["depth"]
+    ]
+
+
+_CHECKS = (
+    "stream order", "conservation", "tag liveness", "lock violation",
+    "exclusive safety", "credit bounds",
+)
 
 
 def test_one_pass_audits_match_definitions_on_poisoned_traces():
@@ -114,19 +195,27 @@ def test_one_pass_audits_match_definitions_on_poisoned_traces():
         atomic_loop_scenario("exclusive", n_masters=3, iterations=8),
         atomic_loop_scenario("lock", n_masters=3, iterations=5),
     ] + [
-        random_scenario(seed, trace_level="full").with_mode(mode)
+        random_scenario(seed, trace_level=level).with_mode(mode)
         for seed in range(3)
+        for level in ("transaction", "full")
         for mode in (TransportMode.WORMHOLE, TransportMode.STORE_AND_FORWARD)
     ]
     rng = random.Random(7)
-    flagged = 0
+    flagged = {}
     for scenario in scenarios:
-        events = run(scenario).trace.events
+        result = run(scenario)
+        events, stats = result.trace.events, result.stats
         for copy in [events] + [_poisoned(events, rng) for _ in range(8)]:
-            violations = check_invariants(Trace(copy))
-            tag = _of(violations, "tag liveness")
-            exclusive = _of(violations, "exclusive safety")
-            assert tag == tag_liveness_reference(copy)
-            assert exclusive == exclusive_safety_reference(copy)
-            flagged += len(tag) + len(exclusive)
-    assert flagged > 100
+            if rng.random() < 0.3:
+                stats.channels[rng.choice(sorted(stats.channels))]["min_credits"] = -1
+            violations = check_invariants(Trace(copy), scenario, stats)
+            assert violations == (
+                stream_order_reference(copy)
+                + tag_liveness_reference(copy)
+                + lock_window_reference(copy)
+                + exclusive_safety_reference(copy)
+                + _credit_bounds(stats)
+            )
+            for check in _CHECKS:
+                flagged[check] = flagged.get(check, 0) + len(_of(violations, check))
+    assert all(flagged[check] >= 2 for check in _CHECKS), flagged

@@ -1,5 +1,6 @@
 """Scenario model: YAML loading, validation diagnostics, derived variants."""
 
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -103,6 +104,73 @@ def test_range_outside_regions_diagnosed():
     doc["workload"][0]["program"]["address_ranges"] = [[4000, 4096]]
     with pytest.raises(ScenarioError, match="single target region"):
         scenario_from_dict(doc)
+
+
+def _cut_master_0(scenario, **program_edits):
+    m = scenario.masters[0]
+    m = replace(m, program=replace(m.program, **program_edits))
+    return replace(scenario, masters=[m] + scenario.masters[1:])
+
+
+def test_range_below_largest_burst_fails_validation_for_every_seed():
+    base = random_scenario(3).masters[0].program.address_ranges[0][0]
+    scenario = _cut_master_0(
+        random_scenario(3), address_ranges=[(base, 4)], beat_sizes=[4],
+        burst_lens=[1, 2], transactions=3,
+    )
+    message = (
+        f"master 0 range [{base:#x},{base + 4:#x}) is smaller than the largest "
+        "burst (8 bytes)"
+    )
+    for seed in range(1, 9):
+        variant = scenario.with_seed(seed)
+        with pytest.raises(ScenarioError) as err:
+            variant.validate()
+        assert str(err.value) == message
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            Engine(variant)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"address_ranges": [[0, 4]], "beat_sizes": [4], "burst_lens": [1, 2]},
+         "master 0 range [0x0,0x4) is smaller than the largest burst (8 bytes)"),
+        # no burst of 16 eight-byte beats fits 64 bytes: one beat is the largest
+        ({"address_ranges": [[0, 4]], "beat_sizes": [8], "burst_lens": [16]},
+         "master 0 range [0x0,0x4) is smaller than the largest burst (8 bytes)"),
+        ({"address_ranges": [[0, 32]], "beat_sizes": [1, 2], "burst_lens": [64]},
+         "master 0 range [0x0,0x20) is smaller than the largest burst (64 bytes)"),
+        ({"address_ranges": [[2, 256]], "beat_sizes": [4]},
+         "master 0 range [0x2,0x102) base is not a multiple of beat size 4"),
+        ({"address_ranges": [[2, 256]], "beat_sizes": [1, 2, 4, 8]},
+         "master 0 range [0x2,0x102) base is not a multiple of beat size 4"),
+        ({"beat_sizes": [1, 3]}, "master 0 beat size 3 is not a power of two"),
+    ],
+)
+def test_random_program_draws_that_cannot_be_valid_diagnosed(edit, message):
+    doc = _doc()
+    doc["workload"][0]["program"].update(edit)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+    doc["workload"][0]["program"]["transactions"] = 0
+    run(scenario_from_dict(doc))  # nothing is drawn, so nothing can fail
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"address_ranges": [[0, 8]], "beat_sizes": [8], "burst_lens": [16]},
+        {"address_ranges": [[4, 8]], "beat_sizes": [4], "burst_lens": [1, 2]},
+        {"address_ranges": [[0, 64]], "beat_sizes": [1, 2, 4], "burst_lens": [64]},
+    ],
+)
+def test_random_program_at_its_limits_runs(edit):
+    doc = _doc()
+    doc["workload"][0]["program"].update(edit)
+    result = run(scenario_from_dict(doc))
+    assert result.stats.completed_transactions == 10
 
 
 def test_buffer_depth_below_packet_size_diagnosed():
