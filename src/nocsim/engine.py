@@ -422,8 +422,8 @@ class Engine:
         for name, ch in sorted(self.channels.items()):
             stats.channels[name] = {
                 "flits": ch.flits_sent,
-                "min_credits": ch.credits.min_seen,
-                "depth": ch.credits.depth,
+                "min_credits": ch.min_seen,
+                "depth": ch.depth,
             }
         for sid in self._switch_order:
             sw = self.switches[sid]

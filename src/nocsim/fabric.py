@@ -244,38 +244,22 @@ def validate_routing(topology: Topology, table: RoutingTable) -> None:
 # Flow control
 # ---------------------------------------------------------------------------
 
-class CreditCounter:
-    """Per-channel credit counter initialized to the receiver buffer depth.
-
-    ChannelStream takes and returns credits inline and faults on misuse with
-    CreditError, which fires only on internal accounting bugs, never on
-    legitimate backpressure.
-    """
-
-    __slots__ = ("depth", "credits", "min_seen")
-
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ScenarioError("buffer depth must be at least 1")
-        self.depth = depth
-        self.credits = depth
-        self.min_seen = depth
-
-
 NEVER = 1 << 62  # wake cycle of a component that nothing can wake but a send
 
 
 class ChannelStream:
     """One directed flit pipe: credits, latency/rate pipeline, flit buffer.
 
-    ``rx`` is the receive side's buffer: the delivered flits that still hold
-    a credit, oldest first, so ``credits + len(in_flight) + len(rx)`` is
-    always the buffer depth. ``tails`` counts the tail flits in it, so the
-    oldest packet in the buffer is whole iff ``tails > 0``; ``received`` is
-    the payload bytes of the newest packet delivered so far, and ``open``
-    is set between a packet's head and its tail, for the framing checks. A
-    switch reading the channel sets ``waiting`` to the output port that the
-    head at the front of ``rx`` is routed to while it waits for a grant.
+    ``credits`` starts at the receiver's buffer ``depth``; ``min_seen`` is
+    the fewest it has fallen to. ``rx`` is the receive side's buffer: the
+    delivered flits that still hold a credit, oldest first, so ``credits +
+    len(in_flight) + len(rx)`` is always ``depth``. ``tails`` counts the
+    tail flits in it, so the oldest packet in the buffer is whole iff
+    ``tails > 0``; ``received`` is the payload bytes of the newest packet
+    delivered so far, and ``open`` is set between a packet's head and its
+    tail, for the framing checks. A switch reading the channel sets
+    ``waiting`` to the output port that the head at the front of ``rx`` is
+    routed to while it waits for a grant.
 
     ``sink`` is the switch or NIU that reads the channel. The engine steps
     it only from its ``wake_cycle`` on, and a send lowers that cycle to the
@@ -283,20 +267,23 @@ class ChannelStream:
     ``arrivals`` list of its reading switch plane (``sink_plane``; None when
     an NIU reads it), so a switch step visits only inputs with flits in
     flight. Credits are taken and returned inline on the hot path; misuse
-    raises CreditError.
+    raises CreditError, which fires only on internal accounting bugs, never
+    on legitimate backpressure.
     """
 
     __slots__ = (
-        "name", "params", "plane", "credits", "in_flight", "next_send",
-        "flits_sent", "rx", "tails", "received", "open", "waiting", "sink",
-        "sink_plane", "delay",
+        "name", "params", "plane", "credits", "depth", "min_seen", "in_flight",
+        "next_send", "flits_sent", "rx", "tails", "received", "open", "waiting",
+        "sink", "sink_plane", "delay",
     )
 
     def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
         self.name = name
         self.params = params
         self.plane = plane
-        self.credits = CreditCounter(depth)
+        if depth < 1:
+            raise ScenarioError("buffer depth must be at least 1")
+        self.credits = self.depth = self.min_seen = depth
         self.in_flight: deque[tuple[int, Flit]] = deque()
         self.next_send = 0
         self.flits_sent = 0
@@ -310,15 +297,15 @@ class ChannelStream:
         self.delay = 1 + params.latency  # send to arrival, in cycles
 
     def can_send(self, cycle: int) -> bool:
-        return cycle >= self.next_send and self.credits.credits > 0
+        return cycle >= self.next_send and self.credits > 0
 
     def send(self, cycle: int, flit: Flit) -> None:
-        cr = self.credits
-        if cr.credits <= 0:
+        credits = self.credits - 1
+        if credits < 0:
             raise CreditError("credit accounting: consume at zero")
-        cr.credits -= 1
-        if cr.credits < cr.min_seen:
-            cr.min_seen = cr.credits
+        self.credits = credits
+        if credits < self.min_seen:
+            self.min_seen = credits
         arrival = cycle + self.delay
         q = self.in_flight
         if not q and self.sink_plane is not None:
@@ -362,10 +349,10 @@ class ChannelStream:
 
     def release(self, count: int) -> None:
         """Return the credits of ``count`` flits popped from the buffer."""
-        cr = self.credits
-        if cr.credits + count > cr.depth:
+        credits = self.credits + count
+        if credits > self.depth:
             raise CreditError("credit accounting: return beyond buffer depth")
-        cr.credits += count
+        self.credits = credits
 
     def pop_packet(self) -> Packet:
         """Pop the oldest packet's flits, through its tail, freeing their credits."""
@@ -681,7 +668,7 @@ class Switch:
         ``received`` counts its bytes.
         """
         ch = out.channel
-        if cycle < ch.next_send or ch.credits.credits <= 0:
+        if cycle < ch.next_send or ch.credits <= 0:
             out.credit_stall_cycles += 1
             return
         in_ch = out.active_ch

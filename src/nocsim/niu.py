@@ -59,7 +59,7 @@ class SocketFamily(Enum):
     ID_BASED = auto()
 
 
-_FAMILY_VARIANT = {
+FAMILY_VARIANT = {
     SocketFamily.FULLY_ORDERED: OrderVariant.SINGLE,
     SocketFamily.THREADED: OrderVariant.THREAD,
     SocketFamily.ID_BASED: OrderVariant.TXN_ID,
@@ -412,7 +412,7 @@ class InitiatorNiu:
         config.validate()
         self.config = config
         self.niu_id = config.niu_id
-        self.variant = _FAMILY_VARIANT[config.family]
+        self.variant = FAMILY_VARIANT[config.family]
         self.address_map = address_map
         self.pending = PendingTable(min(config.capacity, config.tag_policy.max_outstanding()))
         self.gate = ReleaseGate()
@@ -651,6 +651,11 @@ class TargetConfig:
     def validate(self) -> None:
         if self.region_size < 1:
             raise ScenarioError("target region must not be empty")
+        granule = self.monitor_granule
+        if granule < 1 or granule & (granule - 1):
+            raise ScenarioError(
+                f"target NIU {self.niu_id} monitor granule {granule} is not a power of two"
+            )
         if self.memory_size is None:
             self.memory_size = self.region_size
         if self.memory_size < 0:

@@ -20,11 +20,9 @@ from .engine import scripted_steps_for
 
 def sequential_oracle(scenario: Scenario) -> dict[int, bytes]:
     """Final memory image per target under sequential execution."""
+    scenario.validate()
     amap = scenario.address_map()
-    memories: dict[int, bytearray] = {}
-    for t in scenario.targets:
-        t.validate()
-        memories[t.niu_id] = bytearray(t.memory_size)
+    memories = {t.niu_id: bytearray(t.memory_size) for t in scenario.targets}
 
     for spec in sorted(scenario.masters, key=lambda m: m.master_id):
         program = spec.program

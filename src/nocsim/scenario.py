@@ -28,19 +28,25 @@ from .fabric import (
 )
 from .link import LinkParams, flit_count
 from .niu import (
+    FAMILY_VARIANT,
     AddressMap,
     Endianness,
     InitiatorConfig,
     SocketFamily,
     TagPolicy,
     TagPolicyKind,
-    MAX_TAGS,
+    TargetConfig,
+    stream_tag,
 )
-from .niu import TargetConfig
+from .trace import TRACE_LEVELS
 from .transaction import Channel, Opcode, SocketOrderKey, TransactionRequest
+from .transaction import needs_response, validate_request
 from .workload import COUNTER_BYTES
 
 DEFAULT_MAX_CYCLES = 100_000
+# the opcodes a random program may mix, and those that hold a path locked
+_RANDOM_OPCODES = (Opcode.LOAD, Opcode.STORE, Opcode.STORE_POSTED)
+_LOCKING = (Opcode.READEX, Opcode.STORE_LOCKED_RELEASE)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ class Scenario:
 
     def validate(self) -> RoutingTable:
         """Reject an inconsistent scenario; return its checked routing table."""
-        if self.run.trace_level not in ("transaction", "packet", "full"):
+        if self.run.trace_level not in TRACE_LEVELS:
             raise ScenarioError(f"unknown trace level {self.run.trace_level!r}")
         if self.run.max_cycles < 1:
             raise ScenarioError("max_cycles must be positive")
@@ -169,51 +175,55 @@ class Scenario:
                 )
 
     def _check_program(self, m: MasterSpec, amap: AddressMap) -> None:
-        program = m.program
+        program, niu, who = m.program, m.niu, f"master {m.master_id}"
+        widest = 0  # the widest beat the program issues
+        streams = 1  # the order streams it issues on, each a per-stream policy tag
         if isinstance(program, RandomProgram):
             if program.transactions < 0:
                 raise ScenarioError("transaction count must not be negative")
+            mixed = program.op_mix.keys() - _RANDOM_OPCODES
+            if mixed:
+                raise ScenarioError(
+                    f"{who} op_mix may only hold LOAD, STORE and STORE_POSTED, "
+                    f"got {min(op.name for op in mixed)}"
+                )
             weights = list(program.op_mix.values())
             if not all(math.isfinite(w) and w >= 0 for w in weights) or not sum(weights) > 0:
                 raise ScenarioError(
-                    f"master {m.master_id} op_mix weights must be finite, non-negative "
-                    "and not all zero"
+                    f"{who} op_mix weights must be finite, non-negative and not all zero"
                 )
             for name, values in (
                 ("burst_lens", program.burst_lens), ("beat_sizes", program.beat_sizes),
             ):
                 if not values or min(values) < 1:
-                    raise ScenarioError(
-                        f"master {m.master_id} {name} must list positive integers"
-                    )
+                    raise ScenarioError(f"{who} {name} must list positive integers")
             if program.threads < 1 or program.txn_ids < 1:
-                raise ScenarioError(f"master {m.master_id} threads and txn_ids must be positive")
+                raise ScenarioError(f"{who} threads and txn_ids must be positive")
             if not program.address_ranges:
-                raise ScenarioError(f"master {m.master_id} random program has no address range")
+                raise ScenarioError(f"{who} random program has no address range")
             for base, size in program.address_ranges:
                 lo = amap.decode(base)
                 hi = amap.decode(base + size - 1)
                 if lo is None or hi is None or lo[0] != hi[0]:
                     raise ScenarioError(
-                        f"master {m.master_id} range [{base:#x},{base+size:#x}) "
+                        f"{who} range [{base:#x},{base+size:#x}) "
                         "does not sit inside a single target region"
                     )
             if program.transactions == 0:
                 return
             # every step generate_random_steps can draw must be valid as built:
-            # a power-of-two beat, at a multiple of it, inside the range
+            # a power-of-two beat, at a multiple of it, inside the range; and,
+            # checked below, one packet wide at most, on a stream with a tag
             for beat in program.beat_sizes:
                 if beat & (beat - 1):
-                    raise ScenarioError(
-                        f"master {m.master_id} beat size {beat} is not a power of two"
-                    )
+                    raise ScenarioError(f"{who} beat size {beat} is not a power of two")
             largest = max(
                 max((b for b in program.burst_lens if b * beat <= program.max_bytes), default=1)
                 * beat
                 for beat in program.beat_sizes
             )
             for base, size in program.address_ranges:
-                where = f"master {m.master_id} range [{base:#x},{base+size:#x})"
+                where = f"{who} range [{base:#x},{base+size:#x})"
                 misaligned = [beat for beat in program.beat_sizes if base % beat]
                 if misaligned:
                     raise ScenarioError(
@@ -223,28 +233,50 @@ class Scenario:
                     raise ScenarioError(
                         f"{where} is smaller than the largest burst ({largest} bytes)"
                     )
+            widest = max(program.beat_sizes)
+            if niu.family is SocketFamily.THREADED:
+                streams = program.threads
+            elif niu.family is SocketFamily.ID_BASED:  # tag 2*id reads, 2*id + 1 writes
+                writes = any(op.is_store and w > 0 for op, w in program.op_mix.items())
+                streams = 2 * program.txn_ids - (not writes)
         elif isinstance(program, (ExclusiveLoopProgram, LockLoopProgram)):
-            if m.niu.endianness is not Endianness.LITTLE:
+            if niu.family is not SocketFamily.FULLY_ORDERED:
+                raise ScenarioError(
+                    f"{who} loop program needs a fully_ordered NIU, got {niu.family.name.lower()}"
+                )
+            if niu.endianness is not Endianness.LITTLE:
                 raise ScenarioError("atomic loop masters must use little-endian sockets")
             if program.counter_address % COUNTER_BYTES:
                 raise ScenarioError("loop counter must be word aligned")
             if amap.decode(program.counter_address) is None:
                 raise ScenarioError("loop counter address does not decode")
+            widest = COUNTER_BYTES
         elif isinstance(program, ScriptProgram):
-            from .transaction import needs_response, validate_request
-
             for i, (request, wait) in enumerate(program.steps):
                 problems = validate_request(request)
                 if problems:
+                    raise ScenarioError(f"{who} script step {i}: {problems}")
+                opcode = request.opcode
+                if wait and not needs_response(opcode):
+                    raise ScenarioError(f"{who} script step {i} waits on a posted write")
+                nbytes = request.byte_length
+                if nbytes > niu.max_payload and (opcode.is_exclusive or opcode in _LOCKING):
                     raise ScenarioError(
-                        f"master {m.master_id} script step {i}: {problems}"
+                        f"{who} script step {i}: {opcode.name} burst of {nbytes} bytes does "
+                        f"not fit one packet (max payload {niu.max_payload})"
                     )
-                if wait and not needs_response(request.opcode):
-                    raise ScenarioError(
-                        f"master {m.master_id} script step {i} waits on a posted write"
-                    )
+                widest = max(widest, request.beat_size)
+                streams = max(streams, stream_tag(request.order_key) + 1)
         else:
             raise ScenarioError(f"unknown program type {type(program).__name__}")
+        if widest > niu.max_payload:
+            raise ScenarioError(f"{who} beat size {widest} exceeds max payload {niu.max_payload}")
+        policy = niu.tag_policy
+        if policy.kind is TagPolicyKind.PER_STREAM and streams > policy.streams:
+            raise ScenarioError(
+                f"{who} uses {streams} order streams, beyond the {policy.streams} "
+                "of its per-stream tag policy"
+            )
 
     # -- derived variants ---------------------------------------------------------
     # A variant shares all but ``run`` with its base (``with_link_params`` also
@@ -271,57 +303,15 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # YAML loading
 # ---------------------------------------------------------------------------
-
-_FAMILIES = {
-    "fully_ordered": SocketFamily.FULLY_ORDERED,
-    "threaded": SocketFamily.THREADED,
-    "id_based": SocketFamily.ID_BASED,
-}
-_MODES = {
-    "wormhole": TransportMode.WORMHOLE,
-    "store_and_forward": TransportMode.STORE_AND_FORWARD,
-}
-_ENDIAN = {"little": Endianness.LITTLE, "big": Endianness.BIG}
+# Each YAML mapping has one table: key -> (field, reader) or (field, reader,
+# default). A reader gets the value, its key and the mapping's label, such
+# as "{} of a link", which names values in messages, "{}" standing for the
+# key. A pair's field is a pair of field names. Only the keys present are
+# passed on, so a default is the dataclass field's; a table holds one only
+# where no dataclass does. A key whose entry is None is read by the caller.
 
 
-_LINK_KEYS = {"width", "latency", "rate_ratio", "buffer_depth"}
-_NIU_KEYS = {"id", "role", "attach", "link"}
-_ROLE_KEYS = {
-    "target": _NIU_KEYS | {"region", "memory", "monitor_granule"},
-    "initiator": _NIU_KEYS | {
-        "family", "tag_policy", "capacity", "max_payload", "endianness", "priority",
-    },
-}
-_PROGRAM_KEYS = {
-    "random": {
-        "kind", "transactions", "op_mix", "address_ranges", "burst_lens",
-        "beat_sizes", "threads", "txn_ids", "max_bytes",
-    },
-    "exclusive_loop": {"kind", "counter", "iterations"},
-    "lock_loop": {"kind", "counter", "iterations"},
-    "script": {"kind", "steps"},
-}
-_STEP_KEYS = {"op", "addr", "data", "beats", "beat_size", "thread", "tid", "channel", "wait"}
-
-
-def _check_keys(d, allowed: set, where: str) -> None:
-    """Reject a mapping with keys the format does not define, so a typo
-    cannot silently fall back to a default."""
-    if not isinstance(d, dict):
-        raise ScenarioError(f"malformed scenario: {where} must be a mapping")
-    unknown = sorted(str(k) for k in d if k not in allowed)
-    if unknown:
-        raise ScenarioError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
-
-
-def _opcode(name: str) -> Opcode:
-    try:
-        return Opcode[name.upper()]
-    except KeyError:
-        raise ScenarioError(f"unknown opcode {name!r}") from None
-
-
-def _int(value, field: str) -> int:
+def _int(value, label: str) -> int:
     """The value of an integer field. A bool, or a float with a fraction, is
     rejected rather than truncated; an integral float such as 1.0e+3 is
     that integer."""
@@ -334,216 +324,238 @@ def _int(value, field: str) -> int:
                 return int(value)
             except (TypeError, ValueError):
                 pass
-    raise ScenarioError(f"{field} must be an integer, got {value!r}")
+    raise ScenarioError(f"{label} must be an integer, got {value!r}")
 
 
-def _link_params(d: dict, where: str) -> LinkParams:
-    return LinkParams(
-        flit_payload_width=_int(d.get("width", 4), f"width of {where}"),
-        latency=_int(d.get("latency", 1), f"latency of {where}"),
-        rate_ratio=_int(d.get("rate_ratio", 1), f"rate_ratio of {where}"),
-    )
+def _integer(value, key: str, label: str) -> int:
+    return _int(value, label.format(key))
 
 
-def _tag_policy(spec) -> TagPolicy:
+def _list(read):
+    return lambda values, key, label: [read(v, key, label) for v in values]
+
+
+def _pair(first: str, second: str):
+    def read(value, key: str, label: str) -> tuple[int, int]:
+        a, b = value
+        return _int(a, label.format(f"{key} {first}")), _int(b, label.format(f"{key} {second}"))
+
+    return read
+
+
+def _choice(what: str, names: dict):
+    def read(value, key: str, label: str):
+        if value not in names:
+            raise ScenarioError(f"unknown {what} {value!r}")
+        return names[value]
+
+    return read
+
+
+def _enum(what: str, enum):
+    return _choice(what, {member.name.lower(): member for member in enum})
+
+
+def _opcode(name, *_) -> Opcode:
+    try:
+        return Opcode[name.upper()]
+    except KeyError:
+        raise ScenarioError(f"unknown opcode {name!r}") from None
+
+
+def _tag_policy(spec, key: str, label: str) -> TagPolicy:
     if spec == "single":
         return TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
     if isinstance(spec, dict) and len(spec) == 1:
         if "per_stream" in spec:
-            streams = _int(spec["per_stream"], "tag_policy per_stream")
+            streams = _int(spec["per_stream"], label.format("tag_policy per_stream"))
             return TagPolicy(TagPolicyKind.PER_STREAM, streams=streams)
         if "pooled" in spec:
-            capacity = _int(spec["pooled"], "tag_policy pooled")
+            capacity = _int(spec["pooled"], label.format("tag_policy pooled"))
             return TagPolicy(TagPolicyKind.POOLED, capacity=capacity)
     raise ScenarioError(f"unknown tag policy {spec!r}")
 
 
-def _order_key(family: SocketFamily, step: dict, opcode: Opcode) -> SocketOrderKey:
-    if family is SocketFamily.FULLY_ORDERED:
-        return SocketOrderKey.single()
-    if family is SocketFamily.THREADED:
-        return SocketOrderKey.thread(_int(step.get("thread", 0), "thread"))
-    channel = step.get("channel")
-    if channel is None:
-        channel = "read" if opcode.is_load else "write"
-    return SocketOrderKey.txn(
-        _int(step.get("tid", 0), "tid"),
-        Channel.READ if str(channel).lower() == "read" else Channel.WRITE,
+def _routing(doc, *_) -> Optional[dict[int, dict[int, int]]]:
+    if doc == "auto":
+        return None  # shortest paths
+    return {
+        _int(sw, "routing switch"): {
+            _int(t, "routing target"): _int(p, "routing port") for t, p in targets.items()
+        }
+        for sw, targets in doc.items()
+    }
+
+
+def _steps(steps, key: str, label: str) -> list[dict]:
+    return [_read(_STEP, step, label.format(f"script step {i}")) for i, step in enumerate(steps)]
+
+
+def _read(table: dict, doc, where: str, label: str = "") -> dict:
+    """The fields one YAML mapping gives, read through its table.
+
+    A key the table does not define is rejected, so a typo cannot silently
+    fall back to a default. ``label`` defaults to "{} of <where>".
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"malformed scenario: {where} must be a mapping")
+    unknown = sorted(str(k) for k in doc if k not in table)
+    if unknown:
+        raise ScenarioError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+    label = label or "{} of " + where
+    fields = {}
+    for key, entry in table.items():
+        if entry is None or (key not in doc and len(entry) < 3):
+            continue
+        name, read, *default = entry
+        value = read(doc[key] if key in doc else default[0], key, label)
+        if isinstance(name, tuple):
+            fields.update(zip(name, value))
+        else:
+            fields[name] = value
+    return fields
+
+
+def _link(table: dict, doc, where: str) -> dict:
+    """A link mapping's fields, the physical ones folded into ``params``."""
+    fields = _read(table, doc, where)
+    physical = [name for name, _ in _LINK_PARAMS.values()]
+    params = LinkParams(**{f: fields.pop(f) for f in physical if f in fields})
+    return {**fields, "params": params}
+
+
+_SCENARIO = dict.fromkeys(("run", "topology", "nius", "workload"))
+_RUN = {
+    "mode": ("mode", _enum("transport mode", TransportMode)),
+    "seed": ("seed", _integer), "max_cycles": ("max_cycles", _integer),
+    "trace_level": ("trace_level", _choice("trace level", {n: n for n in TRACE_LEVELS})),
+}
+_TOPOLOGY = {"switches": None, "links": None, "routing": ("routing", _routing)}
+_SWITCH = {"id": ("switch_id", _integer), "ports": ("ports", _integer)}
+_LINK_PARAMS = {
+    "width": ("flit_payload_width", _integer), "latency": ("latency", _integer),
+    "rate_ratio": ("rate_ratio", _integer),
+}
+_NIU_LINK = {**_LINK_PARAMS, "buffer_depth": ("buffer_depth", _integer)}
+_LINK = {
+    "a": (("a_switch", "a_port"), _pair("switch", "port")),
+    "b": (("b_switch", "b_port"), _pair("switch", "port")), **_NIU_LINK,
+}
+_NIU = {
+    "id": ("niu_id", _integer), "role": None, "attach": ("attach", _pair("switch", "port")),
+    "link": ("link", lambda doc, key, label: _link(_NIU_LINK, doc, label.format("the link"))),
+}
+_ROLES = {
+    "target": (TargetConfig, {
+        **_NIU, "region": (("region_base", "region_size"), _pair("base", "size")),
+        "memory": ("memory_size", _integer), "monitor_granule": ("monitor_granule", _integer),
+    }),
+    "initiator": (InitiatorConfig, {
+        **_NIU, "family": ("family", _enum("socket family", SocketFamily), "fully_ordered"),
+        "tag_policy": ("tag_policy", _tag_policy, "single"),
+        "capacity": ("capacity", _integer), "max_payload": ("max_payload", _integer),
+        "endianness": ("endianness", _enum("endianness", Endianness)),
+        "priority": ("priority", _integer),
+    }),
+}
+_WORKLOAD = dict.fromkeys(("master", "program"))
+_LOOP = {
+    "kind": None, "counter": ("counter_address", _integer),
+    "iterations": ("iterations", _integer),
+}
+_PROGRAMS = {
+    "random": (RandomProgram, {
+        "kind": None, "transactions": ("transactions", _integer),
+        "op_mix": ("op_mix", lambda mix, key, label: {
+            _opcode(op): float(weight) for op, weight in mix.items()
+        }),
+        "address_ranges": ("address_ranges", _list(_pair("base", "size"))),
+        "burst_lens": ("burst_lens", _list(_integer)),
+        "beat_sizes": ("beat_sizes", _list(_integer)),
+        "threads": ("threads", _integer), "txn_ids": ("txn_ids", _integer),
+        "max_bytes": ("max_bytes", _integer),
+    }),
+    "exclusive_loop": (ExclusiveLoopProgram, _LOOP),
+    "lock_loop": (LockLoopProgram, _LOOP),
+    "script": (ScriptProgram, {"kind": None, "steps": ("steps", _steps)}),
+}
+_STEP = {
+    "op": ("opcode", _opcode), "addr": ("address", _integer),
+    "data": ("data", lambda text, key, label: bytes.fromhex(text)),
+    "beats": ("burst_len", _integer, 1), "beat_size": ("beat_size", _integer, 4),
+    "thread": ("thread_id", _integer), "tid": ("txn_id", _integer),
+    "channel": ("channel", _enum("channel", Channel)),
+    "wait": ("wait", _choice("wait flag", {False: False, True: True})),
+}
+
+
+def _script_step(fields: dict, family: SocketFamily, master_id: int):
+    """A script step's (request, wait) from the fields its mapping gives."""
+    opcode, wait = fields["opcode"], fields.pop("wait", False)
+    key = {f: fields.pop(f) for f in ("thread_id", "txn_id", "channel") if f in fields}
+    if family is SocketFamily.ID_BASED:
+        key.setdefault("channel", Channel.READ if opcode.is_load else Channel.WRITE)
+    order_key = SocketOrderKey(FAMILY_VARIANT[family], **key)
+    request = TransactionRequest(
+        master_id, order_key=order_key, exclusive_flag=opcode.is_exclusive, **fields
     )
+    return request, wait
 
 
-def _program(d: dict, family: SocketFamily, master_id: int) -> Program:
-    kind = d.get("kind")
-    if kind in _PROGRAM_KEYS:
-        _check_keys(d, _PROGRAM_KEYS[kind], f"{kind} program of master {master_id}")
-    if kind == "random":
-        mix = {_opcode(k): float(v) for k, v in d["op_mix"].items()}
-        where = f"of master {master_id}"
-        return RandomProgram(
-            transactions=_int(d["transactions"], f"transactions {where}"),
-            op_mix=mix,
-            address_ranges=[
-                (_int(b, f"address range base {where}"), _int(s, f"address range size {where}"))
-                for b, s in d["address_ranges"]
-            ],
-            burst_lens=[_int(x, f"burst_lens {where}") for x in d.get("burst_lens", [1, 2, 4])],
-            beat_sizes=[_int(x, f"beat_sizes {where}") for x in d.get("beat_sizes", [1, 2, 4])],
-            threads=_int(d.get("threads", 2), f"threads {where}"),
-            txn_ids=_int(d.get("txn_ids", 4), f"txn_ids {where}"),
-            max_bytes=_int(d.get("max_bytes", 64), f"max_bytes {where}"),
-        )
-    if kind in ("exclusive_loop", "lock_loop"):
-        loop = ExclusiveLoopProgram if kind == "exclusive_loop" else LockLoopProgram
-        return loop(
-            _int(d["counter"], f"counter of master {master_id}"),
-            _int(d["iterations"], f"iterations of master {master_id}"),
-        )
-    if kind == "script":
-        steps = []
-        for i, s in enumerate(d["steps"]):
-            where = f"script step {i} of master {master_id}"
-            _check_keys(s, _STEP_KEYS, where)
-            opcode = _opcode(s["op"])
-            data = bytes.fromhex(s["data"]) if "data" in s else b""
-            req = TransactionRequest(
-                master_id=master_id,
-                opcode=opcode,
-                address=_int(s["addr"], f"addr of {where}"),
-                burst_len=_int(s.get("beats", 1), f"beats of {where}"),
-                beat_size=_int(s.get("beat_size", 4), f"beat_size of {where}"),
-                order_key=_order_key(family, s, opcode),
-                data=data,
-                exclusive_flag=opcode.is_exclusive,
-            )
-            steps.append((req, bool(s.get("wait", False))))
-        return ScriptProgram(steps)
-    raise ScenarioError(f"unknown program kind {kind!r}")
+def _program(doc: dict, family: SocketFamily, master_id: int) -> Program:
+    kind = doc.get("kind")
+    if kind not in _PROGRAMS:
+        raise ScenarioError(f"unknown program kind {kind!r}")
+    cls, table = _PROGRAMS[kind]
+    where = f"master {master_id}"
+    fields = _read(table, doc, f"{kind} program of {where}", "{} of " + where)
+    if cls is ScriptProgram:
+        fields["steps"] = [_script_step(f, family, master_id) for f in fields["steps"]]
+    return cls(**fields)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        _check_keys(doc, {"run", "topology", "nius", "workload"}, "the scenario")
+        _read(_SCENARIO, doc, "the scenario")
         topo_doc = doc["topology"]
-        _check_keys(topo_doc, {"switches", "links", "routing"}, "topology")
-        switches = []
-        for s in topo_doc["switches"]:
-            _check_keys(s, {"id", "ports"}, "a switch")
-            sid = _int(s["id"], "switch id")
-            switches.append(SwitchSpec(sid, _int(s["ports"], f"ports of switch {sid}")))
-        links = []
-        for ln in topo_doc.get("links", []):
-            _check_keys(ln, _LINK_KEYS | {"a", "b"}, "a link")
-            links.append(
-                LinkSpec(
-                    a_switch=_int(ln["a"][0], "switch of link end a"),
-                    a_port=_int(ln["a"][1], "port of link end a"),
-                    b_switch=_int(ln["b"][0], "switch of link end b"),
-                    b_port=_int(ln["b"][1], "port of link end b"),
-                    params=_link_params(ln, "a link"),
-                    buffer_depth=_int(ln.get("buffer_depth", 16), "buffer_depth of a link"),
-                )
-            )
-        attachments = []
-        targets = []
-        masters = []
+        routing = _read(_TOPOLOGY, topo_doc, "topology")
+        switches = [
+            SwitchSpec(**_read(_SWITCH, s, f"switch {_int(s['id'], 'switch id')}"))
+            for s in topo_doc["switches"]
+        ]
+        links = [LinkSpec(**_link(_LINK, ln, "a link")) for ln in topo_doc.get("links", [])]
+        attachments, targets, initiators = [], [], []
         for n in doc["nius"]:
             niu_id = _int(n["id"], "NIU id")
-            if n["role"] in _ROLE_KEYS:
-                _check_keys(n, _ROLE_KEYS[n["role"]], f"NIU {niu_id}")
-            link_doc = n.get("link", {})
-            _check_keys(link_doc, _LINK_KEYS, f"the link of NIU {niu_id}")
-            attachments.append(
-                AttachmentSpec(
-                    niu_id=niu_id,
-                    switch_id=_int(n["attach"][0], f"attach switch of NIU {niu_id}"),
-                    port=_int(n["attach"][1], f"attach port of NIU {niu_id}"),
-                    params=_link_params(link_doc, f"the link of NIU {niu_id}"),
-                    buffer_depth=_int(
-                        link_doc.get("buffer_depth", 16), f"buffer_depth of NIU {niu_id}"
-                    ),
-                )
-            )
-            if n["role"] == "target":
-                base, size = n["region"]
-                targets.append(
-                    TargetConfig(
-                        niu_id=niu_id,
-                        region_base=_int(base, f"region base of NIU {niu_id}"),
-                        region_size=_int(size, f"region size of NIU {niu_id}"),
-                        memory_size=(
-                            _int(n["memory"], f"memory of NIU {niu_id}") if "memory" in n else None
-                        ),
-                        monitor_granule=_int(
-                            n.get("monitor_granule", 8), f"monitor_granule of NIU {niu_id}"
-                        ),
-                    )
-                )
-            elif n["role"] == "initiator":
-                family = _FAMILIES.get(n.get("family", "fully_ordered"))
-                if family is None:
-                    raise ScenarioError(f"unknown socket family {n.get('family')!r}")
-                config = InitiatorConfig(
-                    niu_id=niu_id,
-                    family=family,
-                    tag_policy=_tag_policy(n.get("tag_policy", "single")),
-                    capacity=_int(n.get("capacity", MAX_TAGS), f"capacity of NIU {niu_id}"),
-                    max_payload=_int(n.get("max_payload", 32), f"max_payload of NIU {niu_id}"),
-                    endianness=_ENDIAN[n.get("endianness", "little")],
-                    priority=_int(n.get("priority", 0), f"priority of NIU {niu_id}"),
-                )
-                masters.append((niu_id, config))
-            else:
+            if n["role"] not in _ROLES:
                 raise ScenarioError(f"NIU {niu_id} role must be initiator or target")
+            cls, table = _ROLES[n["role"]]
+            fields = _read(table, n, f"NIU {niu_id}")
+            link = fields.pop("link", {})
+            attachments.append(AttachmentSpec(niu_id, *fields.pop("attach"), **link))
+            (targets if cls is TargetConfig else initiators).append(cls(**fields))
 
-        routing = None
-        routing_doc = topo_doc.get("routing", "auto")
-        if routing_doc != "auto":
-            routing = {
-                _int(sw, "routing switch"): {
-                    _int(t, "routing target"): _int(p, "routing port")
-                    for t, p in targets_map.items()
-                }
-                for sw, targets_map in routing_doc.items()
-            }
-
+        configs = {config.niu_id: config for config in initiators}
         programs: dict[int, Program] = {}
         for w in doc.get("workload", []):
-            _check_keys(w, {"master", "program"}, "a workload entry")
+            _read(_WORKLOAD, w, "a workload entry")
             mid = _int(w["master"], "workload master")
-            config = dict(masters).get(mid)
-            if config is None:
+            if mid not in configs:
                 raise ScenarioError(f"workload references unknown initiator {mid}")
-            programs[mid] = _program(w["program"], config.family, mid)
+            programs[mid] = _program(w["program"], configs[mid].family, mid)
+        masters = []
+        for config in initiators:
+            if config.niu_id not in programs:
+                raise ScenarioError(f"initiator {config.niu_id} has no workload program")
+            masters.append(MasterSpec(config, programs[config.niu_id]))
 
-        master_specs = []
-        for mid, config in masters:
-            if mid not in programs:
-                raise ScenarioError(f"initiator {mid} has no workload program")
-            master_specs.append(MasterSpec(niu=config, program=programs[mid]))
-
-        run_doc = doc.get("run", {})
-        _check_keys(run_doc, {"mode", "seed", "max_cycles", "trace_level"}, "run")
-        mode_name = run_doc.get("mode", "wormhole")
-        if mode_name not in _MODES:
-            raise ScenarioError(f"unknown transport mode {mode_name!r}")
-        run = RunSpec(
-            mode=_MODES[mode_name],
-            seed=_int(run_doc.get("seed", 1), "run seed"),
-            max_cycles=_int(run_doc.get("max_cycles", DEFAULT_MAX_CYCLES), "run max_cycles"),
-            trace_level=run_doc.get("trace_level", "packet"),
-        )
+        run = RunSpec(**_read(_RUN, doc.get("run", {}), "run", "run {}"))
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
-    scenario = Scenario(
-        run=run,
-        topology=Topology(switches, links, attachments),
-        targets=targets,
-        masters=master_specs,
-        routing=routing,
-    )
+    scenario = Scenario(run, Topology(switches, links, attachments), targets, masters, **routing)
     scenario.validate()
     return scenario
 

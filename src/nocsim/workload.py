@@ -13,7 +13,6 @@ import random
 from itertools import accumulate
 from typing import Optional
 
-from .errors import ScenarioError
 from .niu import InitiatorNiu, PendingEntry, SocketFamily
 from .transaction import (
     Channel,
@@ -113,12 +112,9 @@ def generate_random_steps(
     """Deterministically expand a random-program spec into scripted steps.
 
     Facts fixed per program are worked out once, outside the per-step draws.
+    The spec must have passed ``Scenario.validate``, which rejects every
+    program that could draw an invalid step.
     """
-    allowed = {Opcode.LOAD, Opcode.STORE, Opcode.STORE_POSTED}
-    if set(op_mix) - allowed:
-        raise ScenarioError(
-            "random programs may only mix LOAD, STORE, and STORE_POSTED"
-        )
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
     choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes
@@ -147,8 +143,6 @@ def generate_random_steps(
         burst = choice(candidates) if candidates else 1
         nbytes = burst * beat
         base, size = choice(address_ranges)
-        if size < nbytes:
-            raise ScenarioError(f"address range of size {size} too small for {nbytes}-byte burst")
         slots = (size - nbytes) // beat + 1
         address = base + randrange(slots) * beat
         key = order_key(opcode)

@@ -360,7 +360,7 @@ def test_every_credit_is_on_a_link_in_a_buffer_or_free(monkeypatch, mode):
         def checked(self, *args):
             result = step(self, *args)
             for ch in channels:
-                assert ch.credits.credits + len(ch.in_flight) + len(ch.rx) == ch.credits.depth, (
+                assert ch.credits + len(ch.in_flight) + len(ch.rx) == ch.depth, (
                     ch.name
                 )
                 assert ch.tails == sum(1 for f in ch.rx if f.is_tail), ch.name

@@ -309,8 +309,7 @@ def _lone_flit():
 
 
 def _conserved(ch):
-    depth = ch.credits.depth
-    return ch.credits.credits + len(ch.in_flight) + len(ch.rx) == depth
+    return ch.credits + len(ch.in_flight) + len(ch.rx) == ch.depth
 
 
 def test_credit_counter_basics():
@@ -318,11 +317,11 @@ def test_credit_counter_basics():
     assert ch.can_send(0)
     ch.send(0, _lone_flit())
     ch.send(1, _lone_flit())
-    assert not ch.can_send(2) and ch.credits.min_seen == 0
+    assert not ch.can_send(2) and ch.min_seen == 0
     ch.deliver(10)
-    assert ch.credits.credits == 0 and len(ch.rx) == 2  # buffered flits hold theirs
+    assert ch.credits == 0 and len(ch.rx) == 2  # buffered flits hold theirs
     assert ch.pop_complete_packet() is not None
-    assert ch.can_send(2) and ch.credits.credits == 1 and _conserved(ch)
+    assert ch.can_send(2) and ch.credits == 1 and _conserved(ch)
 
 
 def test_credit_faults_on_misuse():
@@ -332,7 +331,7 @@ def test_credit_faults_on_misuse():
         ch.send(1, _lone_flit())
     assert str(err.value) == CONSUME_AT_ZERO
     ch.deliver(10)
-    ch.credits.credits = 1  # an accounting bug: the buffered flit's credit is back early
+    ch.credits = 1  # an accounting bug: the buffered flit's credit is back early
     with pytest.raises(CreditError) as err:
         ch.pop_complete_packet()
     assert str(err.value) == BEYOND_DEPTH
@@ -345,7 +344,7 @@ def test_switch_forward_returning_credit_beyond_depth_faults(mode):
         cin.send(i, flit)
     sw.step(10, mode)  # all three flits buffered; the head is forwarded
     assert len(cin.rx) == 2 and _conserved(cin)
-    cin.credits.credits = cin.credits.depth  # an accounting bug, as above
+    cin.credits = cin.depth  # an accounting bug, as above
     with pytest.raises(CreditError) as err:
         sw.step(11, mode)
     assert str(err.value) == BEYOND_DEPTH
@@ -365,9 +364,9 @@ def _check_against_model(depth, ops):
             assert ch.pop_complete_packet() is not None
             model += 1
         assert ch.can_send(cycle + 1) == (model > 0)
-        assert 0 <= ch.credits.credits == model <= depth
+        assert 0 <= ch.credits == model <= depth
         assert _conserved(ch)
-    assert ch.credits.min_seen >= 0
+    assert ch.min_seen >= 0
 
 
 def test_credit_random_schedule_stays_in_bounds():
@@ -419,7 +418,7 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
         (f.kind, f.start, f.end) for f in serialize(pkt, out_params)
     ]
     assert deserialize(sent) == pkt
-    assert cin.credits.credits == cin.credits.depth  # every inbound flit released
+    assert cin.credits == cin.depth  # every inbound flit released
     handled = tgt.step(10_000)
     assert handled == [pkt]
     assert bytes(tgt.memory[8 : 8 + size]) == payload

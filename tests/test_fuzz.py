@@ -31,7 +31,10 @@ scalars = st.one_of(
     st.integers(-3, 70),
     st.sampled_from([0.5, -1.5, float("inf"), float("-inf"), float("nan")]),
     st.text(max_size=6),
-    st.sampled_from(["auto", "single", "random", "script", "load", "ff", "0x10"]),
+    st.sampled_from([
+        "auto", "single", "random", "script", "load", "ff", "0x10",
+        "threaded", "id_based", "readex",
+    ]),
 )
 # keys the format defines but the examples leave out
 OPTIONAL_KEYS = st.sampled_from([
@@ -85,11 +88,15 @@ def mutated_docs(draw):
 
 
 def _rejected(doc) -> bool:
-    """Load and build; True when either refuses the document."""
+    """Load, and build what loaded; True when loading refuses the document.
+
+    Every check runs at load time, so building must not refuse what loaded.
+    """
     try:
-        Engine(scenario_from_dict(doc))
+        scenario = scenario_from_dict(doc)
     except ScenarioError:
         return True
+    Engine(scenario)
     return False
 
 

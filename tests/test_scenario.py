@@ -7,10 +7,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from helpers import line_scenario, req
 
-from nocsim import transaction
+from nocsim import scenario as scenario_module, transaction
 from nocsim.engine import Engine, run, scripted_steps_for
 from nocsim.errors import ScenarioError
 from nocsim.fabric import TransportMode
@@ -23,6 +24,28 @@ from nocsim.scenario import (
 from nocsim.transaction import Opcode
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _loader_keys() -> set:
+    """Every key of the loader's tables: the private upper-case dicts of the
+    scenario module, or the tables in one whose values are (class, table)."""
+    keys = set()
+    for name, value in vars(scenario_module).items():
+        if not (name.startswith("_") and name[1:].isupper() and isinstance(value, dict)):
+            continue
+        nested = [v[1] for v in value.values() if isinstance(v, tuple) and isinstance(v[1], dict)]
+        for table in nested or [value]:
+            keys.update(table)
+    return keys
+
+
+def test_readme_shows_every_scenario_key():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    keys = _loader_keys()
+    assert {"run", "width", "tag_policy", "max_bytes", "steps", "channel", "wait"} <= keys
+    missing = sorted(k for k in keys if not re.search(rf"(?<![\w]){re.escape(k)}:", section))
+    assert missing == []
 
 
 def test_shipped_scenarios_load():
@@ -171,6 +194,79 @@ def test_random_program_at_its_limits_runs(edit):
     doc["workload"][0]["program"].update(edit)
     result = run(scenario_from_dict(doc))
     assert result.stats.completed_transactions == 10
+
+
+_LOOP = {"kind": "exclusive_loop", "counter": 64, "iterations": 3}
+
+
+def _paired(initiator: dict, program: dict, target: dict) -> dict:
+    """The base document with its initiator, program and target edited."""
+    doc = _doc()
+    doc["nius"][0].update(initiator)
+    doc["nius"][1].update(target)
+    if "kind" in program:
+        doc["workload"][0]["program"] = program
+    else:
+        doc["workload"][0]["program"].update(program)
+    return doc
+
+
+# Each of these used to load, then fail in Engine(...) or mid-run.
+@pytest.mark.parametrize("initiator, program, target, message", [
+    ({"family": "threaded"}, _LOOP, {},
+     "master 0 loop program needs a fully_ordered NIU, got threaded"),
+    ({"family": "id_based", "tag_policy": {"pooled": 4}}, {**_LOOP, "kind": "lock_loop"}, {},
+     "master 0 loop program needs a fully_ordered NIU, got id_based"),
+    ({}, {"op_mix": {"load": 1.0, "readex": 1.0}}, {},
+     "master 0 op_mix may only hold LOAD, STORE and STORE_POSTED, got READEX"),
+    ({}, {}, {"monitor_granule": 3}, "target NIU 100 monitor granule 3 is not a power of two"),
+    ({}, {}, {"monitor_granule": 0}, "target NIU 100 monitor granule 0 is not a power of two"),
+    ({"max_payload": 2}, _LOOP, {}, "master 0 beat size 4 exceeds max payload 2"),
+    ({"max_payload": 4}, {"beat_sizes": [8]}, {}, "master 0 beat size 8 exceeds max payload 4"),
+    ({"max_payload": 4},
+     {"kind": "script", "steps": [{"op": "load", "addr": 0x40, "beat_size": 8}]}, {},
+     "master 0 beat size 8 exceeds max payload 4"),
+    ({"family": "threaded", "tag_policy": {"per_stream": 2}}, {"threads": 3}, {},
+     "master 0 uses 3 order streams, beyond the 2 of its per-stream tag policy"),
+    ({"family": "id_based", "tag_policy": {"per_stream": 3}},
+     {"txn_ids": 2, "op_mix": {"load": 1.0, "store": 1.0}}, {},
+     "master 0 uses 4 order streams, beyond the 3 of its per-stream tag policy"),
+    ({"family": "threaded", "tag_policy": {"per_stream": 2}},
+     {"kind": "script", "steps": [{"op": "load", "addr": 0x40, "thread": 2}]}, {},
+     "master 0 uses 3 order streams, beyond the 2 of its per-stream tag policy"),
+    ({"max_payload": 8},
+     {"kind": "script", "steps": [{"op": "load_exclusive", "addr": 0x40, "beats": 4}]}, {},
+     "master 0 script step 0: LOAD_EXCLUSIVE burst of 16 bytes does not fit one packet "
+     "(max payload 8)"),
+    ({"max_payload": 8},
+     {"kind": "script", "steps": [{"op": "readex", "addr": 0x40, "beats": 4, "wait": True}]},
+     {}, "master 0 script step 0: READEX burst of 16 bytes does not fit one packet "
+     "(max payload 8)"),
+])
+def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(_paired(initiator, program, target)))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("initiator, program, target", [
+    ({"family": "threaded", "tag_policy": {"per_stream": 3}}, {"threads": 3}, {}),
+    # loads only: the write stream of the last id is never used
+    ({"family": "id_based", "tag_policy": {"per_stream": 3}}, {"txn_ids": 2}, {}),
+    ({"family": "id_based", "tag_policy": {"per_stream": 4}},
+     {"txn_ids": 2, "op_mix": {"load": 1.0, "store": 1.0}}, {}),
+    ({"family": "threaded", "tag_policy": {"per_stream": 3}},
+     {"kind": "script", "steps": [{"op": "load", "addr": 0x40, "thread": 2}]}, {}),
+    ({"max_payload": 4}, _LOOP, {"monitor_granule": 1}),
+    ({"max_payload": 4}, {"beat_sizes": [4]}, {}),
+    ({"max_payload": 16},
+     {"kind": "script", "steps": [{"op": "load_exclusive", "addr": 0x40, "beats": 4}]}, {}),
+])
+def test_pairing_at_its_limit_runs(initiator, program, target):
+    result = run(scenario_from_dict(_paired(initiator, program, target)))
+    assert result.ok and result.stats.completed_transactions > 0
 
 
 def test_buffer_depth_below_packet_size_diagnosed():
