@@ -14,7 +14,6 @@ from .errors import (
     FramingError,
     LockProtocolError,
     NocSimError,
-    OrderKeyError,
     OrphanResponseError,
     RaggedBeatError,
     ScenarioError,
@@ -31,9 +30,7 @@ from .scenario import (
     Scenario,
     ScriptProgram,
     atomic_loop_scenario,
-    deadlock_scenario,
     load_scenario,
-    qos_contention_scenario,
     random_scenario,
 )
 from .trace import (
@@ -45,13 +42,11 @@ from .trace import (
 )
 from .transaction import (
     Opcode,
-    OrderClass,
     SocketOrderKey,
     Status,
     TransactionRequest,
     TransactionResponse,
     needs_response,
-    order_class,
     validate_request,
 )
 

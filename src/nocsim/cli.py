@@ -43,10 +43,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
-
-
 def _write_outputs(result, out_dir: str, prefix: str = "") -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,7 +51,7 @@ def _write_outputs(result, out_dir: str, prefix: str = "") -> None:
 
 
 def cmd_run(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     result = run_engine(scenario)
     if args.out:
         _write_outputs(result, args.out)
@@ -85,7 +81,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     worst = EXIT_OK
     for f in files:
-        scenario = _apply_overrides(_load(str(f)), args).with_trace_level("full")
+        scenario = _apply_overrides(load_scenario(str(f)), args).with_trace_level("full")
         result = run_engine(scenario)
         if result.timed_out:
             print(f"{f.name}: TIMEOUT ({len(result.stuck)} stuck)")
@@ -108,7 +104,7 @@ def cmd_compare_modes(args) -> int:
     if seed_a != seed_b:
         print(f"refusing to compare across seeds ({seed_a} vs {seed_b}); legs must share one seed")
         return EXIT_CONFIG
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     if args.max_cycles is not None:
         scenario.run.max_cycles = args.max_cycles
     if seed_a is not None:
@@ -144,7 +140,7 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def cmd_compare_links(args) -> int:
-    scenario = _apply_overrides(_load(args.scenario), args)
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     widths = _int_list("--widths", args.widths)
     latencies = _int_list("--latencies", args.latencies)
     ratios = _int_list("--ratios", args.ratios)

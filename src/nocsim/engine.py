@@ -207,8 +207,8 @@ class Engine:
 
             self.targets[tid] = TargetNiu(cfg, monitor_event)
 
-    def _channel(self, name: str, params, depth: int, plane: PacketKind) -> ChannelStream:
-        ch = ChannelStream(name, params, depth, plane)
+    def _channel(self, name: str, params, depth: int) -> ChannelStream:
+        ch = ChannelStream(name, params, depth)
         self.channels[name] = ch
         return ch
 
@@ -219,12 +219,12 @@ class Engine:
             a, ap, b, bp = ln.a_switch, ln.a_port, ln.b_switch, ln.b_port
             for plane, tagname in suffix.items():
                 fwd = self._channel(
-                    f"sw{a}p{ap}-sw{b}p{bp}.{tagname}", ln.params, ln.buffer_depth, plane
+                    f"sw{a}p{ap}-sw{b}p{bp}.{tagname}", ln.params, ln.buffer_depth
                 )
                 self.switches[a].attach_output(plane, ap, fwd)
                 self.switches[b].attach_input(plane, bp, fwd)
                 rev = self._channel(
-                    f"sw{b}p{bp}-sw{a}p{ap}.{tagname}", ln.params, ln.buffer_depth, plane
+                    f"sw{b}p{bp}-sw{a}p{ap}.{tagname}", ln.params, ln.buffer_depth
                 )
                 self.switches[b].attach_output(plane, bp, rev)
                 self.switches[a].attach_input(plane, ap, rev)
@@ -238,11 +238,11 @@ class Engine:
             else:
                 raise ScenarioError(f"attachment references undeclared NIU {nid}")
             niu.tx = self._channel(
-                f"niu{nid}-sw{sw}p{port}.{suffix[up]}", at.params, at.buffer_depth, up
+                f"niu{nid}-sw{sw}p{port}.{suffix[up]}", at.params, at.buffer_depth
             )
             self.switches[sw].attach_input(up, port, niu.tx)
             niu.rx = self._channel(
-                f"sw{sw}p{port}-niu{nid}.{suffix[down]}", at.params, at.buffer_depth, down
+                f"sw{sw}p{port}-niu{nid}.{suffix[down]}", at.params, at.buffer_depth
             )
             niu.rx.sink = niu
             self.switches[sw].attach_output(down, port, niu.rx)

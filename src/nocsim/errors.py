@@ -9,10 +9,6 @@ class ScenarioError(NocSimError):
     """A scenario file or scenario object failed load-time validation."""
 
 
-class OrderKeyError(NocSimError):
-    """Order keys from different socket families were compared."""
-
-
 class FramingError(NocSimError):
     """A flit sequence does not form one well-formed packet."""
 

@@ -272,15 +272,14 @@ class ChannelStream:
     """
 
     __slots__ = (
-        "name", "params", "plane", "credits", "depth", "min_seen", "in_flight",
+        "name", "params", "credits", "depth", "min_seen", "in_flight",
         "next_send", "flits_sent", "rx", "tails", "received", "open", "waiting",
         "sink", "sink_plane", "delay",
     )
 
-    def __init__(self, name: str, params: LinkParams, depth: int, plane: PacketKind):
+    def __init__(self, name: str, params: LinkParams, depth: int):
         self.name = name
         self.params = params
-        self.plane = plane
         if depth < 1:
             raise ScenarioError("buffer depth must be at least 1")
         self.credits = self.depth = self.min_seen = depth

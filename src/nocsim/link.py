@@ -2,9 +2,9 @@
 
 A packet crossing a link is sliced into flits sized for that link. There is
 one flit form, used by ``serialize`` and by the fabric alike: a flit holds
-its kind, a reference to its packet and the byte range ``[start, end)`` of
-the packet's payload that it stands for. A head flit stands for the header
-and has an empty range. No flit copies payload bytes. Flits are per-link
+its head and tail bits, a reference to its packet and the byte range
+``[start, end)`` of the packet's payload that it stands for. A head flit
+stands for the header and has an empty range. No flit copies payload bytes. Flits are per-link
 artifacts, but a packet is not sliced again for a link of the width it was
 last sliced for: ``serialize`` keeps that slicing on the packet, so a switch
 forwarding onto a link as wide as the one before sends the flits it
@@ -14,31 +14,21 @@ received. ``deserialize`` rebuilds a packet from the slices its flits name.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum, auto
 
 from .errors import FramingError, ScenarioError
 from .packet import Packet
 
 
-class FlitKind(Enum):
-    HEAD = auto()
-    BODY = auto()
-    TAIL = auto()
-    HEAD_TAIL = auto()  # single-flit packet
-
-
-HEAD, BODY, TAIL, HEAD_TAIL = FlitKind.HEAD, FlitKind.BODY, FlitKind.TAIL, FlitKind.HEAD_TAIL
-
-
 class Flit:
-    """One flit: its kind, its packet and the payload bytes [start, end) it carries."""
+    """One flit: whether it heads and/or ends its packet, the packet, and the
+    payload bytes [start, end) it carries. A single-flit packet's one flit is
+    both head and tail."""
 
-    __slots__ = ("kind", "is_head", "is_tail", "packet", "start", "end")
+    __slots__ = ("is_head", "is_tail", "packet", "start", "end")
 
-    def __init__(self, kind: FlitKind, packet: Packet, start: int = 0, end: int = 0):
-        self.kind = kind
-        self.is_head = kind is HEAD or kind is HEAD_TAIL
-        self.is_tail = kind is TAIL or kind is HEAD_TAIL
+    def __init__(self, is_head: bool, is_tail: bool, packet: Packet, start: int = 0, end: int = 0):
+        self.is_head = is_head
+        self.is_tail = is_tail
         self.packet = packet
         self.start = start
         self.end = end
@@ -85,12 +75,12 @@ def serialize(packet: Packet, params: LinkParams) -> list[Flit]:
         return sliced[1]
     size = len(packet.payload)
     if not size:
-        flits = [Flit(HEAD_TAIL, packet)]
+        flits = [Flit(True, True, packet)]
     else:
-        flits = [Flit(HEAD, packet)]
+        flits = [Flit(True, False, packet)]
         for start in range(0, size - width, width):
-            flits.append(Flit(BODY, packet, start, start + width))
-        flits.append(Flit(TAIL, packet, (size - 1) // width * width, size))
+            flits.append(Flit(False, False, packet, start, start + width))
+        flits.append(Flit(False, True, packet, (size - 1) // width * width, size))
     packet.sliced = (width, flits)
     return flits
 
@@ -107,9 +97,10 @@ def deserialize(flits: list[Flit]) -> Packet:
         raise FramingError("framing violation: empty flit sequence")
     first = flits[0]
     if not first.is_head:
-        raise FramingError(f"framing violation: sequence starts with {first.kind.name}")
+        kind = "TAIL" if first.is_tail else "BODY"
+        raise FramingError(f"framing violation: sequence starts with {kind}")
     packet = first.packet
-    if first.kind is HEAD_TAIL:
+    if first.is_tail:
         if len(flits) != 1:
             raise FramingError("framing violation: flits after HEAD_TAIL")
         return replace(packet, payload=b"")
@@ -119,14 +110,14 @@ def deserialize(flits: list[Flit]) -> Packet:
     parts = []
     end = 0
     for i, flit in enumerate(flits[1:], start=1):
-        if flit.kind is BODY:
-            if i == last:
-                raise FramingError("framing violation: sequence ends on BODY")
-        elif flit.kind is TAIL:
+        if flit.is_head:
+            kind = "HEAD_TAIL" if flit.is_tail else "HEAD"
+            raise FramingError(f"framing violation: unexpected {kind} mid-packet")
+        if flit.is_tail:
             if i != last:
                 raise FramingError("framing violation: TAIL before end of sequence")
-        else:
-            raise FramingError(f"framing violation: unexpected {flit.kind.name} mid-packet")
+        elif i == last:
+            raise FramingError("framing violation: sequence ends on BODY")
         if flit.packet is not packet or flit.start != end:
             raise FramingError("framing violation: flit does not continue the packet")
         end = flit.end

@@ -502,7 +502,7 @@ class InitiatorNiu:
             data = endianness_convert(
                 req.data, req.beat_size, self.config.endianness, FABRIC_ENDIANNESS
             )
-        user_bits = USER_BIT_EXCLUSIVE if req.exclusive_flag else 0
+        user_bits = USER_BIT_EXCLUSIVE if opcode.is_exclusive else 0
         lock_marker = NO_LOCK
         if opcode is READEX:
             lock_marker = LockMarker.LOCK_ACQUIRE

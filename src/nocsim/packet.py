@@ -63,7 +63,3 @@ class Packet:
     frag_index: int = 0
     frag_last: bool = True
     sliced: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def exclusive(self) -> bool:
-        return bool(self.user_bits & USER_BIT_EXCLUSIVE)

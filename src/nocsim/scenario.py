@@ -2,8 +2,9 @@
 
 Scenarios are plain data (topology, NIU configs, workload programs, run
 limits) with load-time validation, a YAML file format with the same shape,
-and a handful of generators for seeded random workloads and the canned
-experiments the verification suite runs.
+and generators for seeded random workloads and the atomic counter loops.
+Fixed experiments, such as the lock deadlock and the QoS contention run,
+are scenario files under ``scenarios/``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ class Scenario:
         self._check_buffer_depths()
         for t in self.targets:
             t.validate()
+            # offsets stay below region_size, so bytes past it are never addressed
+            if t.memory_size > t.region_size:
+                raise ScenarioError(
+                    f"target NIU {t.niu_id} memory size {t.memory_size} exceeds "
+                    f"its region size {t.region_size}"
+                )
         for m in self.masters:
             m.niu.validate()
             self._check_program(m, amap)
@@ -265,8 +272,14 @@ class Scenario:
                         f"{who} script step {i}: {opcode.name} burst of {nbytes} bytes does "
                         f"not fit one packet (max payload {niu.max_payload})"
                     )
+                key = request.order_key
+                if key.thread_id < 0 or key.txn_id < 0:
+                    raise ScenarioError(
+                        f"{who} script step {i}: stream id must not be negative "
+                        f"(thread {key.thread_id}, tid {key.txn_id})"
+                    )
                 widest = max(widest, request.beat_size)
-                streams = max(streams, stream_tag(request.order_key) + 1)
+                streams = max(streams, stream_tag(key) + 1)
         else:
             raise ScenarioError(f"unknown program type {type(program).__name__}")
         if widest > niu.max_payload:
@@ -496,10 +509,7 @@ def _script_step(fields: dict, family: SocketFamily, master_id: int):
     if family is SocketFamily.ID_BASED:
         key.setdefault("channel", Channel.READ if opcode.is_load else Channel.WRITE)
     order_key = SocketOrderKey(FAMILY_VARIANT[family], **key)
-    request = TransactionRequest(
-        master_id, order_key=order_key, exclusive_flag=opcode.is_exclusive, **fields
-    )
-    return request, wait
+    return TransactionRequest(master_id, order_key=order_key, **fields), wait
 
 
 def _program(doc: dict, family: SocketFamily, master_id: int) -> Program:
@@ -715,32 +725,6 @@ def random_scenario(
     return scenario
 
 
-def _two_switch_base(n_masters: int, make_policy, priorities=None):
-    """Masters spread over two linked switches, one target on the second."""
-    ports = _Ports()
-    links = [(0, ports.take(0), 1, ports.take(1))]
-    attachments = [AttachmentSpec(100, 1, ports.take(1))]
-    configs = []
-    for i in range(n_masters):
-        sw = i % 2
-        attachments.append(AttachmentSpec(i, sw, ports.take(sw)))
-        configs.append(
-            InitiatorConfig(
-                niu_id=i,
-                family=SocketFamily.FULLY_ORDERED,
-                tag_policy=make_policy(i),
-                priority=0 if priorities is None else priorities[i],
-            )
-        )
-    topology = Topology(
-        switches=[SwitchSpec(0, ports.used[0]), SwitchSpec(1, ports.used[1])],
-        links=[LinkSpec(a, ap, b, bp) for a, ap, b, bp in links],
-        attachments=attachments,
-    )
-    target = TargetConfig(niu_id=100, region_base=0, region_size=4096)
-    return topology, target, configs
-
-
 def atomic_loop_scenario(
     kind: str,
     n_masters: int = 2,
@@ -748,134 +732,38 @@ def atomic_loop_scenario(
     seed: int = 1,
     mode: TransportMode = TransportMode.WORMHOLE,
 ) -> Scenario:
-    """M masters incrementing one counter via exclusive pairs or READEX/LOCK."""
+    """M masters incrementing one counter via exclusive pairs or READEX/LOCK.
+
+    The masters are spread over two linked switches, the target sits on the
+    second.
+    """
     if kind not in ("exclusive", "lock"):
         raise ScenarioError("loop kind must be 'exclusive' or 'lock'")
-    topology, target, configs = _two_switch_base(
-        n_masters, lambda i: TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
-    )
+    ports = _Ports()
+    link = LinkSpec(0, ports.take(0), 1, ports.take(1))
+    attachments = [AttachmentSpec(100, 1, ports.take(1))]
     counter = 64
     program_cls = ExclusiveLoopProgram if kind == "exclusive" else LockLoopProgram
-    masters = [
-        MasterSpec(niu=c, program=program_cls(counter, iterations)) for c in configs
-    ]
+    masters = []
+    for i in range(n_masters):
+        sw = i % 2
+        attachments.append(AttachmentSpec(i, sw, ports.take(sw)))
+        niu = InitiatorConfig(
+            niu_id=i,
+            family=SocketFamily.FULLY_ORDERED,
+            tag_policy=TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING),
+        )
+        masters.append(MasterSpec(niu=niu, program=program_cls(counter, iterations)))
+    topology = Topology(
+        switches=[SwitchSpec(0, ports.used[0]), SwitchSpec(1, ports.used[1])],
+        links=[link],
+        attachments=attachments,
+    )
     scenario = Scenario(
         run=RunSpec(mode=mode, seed=seed, trace_level="full"),
         topology=topology,
-        targets=[target],
-        masters=masters,
-    )
-    scenario.validate()
-    return scenario
-
-
-def qos_contention_scenario(
-    priorities: tuple[int, int] = (7, 0),
-    transactions: int = 150,
-    seed: int = 1,
-    mode: TransportMode = TransportMode.WORMHOLE,
-) -> Scenario:
-    """Two initiators on one switch saturating a single link to one target."""
-    ports = _Ports()
-    link = (0, ports.take(0), 1, ports.take(1))
-    attachments = [
-        AttachmentSpec(100, 1, ports.take(1)),
-        AttachmentSpec(0, 0, ports.take(0)),
-        AttachmentSpec(1, 0, ports.take(0)),
-    ]
-    topology = Topology(
-        switches=[SwitchSpec(0, ports.used[0]), SwitchSpec(1, ports.used[1])],
-        links=[LinkSpec(*link)],
-        attachments=attachments,
-    )
-    masters = []
-    for i, prio in enumerate(priorities):
-        masters.append(
-            MasterSpec(
-                niu=InitiatorConfig(
-                    niu_id=i,
-                    family=SocketFamily.FULLY_ORDERED,
-                    tag_policy=TagPolicy(TagPolicyKind.POOLED, capacity=8),
-                    priority=prio,
-                ),
-                # single-beat stores keep the shared request link saturated while
-                # responses stay single-flit, so arbitration priority is what
-                # decides who gets through
-                program=RandomProgram(
-                    transactions=transactions,
-                    op_mix={Opcode.STORE: 1.0},
-                    address_ranges=[(1024 * (i + 1), 512)],
-                    burst_lens=[1],
-                    beat_sizes=[4],
-                ),
-            )
-        )
-    scenario = Scenario(
-        run=RunSpec(mode=mode, seed=seed, trace_level="transaction"),
-        topology=topology,
         targets=[TargetConfig(niu_id=100, region_base=0, region_size=4096)],
         masters=masters,
-    )
-    scenario.validate()
-    return scenario
-
-
-def deadlock_scenario(seed: int = 1) -> Scenario:
-    """Two lock paths crossing a ring in opposite acquisition order.
-
-    Master 0 locks sw0->sw1->sw2->sw3 toward its target; master 1 locks
-    sw2->sw3->sw0->sw1 toward its own. Each grabs the other's third segment
-    first, so once both sequences are in flight neither release can ever
-    traverse: the run must end as a timeout, which is exactly what the
-    deadlock detector non-vacuity check wants.
-    """
-    # ports per switch: 0 = to previous, 1 = to next, 2 = attachment
-    switches = [SwitchSpec(i, 3) for i in range(4)]
-    links = [LinkSpec(i, 1, (i + 1) % 4, 0) for i in range(4)]
-    attachments = [
-        AttachmentSpec(0, 0, 2),
-        AttachmentSpec(1, 2, 2),
-        AttachmentSpec(100, 3, 2),
-        AttachmentSpec(101, 1, 2),
-    ]
-    topology = Topology(switches, links, attachments)
-    routing = build_routing(topology).ports
-    routing = {sw: dict(t) for sw, t in routing.items()}
-    # force both request paths clockwise so the acquisition orders cross
-    routing[0][100] = 1
-    routing[1][100] = 1
-    routing[2][100] = 1
-    routing[2][101] = 1
-    routing[3][101] = 1
-    routing[0][101] = 1
-    targets = [
-        TargetConfig(niu_id=100, region_base=0x0000, region_size=4096),
-        TargetConfig(niu_id=101, region_base=0x10000, region_size=4096),
-    ]
-    masters = [
-        MasterSpec(
-            niu=InitiatorConfig(
-                niu_id=0,
-                family=SocketFamily.FULLY_ORDERED,
-                tag_policy=TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING),
-            ),
-            program=LockLoopProgram(counter_address=64, iterations=10),
-        ),
-        MasterSpec(
-            niu=InitiatorConfig(
-                niu_id=1,
-                family=SocketFamily.FULLY_ORDERED,
-                tag_policy=TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING),
-            ),
-            program=LockLoopProgram(counter_address=0x10000 + 64, iterations=10),
-        ),
-    ]
-    scenario = Scenario(
-        run=RunSpec(seed=seed, max_cycles=2500, trace_level="full"),
-        topology=topology,
-        targets=targets,
-        masters=masters,
-        routing=routing,
     )
     scenario.validate()
     return scenario

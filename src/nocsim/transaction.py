@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import lru_cache
 
-from .errors import OrderKeyError
-
 # Simulated address space width. A single constant so desk-scale scenarios
 # stay readable; nothing else in the package assumes a particular width.
 ADDRESS_BITS = 32
@@ -129,24 +127,6 @@ class SocketOrderKey:
         return (OrderVariant.TXN_ID, self.txn_id, self.channel)
 
 
-class OrderClass(Enum):
-    SAME_STREAM = auto()
-    INDEPENDENT = auto()
-
-
-def order_class(a: SocketOrderKey, b: SocketOrderKey) -> OrderClass:
-    """Decide whether responses for two transactions must preserve issue order.
-
-    Both keys must come from the same socket family; comparing keys of
-    different variants is a programming error, not a data condition.
-    """
-    if a.variant is not b.variant:
-        raise OrderKeyError(f"heterogeneous order keys: {a.variant.name} vs {b.variant.name}")
-    if a.stream == b.stream:
-        return OrderClass.SAME_STREAM
-    return OrderClass.INDEPENDENT
-
-
 @dataclass(slots=True)
 class TransactionRequest:
     """A master-issued request, before any packetization.
@@ -162,7 +142,6 @@ class TransactionRequest:
     beat_size: int
     order_key: SocketOrderKey
     data: bytes = b""
-    exclusive_flag: bool = False
 
     @property
     def byte_length(self) -> int:
@@ -201,8 +180,6 @@ def validate_request(req: TransactionRequest) -> list[str]:
             )
     elif req.data:
         violations.append("loads must carry no data")
-    if req.exclusive_flag != req.opcode.is_exclusive:
-        violations.append("exclusive flag inconsistent with opcode")
     if _is_pow2(req.beat_size) and req.address % req.beat_size != 0:
         violations.append("address not aligned to beat size")
     if not 0 <= req.address < ADDRESS_LIMIT:

@@ -185,7 +185,6 @@ class _AtomicLoopMaster(Master):
             beat_size=COUNTER_BYTES,
             order_key=SocketOrderKey.single(),
             data=data,
-            exclusive_flag=opcode.is_exclusive,
         )
 
     def next_request(self):

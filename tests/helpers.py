@@ -55,7 +55,6 @@ def req(
         beat_size=beat_size,
         order_key=key or SocketOrderKey.single(),
         data=data or b"",
-        exclusive_flag=opcode.is_exclusive,
     )
 
 

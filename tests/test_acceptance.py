@@ -6,6 +6,8 @@ per module and shared by the criteria that quantify over it.
 """
 
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +43,7 @@ from nocsim.scenario import (
     Scenario,
     ScriptProgram,
     atomic_loop_scenario,
-    deadlock_scenario,
-    qos_contention_scenario,
+    load_scenario,
     random_scenario,
 )
 from nocsim.oracle import sequential_oracle
@@ -58,6 +59,7 @@ from nocsim.trace import (
 from nocsim.transaction import Channel, Opcode, SocketOrderKey, Status
 
 N_CORPUS = 100
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FAMILY_OF = {f.name: f for f in SocketFamily}
 
 
@@ -384,7 +386,7 @@ def test_criterion_7_conservation_and_deadlock_freedom(corpus):
             assert not leg["timed_out"], (entry["seed"], mode)
             assert leg["violations"] == [], (entry["seed"], mode)
     # detector non-vacuity: the crafted circular-lock scenario must time out
-    result = run(deadlock_scenario())
+    result = run(load_scenario(SCENARIO_DIR / "lock_deadlock.yaml"))
     assert result.timed_out
     assert result.stuck
     print(
@@ -395,14 +397,16 @@ def test_criterion_7_conservation_and_deadlock_freedom(corpus):
 
 
 def test_criterion_8_qos_priority_and_fairness():
-    contested = qos_contention_scenario(priorities=(7, 0))
+    contested = load_scenario(SCENARIO_DIR / "qos_contention.yaml").with_seed(1)
     result = run(contested)
     assert not result.timed_out
     high = result.stats.masters[0].summary()["latency_mean"]
     low = result.stats.masters[1].summary()["latency_mean"]
     assert high < low, f"priority 7 mean {high} not below priority 0 mean {low}"
 
-    equal = qos_contention_scenario(priorities=(3, 3))
+    equal = replace(contested, masters=[
+        replace(m, niu=replace(m.niu, priority=3)) for m in contested.masters
+    ])
     result = run(equal)
     merge_grants = result.stats.switch_grants["sw0.out0"]
     counts = sorted(merge_grants.values())

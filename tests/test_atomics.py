@@ -1,10 +1,12 @@
 """Exclusive-access and READEX/LOCK atomicity at system level."""
 
+from pathlib import Path
+
 import nocsim
 from nocsim.engine import run
 from nocsim.fabric import TransportMode
 from nocsim.oracle import sequential_oracle
-from nocsim.scenario import atomic_loop_scenario, deadlock_scenario
+from nocsim.scenario import atomic_loop_scenario, load_scenario
 from nocsim.trace import (
     LOCK_CLEARED,
     LOCK_SET,
@@ -19,6 +21,7 @@ from nocsim.trace import (
 from oracles import exclusive_safety_reference
 
 COUNTER = 64
+DEADLOCK = Path(__file__).resolve().parent.parent / "scenarios" / "lock_deadlock.yaml"
 
 
 def _counter_value(result):
@@ -148,7 +151,7 @@ def test_lock_works_in_both_transport_modes():
 
 
 def test_deadlock_scenario_times_out_with_stuck_report():
-    result = run(deadlock_scenario())
+    result = run(load_scenario(DEADLOCK))
     assert result.timed_out
     assert result.stuck
     assert any("READEX" in line for line in result.stuck)

@@ -132,6 +132,24 @@ def test_run_negative_memory_exit_one(tmp_path, capsys):
     assert "memory size" in err and "Traceback" not in err
 
 
+def test_run_negative_thread_exit_one(tmp_path, capsys):
+    random_program = Path(BASIC).read_text().split("  - master: 1\n")[1]
+    script = "    program:\n      kind: script\n      steps: [{op: load, addr: 2048, thread: -1}]\n"
+    edited = _edited(tmp_path, random_program, script)
+    assert main(["run", edited]) == 1
+    err = capsys.readouterr().err
+    assert "master 1 script step 0: stream id must not be negative" in err
+    assert "Traceback" not in err
+
+
+def test_run_memory_beyond_region_exit_one(tmp_path, capsys):
+    edited = _edited(tmp_path, "region: [0, 4096]}", "region: [0, 4096], memory: 8192}")
+    assert main(["run", edited]) == 1
+    err = capsys.readouterr().err
+    assert "target NIU 100 memory size 8192 exceeds its region size 4096" in err
+    assert "Traceback" not in err
+
+
 def test_compare_links_zero_width_exit_one(capsys):
     assert main(["compare-links", BASIC, "--widths", "0"]) == 1
     err = capsys.readouterr().err

@@ -181,11 +181,11 @@ from nocsim.transaction import Opcode
 def _mini_switch(nports=3):
     table = RoutingTable({0: {100: 2}})
     sw = Switch(0, nports, table)
-    outs = ChannelStream("out", LinkParams(), 16, PacketKind.REQUEST)
+    outs = ChannelStream("out", LinkParams(), 16)
     sw.attach_output(PacketKind.REQUEST, 2, outs)
     ins = []
     for port in (0, 1):
-        ch = ChannelStream(f"in{port}", LinkParams(), 16, PacketKind.REQUEST)
+        ch = ChannelStream(f"in{port}", LinkParams(), 16)
         sw.attach_input(PacketKind.REQUEST, port, ch)
         ins.append(ch)
     return sw, ins, outs
@@ -242,8 +242,8 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
             table = RoutingTable({0: {100: 3}})
             sw = Switch(0, nports, table)
             sw.attach_output(PacketKind.REQUEST, 3,
-                             ChannelStream("out", LinkParams(), 16, PacketKind.REQUEST))
-            ins = [ChannelStream(f"in{p}", LinkParams(), 16, PacketKind.REQUEST) for p in range(3)]
+                             ChannelStream("out", LinkParams(), 16))
+            ins = [ChannelStream(f"in{p}", LinkParams(), 16) for p in range(3)]
             for p, ch in enumerate(ins):
                 sw.attach_input(PacketKind.REQUEST, p, ch)
             out = sw.outputs[PacketKind.REQUEST][3]
@@ -270,7 +270,7 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
 
 
 def test_interleaved_foreign_flit_faults():
-    ch = ChannelStream("x", LinkParams(), 16, PacketKind.REQUEST)
+    ch = ChannelStream("x", LinkParams(), 16)
     head, body, tail = serialize(_packet(1, bytes(8)), ch.params)
     ch.send(0, head)
     ch.send(1, body)
@@ -285,7 +285,7 @@ def test_interleaved_foreign_flit_faults():
 def test_stray_continuation_flit_faults(lead):
     # a body flit with no open packet to continue, on an empty buffer or
     # right after a whole packet
-    ch = ChannelStream("x", LinkParams(), 16, PacketKind.REQUEST)
+    ch = ChannelStream("x", LinkParams(), 16)
     head, body, tail = serialize(_packet(1, bytes(8)), ch.params)
     flits = {"head": head, "tail": tail}
     for i, name in enumerate(lead):
@@ -313,7 +313,7 @@ def _conserved(ch):
 
 
 def test_credit_counter_basics():
-    ch = ChannelStream("x", LinkParams(), 2, PacketKind.REQUEST)
+    ch = ChannelStream("x", LinkParams(), 2)
     assert ch.can_send(0)
     ch.send(0, _lone_flit())
     ch.send(1, _lone_flit())
@@ -325,7 +325,7 @@ def test_credit_counter_basics():
 
 
 def test_credit_faults_on_misuse():
-    ch = ChannelStream("x", LinkParams(), 1, PacketKind.REQUEST)
+    ch = ChannelStream("x", LinkParams(), 1)
     ch.send(0, _lone_flit())
     with pytest.raises(CreditError) as err:
         ch.send(1, _lone_flit())
@@ -353,7 +353,7 @@ def test_switch_forward_returning_credit_beyond_depth_faults(mode):
 def _check_against_model(depth, ops):
     # a model counter alongside the channel over a send/consume mix; one
     # delivery and one consumed packet give back one credit
-    ch = ChannelStream("x", LinkParams(), depth, PacketKind.REQUEST)
+    ch = ChannelStream("x", LinkParams(), depth)
     model = depth
     for cycle, send in enumerate(ops):
         if send and model > 0:
@@ -398,13 +398,13 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     # the packet for that link, and the target NIU stores the bytes sent
     in_params, out_params = LinkParams(in_width), LinkParams(out_width)
     sw = Switch(0, 2, RoutingTable({0: {100: 1}}))
-    cin = ChannelStream("in", in_params, 64, PacketKind.REQUEST)
-    out = ChannelStream("out", out_params, 64, PacketKind.REQUEST)
+    cin = ChannelStream("in", in_params, 64)
+    out = ChannelStream("out", out_params, 64)
     sw.attach_input(PacketKind.REQUEST, 0, cin)
     sw.attach_output(PacketKind.REQUEST, 1, out)
     tgt = TargetNiu(TargetConfig(100, 0, 64))
     tgt.rx = out
-    tgt.tx = ChannelStream("rsp", out_params, 64, PacketKind.RESPONSE)
+    tgt.tx = ChannelStream("rsp", out_params, 64)
     payload = bytes(range(1, size + 1))
     op = Opcode.STORE if size else Opcode.LOAD
     pkt = Packet(dest=PacketDest(100, 8), src=1, tag=0, kind=PacketKind.REQUEST,
@@ -414,8 +414,8 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     for cycle in range(60):
         sw.step(cycle, mode)
     sent = [flit for _, flit in out.in_flight]
-    assert [(f.kind, f.start, f.end) for f in sent] == [
-        (f.kind, f.start, f.end) for f in serialize(pkt, out_params)
+    assert [(f.is_head, f.is_tail, f.start, f.end) for f in sent] == [
+        (f.is_head, f.is_tail, f.start, f.end) for f in serialize(pkt, out_params)
     ]
     assert deserialize(sent) == pkt
     assert cin.credits == cin.depth  # every inbound flit released

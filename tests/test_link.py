@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nocsim.errors import FramingError
-from nocsim.link import Flit, FlitKind, LinkParams, deserialize, flit_count, serialize
+from nocsim.link import LinkParams, deserialize, flit_count, serialize
 from nocsim.packet import LockMarker, Packet, PacketDest, PacketKind
 from nocsim.transaction import Opcode, Status
 
@@ -26,27 +26,29 @@ def _packet(payload=b"", payload_len=None, **kw):
     return Packet(**base)
 
 
+# (is_head, is_tail) of each framing position
+HEAD, BODY, TAIL, HEAD_TAIL = (True, False), (False, False), (False, True), (True, True)
+
+
+def _shape(flits):
+    return [(f.is_head, f.is_tail) for f in flits]
+
+
 def test_empty_payload_single_flit():
     flits = serialize(_packet(op=Opcode.LOAD, payload_len=16), LinkParams(8))
-    assert len(flits) == 1
-    assert flits[0].kind is FlitKind.HEAD_TAIL
+    assert _shape(flits) == [(True, True)]
 
 
 def test_twenty_bytes_width_eight():
     flits = serialize(_packet(payload=bytes(range(20))), LinkParams(8))
-    assert [f.kind for f in flits] == [
-        FlitKind.HEAD,
-        FlitKind.BODY,
-        FlitKind.BODY,
-        FlitKind.TAIL,
-    ]
+    assert _shape(flits) == [HEAD, BODY, BODY, TAIL]
     assert [len(f.data) for f in flits[1:]] == [8, 8, 4]
     assert flit_count(20, 8) == 4
 
 
 def test_exact_multiple_ends_with_tail():
     flits = serialize(_packet(payload=bytes(16)), LinkParams(8))
-    assert [f.kind for f in flits] == [FlitKind.HEAD, FlitKind.BODY, FlitKind.TAIL]
+    assert _shape(flits) == [HEAD, BODY, TAIL]
 
 
 def test_round_trip_simple():
@@ -74,8 +76,9 @@ def test_framing_extra_after_head_tail():
 
 
 def test_framing_body_start():
+    _, body, _ = serialize(_packet(payload=bytes(8)), LinkParams(4))
     with pytest.raises(FramingError):
-        deserialize([Flit(FlitKind.BODY, _packet(payload=b"aa"), 0, 2)])
+        deserialize([body])
 
 
 def test_framing_continuation_of_another_packet_or_range():
@@ -90,6 +93,32 @@ def test_framing_continuation_of_another_packet_or_range():
 def test_framing_empty():
     with pytest.raises(FramingError):
         deserialize([])
+
+
+def _framing_cases():
+    head, body, tail = serialize(_packet(payload=bytes(8)), LinkParams(4))
+    other_head, _ = serialize(_packet(payload=bytes(4)), LinkParams(4))
+    (lone,) = serialize(_packet(op=Opcode.LOAD, payload_len=4), LinkParams(4))
+    _, _, foreign_tail = serialize(_packet(payload=bytes(8)), LinkParams(4))
+    return {
+        "empty flit sequence": [],
+        "sequence starts with BODY": [body, tail],
+        "sequence starts with TAIL": [tail],
+        "unexpected HEAD mid-packet": [head, other_head, tail],
+        "unexpected HEAD_TAIL mid-packet": [head, lone, tail],
+        "sequence ends on BODY": [head, body],
+        "TAIL before end of sequence": [head, body, tail, tail],
+        "flits after HEAD_TAIL": [lone, lone],
+        "HEAD without TAIL": [head],
+        "flit does not continue the packet": [head, body, foreign_tail],
+    }
+
+
+@pytest.mark.parametrize("message", list(_framing_cases()))
+def test_framing_messages_are_exact(message):
+    with pytest.raises(FramingError) as err:
+        deserialize(_framing_cases()[message])
+    assert str(err.value) == f"framing violation: {message}"
 
 
 packets = st.builds(
@@ -117,8 +146,6 @@ def test_round_trip_property(pkt, width):
     assert deserialize(flits) == pkt
     # framing shape: single combined flit, or head .. tail with bodies between
     if len(pkt.payload) == 0:
-        assert flits[0].kind is FlitKind.HEAD_TAIL
+        assert _shape(flits) == [HEAD_TAIL]
     else:
-        assert flits[0].kind is FlitKind.HEAD
-        assert flits[-1].kind is FlitKind.TAIL
-        assert all(f.kind is FlitKind.BODY for f in flits[1:-1])
+        assert _shape(flits) == [HEAD] + [BODY] * (len(flits) - 2) + [TAIL]

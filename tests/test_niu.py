@@ -326,7 +326,7 @@ def test_ingress_load_exclusive_sets_user_bit():
     niu = _initiator()
     request = TransactionRequest(
         master_id=0, opcode=Opcode.LOAD_EXCLUSIVE, address=0x108, burst_len=1,
-        beat_size=4, order_key=SocketOrderKey.single(), exclusive_flag=True,
+        beat_size=4, order_key=SocketOrderKey.single(),
     )
     niu.try_accept(request, cycle=0)
     assert niu.inject_queue[0].user_bits & USER_BIT_EXCLUSIVE
@@ -395,7 +395,7 @@ def test_exclusive_burst_must_fit_one_packet():
     niu = _initiator(max_payload=16)
     request = TransactionRequest(
         master_id=0, opcode=Opcode.LOAD_EXCLUSIVE, address=0x100, burst_len=8,
-        beat_size=4, order_key=SocketOrderKey.single(), exclusive_flag=True,
+        beat_size=4, order_key=SocketOrderKey.single(),
     )
     with pytest.raises(ScenarioError, match="does not fit"):
         niu.try_accept(request, cycle=0)
@@ -484,7 +484,7 @@ def test_ingress_packets_follow_chop_spans(beats):
 
 def test_inject_sends_the_serialized_flits_in_order():
     niu = _initiator(max_payload=16)
-    niu.tx = ChannelStream("req", LinkParams(4), 64, PacketKind.REQUEST)
+    niu.tx = ChannelStream("req", LinkParams(4), 64)
     data = bytes(range(32))
     niu.try_accept(TransactionRequest(
         master_id=0, opcode=Opcode.STORE, address=0x100, burst_len=8, beat_size=4,

@@ -211,7 +211,9 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     return doc
 
 
-# Each of these used to load, then fail in Engine(...) or mid-run.
+# Each of these used to load, then fail in Engine(...) or mid-run; the
+# negative stream ids ran with negative packet tags, and memory past a
+# region was allocated but could never be addressed.
 @pytest.mark.parametrize("initiator, program, target, message", [
     ({"family": "threaded"}, _LOOP, {},
      "master 0 loop program needs a fully_ordered NIU, got threaded"),
@@ -242,6 +244,16 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
      {"kind": "script", "steps": [{"op": "readex", "addr": 0x40, "beats": 4, "wait": True}]},
      {}, "master 0 script step 0: READEX burst of 16 bytes does not fit one packet "
      "(max payload 8)"),
+    ({"family": "threaded", "tag_policy": {"per_stream": 4}},
+     {"kind": "script", "steps": [{"op": "load", "addr": 0x40},
+                                  {"op": "load", "addr": 0x44, "thread": -1}]}, {},
+     "master 0 script step 1: stream id must not be negative (thread -1, tid 0)"),
+    ({"family": "id_based", "tag_policy": {"per_stream": 4}},
+     {"kind": "script", "steps": [{"op": "load", "addr": 0x40},
+                                  {"op": "load", "addr": 0x44, "tid": -2}]}, {},
+     "master 0 script step 1: stream id must not be negative (thread 0, tid -2)"),
+    ({}, {}, {"memory": 4097},
+     "target NIU 100 memory size 4097 exceeds its region size 4096"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
@@ -263,6 +275,7 @@ def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, 
     ({"max_payload": 4}, {"beat_sizes": [4]}, {}),
     ({"max_payload": 16},
      {"kind": "script", "steps": [{"op": "load_exclusive", "addr": 0x40, "beats": 4}]}, {}),
+    ({}, {}, {"memory": 4096}),
 ])
 def test_pairing_at_its_limit_runs(initiator, program, target):
     result = run(scenario_from_dict(_paired(initiator, program, target)))

@@ -3,20 +3,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from nocsim.errors import OrderKeyError
 from nocsim.niu import SocketFamily
 from nocsim.transaction import (
     Channel,
     Opcode,
-    OrderClass,
     OrderVariant,
     SocketOrderKey,
     Status,
     TransactionRequest,
     needs_response,
-    order_class,
     validate_request,
 )
 from nocsim.workload import generate_random_steps
@@ -63,7 +59,6 @@ def _req(**kw):
         beat_size=4,
         order_key=SocketOrderKey.single(),
         data=b"",
-        exclusive_flag=False,
     )
     base.update(kw)
     return TransactionRequest(**base)
@@ -76,10 +71,6 @@ class TestValidateRequest:
     def test_store_data_length_mismatch(self):
         bad = _req(opcode=Opcode.STORE, burst_len=2, beat_size=4, data=bytes(7))
         assert any("data length mismatch" in v for v in validate_request(bad))
-
-    def test_exclusive_flag_inconsistent(self):
-        bad = _req(opcode=Opcode.LOAD_EXCLUSIVE, exclusive_flag=False)
-        assert any("exclusive flag" in v for v in validate_request(bad))
 
     def test_misaligned_address(self):
         bad = _req(address=0x102, beat_size=8)
@@ -99,53 +90,24 @@ class TestValidateRequest:
 
 
 class TestOrderClass:
+    """Two transactions keep issue order exactly when their keys' streams are
+    equal; the release gate keys on ``stream``."""
+
     def test_single_same_stream(self):
-        assert (
-            order_class(SocketOrderKey.single(), SocketOrderKey.single())
-            is OrderClass.SAME_STREAM
-        )
+        assert SocketOrderKey.single().stream == SocketOrderKey.single().stream
 
     def test_threads_independent(self):
-        assert (
-            order_class(SocketOrderKey.thread(0), SocketOrderKey.thread(1))
-            is OrderClass.INDEPENDENT
-        )
+        assert SocketOrderKey.thread(0).stream != SocketOrderKey.thread(1).stream
 
     def test_txn_channels_independent(self):
         a = SocketOrderKey.txn(3, Channel.READ)
         b = SocketOrderKey.txn(3, Channel.WRITE)
-        assert order_class(a, b) is OrderClass.INDEPENDENT
+        assert a.stream != b.stream
 
     def test_same_txn_same_channel(self):
         a = SocketOrderKey.txn(5, Channel.WRITE)
         b = SocketOrderKey.txn(5, Channel.WRITE)
-        assert order_class(a, b) is OrderClass.SAME_STREAM
-
-    def test_heterogeneous_keys_fault(self):
-        with pytest.raises(OrderKeyError):
-            order_class(SocketOrderKey.single(), SocketOrderKey.thread(0))
-
-
-def _keys(variant):
-    if variant == "single":
-        return st.just(SocketOrderKey.single())
-    if variant == "thread":
-        return st.builds(SocketOrderKey.thread, st.integers(0, 7))
-    return st.builds(
-        SocketOrderKey.txn, st.integers(0, 7), st.sampled_from(list(Channel))
-    )
-
-
-@settings(max_examples=200, derandomize=True)
-@given(
-    variant=st.sampled_from(["single", "thread", "txn"]),
-    data=st.data(),
-)
-def test_order_class_symmetric_and_reflexive(variant, data):
-    a = data.draw(_keys(variant))
-    b = data.draw(_keys(variant))
-    assert order_class(a, a) is OrderClass.SAME_STREAM
-    assert order_class(a, b) is order_class(b, a)
+        assert a.stream == b.stream
 
 
 def _key_grid():
@@ -171,12 +133,6 @@ def test_stream_text_matches_exactly_when_stream_id_does():
         for b in keys:
             same = a.stream_id() == b.stream_id()
             assert (a.stream == b.stream) is same, (a, b)
-            if a.variant is not b.variant:
-                with pytest.raises(OrderKeyError, match="heterogeneous order keys"):
-                    order_class(a, b)
-            else:
-                expected = OrderClass.SAME_STREAM if same else OrderClass.INDEPENDENT
-                assert order_class(a, b) is expected, (a, b)
 
 
 def test_stream_text_is_the_trace_form():
