@@ -9,6 +9,7 @@ derivations agree.
 from __future__ import annotations
 
 import itertools
+from itertools import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +274,47 @@ def lock_window_reference(events) -> list[str]:
                     f"since cycle {since[ev.site]}"
                 )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Random-program expansion reference
+# ---------------------------------------------------------------------------
+
+def reference_random_steps(
+    master_id, family, rng, transactions, op_mix, address_ranges, burst_lens,
+    beat_sizes, threads=2, txn_ids=4, max_bytes=64,
+):
+    """A random program's steps, drawn through the ``random.Random`` wrappers.
+
+    The draw loop is the one ``generate_random_steps`` ran before it called
+    ``random()`` and ``getrandbits()`` directly: ``choices`` for the opcode,
+    ``choice`` for beat, burst and range, ``randrange`` for slot and stream,
+    ``randbytes`` for store data. ``family`` is the socket family's name.
+    Returns one (master, opcode name, address, burst, beat, stream, data,
+    wait) tuple per step; stream is ("single",), ("thread", t) or
+    ("txn", i, "READ" | "WRITE").
+    """
+    opcodes = sorted(op_mix, key=lambda o: o.name)
+    cum_weights = list(accumulate(op_mix[o] for o in opcodes))
+    choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes
+    fitting = {beat: [b for b in burst_lens if b * beat <= max_bytes] for beat in beat_sizes}
+    steps = []
+    for _ in range(transactions):
+        opcode = choices(opcodes, cum_weights=cum_weights)[0]
+        beat = choice(beat_sizes)
+        candidates = fitting[beat]
+        burst = choice(candidates) if candidates else 1
+        nbytes = burst * beat
+        base, size = choice(address_ranges)
+        slots = (size - nbytes) // beat + 1
+        address = base + randrange(slots) * beat
+        if family == "THREADED":
+            stream = ("thread", randrange(threads))
+        elif family == "ID_BASED":
+            stream = ("txn", randrange(txn_ids), "READ" if opcode.name == "LOAD" else "WRITE")
+        else:
+            stream = ("single",)
+        is_store = opcode.name in ("STORE", "STORE_POSTED")
+        data = randbytes(nbytes) if is_store else b""
+        steps.append((master_id, opcode.name, address, burst, beat, stream, data, False))
+    return steps
