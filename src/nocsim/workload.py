@@ -10,6 +10,7 @@ the read-modify-write of locked sequences are exercised.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Optional
 
@@ -114,39 +115,69 @@ def generate_random_steps(
     Facts fixed per program are worked out once, outside the per-step draws.
     The spec must have passed ``Scenario.validate``, which rejects every
     program that could draw an invalid step.
+
+    Every draw calls ``rng.random()`` or ``rng.getrandbits()`` directly. The
+    opcode is ``choices``' bisection of ``random() * total`` over the
+    cumulative weights; every other pick is ``_randbelow``'s rejection loop
+    (``below``); store data is ``randbytes``' ``getrandbits(8 * n)``, little
+    endian. Those are the calls that ``choices``, ``choice``, ``randrange``
+    and ``randbytes`` make, with the same arguments and in the same order,
+    so the steps equal what those wrappers drew, without a Python frame per
+    wrapper; and they no longer depend on how a future standard library
+    implements the wrappers.
     """
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
-    choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes
-    fitting = {beat: [b for b in burst_lens if b * beat <= max_bytes] for beat in beat_sizes}
-    if family is SocketFamily.FULLY_ORDERED:
-        single = SocketOrderKey.single()
+    total, last = cum_weights[-1] + 0.0, len(opcodes) - 1
+    random, getrandbits = rng.random, rng.getrandbits
 
-        def order_key(opcode: Opcode) -> SocketOrderKey:
-            return single
-    elif family is SocketFamily.THREADED:
-        thread = SocketOrderKey.thread
+    def below(n: int, k: int) -> int:
+        """A uniform integer in [0, n), with k = n.bit_length(): draws even when n is 1."""
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
-        def order_key(opcode: Opcode) -> SocketOrderKey:
-            return thread(randrange(threads))
-    else:
-        txn, load, read, write = SocketOrderKey.txn, Opcode.LOAD, Channel.READ, Channel.WRITE
+    # per beat size: the beat, and the bursts that fit it under max_bytes
+    beats = []
+    for beat in beat_sizes:
+        bursts = [b for b in burst_lens if b * beat <= max_bytes]
+        beats.append((beat, bursts, len(bursts), len(bursts).bit_length()))
+    n_beats, k_beats = len(beats), len(beats).bit_length()
+    n_ranges, k_ranges = len(address_ranges), len(address_ranges).bit_length()
+    # Stream keys come from the shared constructors, one object per stream,
+    # and are kept by stream index as first drawn: threads and txn_ids have
+    # no upper bound under pooled tags, so no list of every stream is built.
+    threaded = family is SocketFamily.THREADED
+    streams = 0 if family is SocketFamily.FULLY_ORDERED else threads if threaded else txn_ids
+    k_streams = streams.bit_length()
+    read_keys: dict[int, SocketOrderKey] = {}
+    write_keys = read_keys if threaded else {}
+    single, load = SocketOrderKey.single(), Opcode.LOAD
 
-        def order_key(opcode: Opcode) -> SocketOrderKey:
-            return txn(randrange(txn_ids), read if opcode is load else write)
+    def stream_key(i: int, is_load: bool) -> SocketOrderKey:
+        if threaded:
+            return SocketOrderKey.thread(i)
+        return SocketOrderKey.txn(i, Channel.READ if is_load else Channel.WRITE)
 
     steps = []
     for _ in range(transactions):
-        opcode = choices(opcodes, cum_weights=cum_weights)[0]
-        beat = choice(beat_sizes)
-        candidates = fitting[beat]
-        burst = choice(candidates) if candidates else 1
+        opcode = opcodes[bisect_right(cum_weights, random() * total, 0, last)]
+        beat, bursts, n, k = beats[below(n_beats, k_beats)]
+        burst = bursts[below(n, k)] if n else 1
         nbytes = burst * beat
-        base, size = choice(address_ranges)
+        base, size = address_ranges[below(n_ranges, k_ranges)]
         slots = (size - nbytes) // beat + 1
-        address = base + randrange(slots) * beat
-        key = order_key(opcode)
-        data = randbytes(nbytes) if opcode.is_store else b""
+        address = base + below(slots, slots.bit_length()) * beat
+        if streams:
+            i = below(streams, k_streams)
+            keys = read_keys if opcode is load else write_keys
+            key = keys.get(i)
+            if key is None:
+                key = keys[i] = stream_key(i, opcode is load)
+        else:
+            key = single
+        data = getrandbits(8 * nbytes).to_bytes(nbytes, "little") if opcode.is_store else b""
         steps.append(
             (TransactionRequest(master_id, opcode, address, burst, beat, key, data), False)
         )

@@ -108,6 +108,11 @@ EDGE_PROGRAMS = {
         op_mix={STORE: 1.0, POSTED: 1.0}, address_ranges=[(0, 4096)], burst_lens=[8],
         beat_sizes=[8], threads=5, txn_ids=7,
     ),
+    # pooled tags put no bound on the stream count; expansion is per step, not per stream
+    "a billion streams": dict(
+        op_mix=MIX, address_ranges=[(0, 512)], burst_lens=[1, 2], beat_sizes=[4],
+        threads=10**9, txn_ids=10**9,
+    ),
     "max_bytes below every burst": dict(
         op_mix=MIX, address_ranges=[(0, 96)], burst_lens=[3, 5], beat_sizes=[2, 32],
         max_bytes=4,
