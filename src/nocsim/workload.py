@@ -116,15 +116,14 @@ def generate_random_steps(
     The spec must have passed ``Scenario.validate``, which rejects every
     program that could draw an invalid step.
 
-    Every draw calls ``rng.random()`` or ``rng.getrandbits()`` directly. The
-    opcode is ``choices``' bisection of ``random() * total`` over the
-    cumulative weights; every other pick is ``_randbelow``'s rejection loop
-    (``below``); store data is ``randbytes``' ``getrandbits(8 * n)``, little
-    endian. Those are the calls that ``choices``, ``choice``, ``randrange``
-    and ``randbytes`` make, with the same arguments and in the same order,
-    so the steps equal what those wrappers drew, without a Python frame per
-    wrapper; and they no longer depend on how a future standard library
-    implements the wrappers.
+    Draws call only ``rng.random()`` and ``rng.getrandbits()``, as
+    ``choices``, ``choice``, ``randrange`` and ``randbytes`` do in CPython
+    3.11, with the same arguments and in the same order: the opcode bisects
+    ``random() * total`` into the cumulative weights, other picks are
+    ``_randbelow``'s rejection loop (``below``), store data is
+    ``getrandbits(8 * n)`` little endian. So the steps are the ones those
+    wrappers drew, without a Python frame per wrapper call, and no longer
+    depend on how the standard library implements the wrappers.
     """
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
