@@ -9,7 +9,6 @@ derivations agree.
 from __future__ import annotations
 
 import itertools
-from itertools import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def reference_random_steps(
     ("txn", i, "READ" | "WRITE").
     """
     opcodes = sorted(op_mix, key=lambda o: o.name)
-    cum_weights = list(accumulate(op_mix[o] for o in opcodes))
+    cum_weights = list(itertools.accumulate(op_mix[o] for o in opcodes))
     choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes
     fitting = {beat: [b for b in burst_lens if b * beat <= max_bytes] for beat in beat_sizes}
     steps = []
