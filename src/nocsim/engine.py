@@ -197,15 +197,14 @@ class Engine:
         for spec in self.scenario.masters:
             self.initiators[spec.niu.niu_id] = InitiatorNiu(spec.niu, self.address_map)
         for cfg in self.scenario.targets:
-            tid = cfg.niu_id
+            site = f"niu{cfg.niu_id}"
 
-            def monitor_event(cycle, kind, owner, actor, opcode, granule, _tid=tid):
+            def monitor_event(cycle, kind, owner, actor, opcode, granule, _site=site):
                 self.recorder.event(
-                    cycle, f"niu{_tid}", kind,
-                    master=owner, tag=actor, op=opcode.label, address=granule,
+                    cycle, _site, kind, master=owner, tag=actor, op=opcode.label, address=granule,
                 )
 
-            self.targets[tid] = TargetNiu(cfg, monitor_event)
+            self.targets[cfg.niu_id] = TargetNiu(cfg, monitor_event)
 
     def _channel(self, name: str, params, depth: int) -> ChannelStream:
         ch = ChannelStream(name, params, depth)

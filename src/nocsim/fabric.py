@@ -41,6 +41,7 @@ class TransportMode(Enum):
 # bound once: an attribute read on an Enum class goes through its metaclass
 STORE_AND_FORWARD, REQUEST = TransportMode.STORE_AND_FORWARD, PacketKind.REQUEST
 LOCK_ACQUIRE, LOCK_RELEASE = LockMarker.LOCK_ACQUIRE, LockMarker.LOCK_RELEASE
+new_tuple = tuple.__new__  # builds a Candidate without its generated Python __new__
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +393,12 @@ class ArbiterState:
 
 
 class Candidate(NamedTuple):
+    """A ready head bidding for an output port.
+
+    ``Switch._try_grant`` builds it with ``tuple.__new__``, in field order;
+    tests/test_field_order.py pins that order.
+    """
+
     input_port: int
     priority: int
     src: int
@@ -632,7 +639,7 @@ class Switch:
             for in_port, ch in pl.inputs:
                 if ch.waiting == port:
                     head = ch.rx[0].packet
-                    candidates.append(Candidate(in_port, head.priority, head.src))
+                    candidates.append(new_tuple(Candidate, (in_port, head.priority, head.src)))
             winner = arbitrate(candidates, arbiter)
             if winner is None:
                 out.lock_stall_cycles += 1

@@ -47,6 +47,7 @@ from .transaction import (
 # Enum class goes through its metaclass (about 100 ns).
 READEX, LOCKED_RELEASE, POSTED = Opcode.READEX, Opcode.STORE_LOCKED_RELEASE, Opcode.STORE_POSTED
 OKAY, REQUEST, RESPONSE, NO_LOCK = Status.OKAY, PacketKind.REQUEST, PacketKind.RESPONSE, LockMarker.NONE
+new_tuple = tuple.__new__  # builds a PacketDest without its generated Python __new__
 
 # Tag field width; bounds every tag policy.
 TAG_BITS = 4
@@ -513,22 +514,11 @@ class InitiatorNiu:
 
         last = len(spans) - 1
         for i, (span_off, span_len) in enumerate(spans):
-            self.inject_queue.append(
-                Packet(
-                    dest=PacketDest(target_id, offset + span_off),
-                    src=self.niu_id,
-                    tag=tag,
-                    kind=REQUEST,
-                    op=opcode,
-                    priority=self.config.priority,
-                    user_bits=user_bits,
-                    lock_marker=lock_marker,
-                    payload=data[span_off : span_off + span_len],
-                    payload_len=span_len,
-                    frag_index=i,
-                    frag_last=(i == last),
-                )
-            )
+            self.inject_queue.append(Packet(
+                new_tuple(PacketDest, (target_id, offset + span_off)), self.niu_id, tag,
+                REQUEST, opcode, self.config.priority, user_bits, lock_marker,
+                data[span_off : span_off + span_len], span_len, i, i == last,
+            ))
         return entry
 
     def _local_error(self, req: TransactionRequest, cycle: int, status: Status) -> PendingEntry:
@@ -726,17 +716,8 @@ class TargetNiu:
                 self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, off)
 
         return Packet(
-            dest=PacketDest(pkt.src, 0),
-            src=pkt.src,
-            tag=pkt.tag,
-            kind=RESPONSE,
-            op=status,
-            priority=pkt.priority,
-            user_bits=user_bits,
-            payload=data,
-            payload_len=len(data),
-            frag_index=pkt.frag_index,
-            frag_last=pkt.frag_last,
+            new_tuple(PacketDest, (pkt.src, 0)), pkt.src, pkt.tag, RESPONSE, status, pkt.priority,
+            user_bits, NO_LOCK, data, len(data), pkt.frag_index, pkt.frag_last,
         )
 
     def _emit_monitor(self, cycle, kind, owner, actor, opcode, offset) -> None:

@@ -32,7 +32,11 @@ class LockMarker(Enum):
 
 
 class PacketDest(NamedTuple):
-    """Routing address: owning NIU plus byte offset inside it."""
+    """Routing address: owning NIU plus byte offset inside it.
+
+    The NIUs build it with ``tuple.__new__``, in field order;
+    tests/test_field_order.py pins that order.
+    """
 
     target_id: int
     offset: int
@@ -48,6 +52,9 @@ class Packet:
     `frag_last` tie burst chops back together at the initiator; the fabric
     never reads them. `sliced` is the physical layer's cache of the packet's
     latest slicing into flits, as (link width, flits); see link.serialize.
+
+    The NIUs build it positionally, in field order; tests/test_field_order.py
+    pins that order.
     """
 
     dest: PacketDest

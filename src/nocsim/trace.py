@@ -36,8 +36,16 @@ STALL = "STALL"
 TRACE_LEVELS = {"transaction": 0, "packet": 1, "full": 2}
 
 CSV_HEADER = "cycle,site,kind,master,order_key,tag,op,address"
+new_tuple = tuple.__new__  # builds a TraceEvent without its generated Python __new__
+
 
 class TraceEvent(NamedTuple):
+    """One trace event, its fields in the column order of the CSV export.
+
+    ``TraceRecorder`` builds it with ``tuple.__new__``, in field order;
+    tests/test_field_order.py pins that order.
+    """
+
     cycle: int
     site: str
     kind: str
@@ -98,17 +106,14 @@ class TraceRecorder:
 
     def event(self, cycle, site, kind, master=-1, key="", tag=-1, op="", address=-1) -> None:
         self.trace.events.append(
-            TraceEvent(cycle, site, kind, master, key, tag, op, address)
+            new_tuple(TraceEvent, (cycle, site, kind, master, key, tag, op, address))
         )
 
     def packet_marker(self, cycle, site, kind, packet) -> None:
         """Record an event about one packet, read from its header fields."""
-        self.trace.events.append(
-            TraceEvent(
-                cycle, site, kind, packet.src, "", packet.tag, packet.op.label,
-                packet.dest.offset,
-            )
-        )
+        self.trace.events.append(new_tuple(TraceEvent, (
+            cycle, site, kind, packet.src, "", packet.tag, packet.op.label, packet.dest.offset,
+        )))
 
 
 # ---------------------------------------------------------------------------

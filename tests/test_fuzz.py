@@ -4,7 +4,9 @@ Documents are the example scenarios with one to three random edits: a value
 replaced by junk, a key or list item deleted, an unknown key or extra item
 added. Whatever ``scenario_from_dict`` accepts must also build an
 ``Engine``. Numbers in the junk stay small, so no accepted document can ask
-for a large memory.
+for a large memory. One edit seldom makes a pairing of NIU and program
+that loads and then fails to build, so ``bad_pairings`` makes exactly one
+such edit per document and checks that loading refuses it.
 """
 
 import copy
@@ -13,6 +15,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +101,69 @@ def _rejected(doc) -> bool:
         return True
     Engine(scenario)
     return False
+
+
+def _initiator_of(doc, workload_entry) -> dict:
+    return next(n for n in doc["nius"] if n["id"] == workload_entry["master"])
+
+
+@st.composite
+def bad_pairings(draw):
+    """An example scenario with one NIU/program pairing that must not load.
+
+    Random edits seldom make such a pairing, so each document gets exactly
+    one, drawn from the kinds the loader must refuse: a loop program on a
+    threaded or ID-based NIU, a script step with a negative thread or
+    transaction id, a random program with a range smaller than its largest
+    burst, and target memory larger than its region. Returns the document
+    and the message the refusal must match.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    targets = [n for n in doc["nius"] if n["role"] == "target"]
+    base, size = draw(st.sampled_from(targets))["region"]
+    offset = 4 * draw(st.integers(0, 63))
+    kind = draw(st.sampled_from(["loop", "negative_stream", "small_range", "memory"]))
+    if kind == "memory":
+        target = draw(st.sampled_from(targets))
+        target["memory"] = target["region"][1] + draw(st.integers(1, 64))
+        return doc, "memory size .* exceeds its region size"
+    entry = draw(st.sampled_from(doc["workload"]))
+    niu = _initiator_of(doc, entry)
+    if kind == "loop":
+        niu["family"] = draw(st.sampled_from(["threaded", "id_based"]))
+        entry["program"] = {
+            "kind": draw(st.sampled_from(["exclusive_loop", "lock_loop"])),
+            "counter": base + offset, "iterations": draw(st.integers(1, 5)),
+        }
+        return doc, f"loop program needs a fully_ordered NIU, got {niu['family']}"
+    if kind == "negative_stream":
+        niu["family"] = draw(st.sampled_from(["fully_ordered", "threaded", "id_based"]))
+        field = draw(st.sampled_from(["thread", "tid"]))
+        steps = [{"op": "load", "addr": base + 4 * i} for i in range(draw(st.integers(0, 2)))]
+        steps.append({"op": "load", "addr": base + offset, field: -draw(st.integers(1, 8))})
+        entry["program"] = {"kind": "script", "steps": steps}
+        return doc, f"script step {len(steps) - 1}: stream id must not be negative"
+    bursts = draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4, unique=True))
+    beats = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
+    largest = max(bursts) * max(beats)  # at most 32, inside the default max_bytes
+    if largest == 1:
+        bursts.append(2)
+        largest = 2
+    entry["program"] = {
+        "kind": "random", "transactions": draw(st.integers(1, 20)),
+        "op_mix": {"load": 1.0, "store": draw(st.sampled_from([0.0, 1.0]))},
+        "address_ranges": [[base + offset, draw(st.integers(1, largest - 1))]],
+        "burst_lens": bursts, "beat_sizes": beats,
+    }
+    return doc, rf"is smaller than the largest burst \({largest} bytes\)"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=bad_pairings())
+def test_bad_pairing_refused_at_load(case):
+    doc, message = case
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(doc)  # refused here, so Engine(...) never sees it
 
 
 def _exit_code(argv) -> tuple[int, str]:
