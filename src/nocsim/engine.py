@@ -55,7 +55,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import ScenarioError
 from .fabric import ChannelStream, Switch
 from .niu import InitiatorNiu, TargetNiu
 from .packet import PacketKind
@@ -232,10 +231,8 @@ class Engine:
             # an initiator sends requests and receives responses; a target the reverse
             if nid in self.initiators:
                 niu, up, down = self.initiators[nid], PacketKind.REQUEST, PacketKind.RESPONSE
-            elif nid in self.targets:
-                niu, up, down = self.targets[nid], PacketKind.RESPONSE, PacketKind.REQUEST
             else:
-                raise ScenarioError(f"attachment references undeclared NIU {nid}")
+                niu, up, down = self.targets[nid], PacketKind.RESPONSE, PacketKind.REQUEST
             niu.tx = self._channel(
                 f"niu{nid}-sw{sw}p{port}.{suffix[up]}", at.params, at.buffer_depth
             )

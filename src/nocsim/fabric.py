@@ -281,8 +281,6 @@ class ChannelStream:
     def __init__(self, name: str, params: LinkParams, depth: int):
         self.name = name
         self.params = params
-        if depth < 1:
-            raise ScenarioError("buffer depth must be at least 1")
         self.credits = self.depth = self.min_seen = depth
         self.in_flight: deque[tuple[int, Flit]] = deque()
         self.next_send = 0

@@ -7,6 +7,10 @@ in the order its family requires. A target NIU owns a byte-addressable
 memory and the exclusive monitors for masters that use load-exclusive /
 store-exclusive synchronization.
 
+Both kinds face the transport through one packet port (``PacketPort``):
+packets queued whole, sent one flit per cycle, and taken in whole. Only the
+port touches flits; the socket half of each NIU sees packets alone.
+
 Feature state deliberately lives in exactly two places: per-NIU lookup
 tables (pending transactions, monitors) and packet bits (the exclusive
 marker, the lock markers). Nothing else in the fabric changes when a socket
@@ -28,7 +32,7 @@ from .errors import (
     RaggedBeatError,
     ScenarioError,
 )
-from .fabric import NEVER, ChannelStream
+from .fabric import ChannelStream
 from .link import Flit, serialize
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from .transaction import (
@@ -135,12 +139,6 @@ class TagPolicy:
     kind: TagPolicyKind
     streams: int = 1
     capacity: int = 1
-
-    def validate(self) -> None:
-        if self.kind is TagPolicyKind.PER_STREAM and not 1 <= self.streams <= MAX_TAGS:
-            raise ScenarioError(f"per-stream policy needs 1..{MAX_TAGS} streams")
-        if self.kind is TagPolicyKind.POOLED and not 1 <= self.capacity <= MAX_TAGS:
-            raise ScenarioError(f"pooled policy needs 1..{MAX_TAGS} tags")
 
     def max_outstanding(self) -> int:
         if self.kind is TagPolicyKind.SINGLE_OUTSTANDING:
@@ -299,9 +297,7 @@ class ExclusiveMonitorSet:
     """
 
     def __init__(self, granule: int = 8):
-        if granule < 1 or granule & (granule - 1):
-            raise ScenarioError("monitor granule must be a power of two")
-        self.granule = granule
+        self.granule = granule  # a power of two (TargetConfig.validate)
         self.monitors: dict[int, int] = {}
 
     def _base(self, offset: int) -> int:
@@ -383,6 +379,51 @@ def response_release_order(
 
 
 # ---------------------------------------------------------------------------
+# Packet port: the transport side of both NIU kinds
+# ---------------------------------------------------------------------------
+
+class PacketPort:
+    """The transport side of an NIU: packets out one flit per cycle, packets in whole.
+
+    The socket side queues whole packets on ``inject_queue``; ``step_inject``
+    slices the oldest into flits for ``tx`` and sends at most one per cycle.
+    Packets arriving on ``rx`` are taken whole with ``pop_complete_packet``.
+    No other NIU code touches flits (tests/test_layering.py).
+    """
+
+    def __init__(self):
+        self.inject_queue: deque[Packet] = deque()
+        self.flits: Optional[list[Flit]] = None  # of the packet being sent; None between
+        self.next_flit = 0  # index into flits of the next to send
+        # wired by the engine
+        self.tx: Optional[ChannelStream] = None  # packets out
+        self.rx: Optional[ChannelStream] = None  # packets in
+        # first cycle in which the NIU can act; rx sends lower it
+        self.wake_cycle = 0
+
+    def step_inject(self, cycle: int) -> Optional[Packet]:
+        """Send at most one flit; returns the packet when its head goes out."""
+        flits = self.flits
+        if flits is None:
+            if not self.inject_queue:
+                return None
+            self.flits = flits = serialize(self.inject_queue.popleft(), self.tx.params)
+            self.next_flit = 0
+        if not self.tx.can_send(cycle):
+            return None
+        i = self.next_flit
+        flit = flits[i]
+        self.tx.send(cycle, flit)
+        if i + 1 == len(flits):
+            self.flits = None
+        else:
+            self.next_flit = i + 1
+        if flit.is_head:
+            return flit.packet
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Initiator NIU
 # ---------------------------------------------------------------------------
 
@@ -397,20 +438,29 @@ class InitiatorConfig:
     priority: int = 0
 
     def validate(self) -> None:
-        self.tag_policy.validate()
+        who = f"initiator NIU {self.niu_id}"
+        policy = self.tag_policy
+        if policy.kind is TagPolicyKind.PER_STREAM and not 1 <= policy.streams <= MAX_TAGS:
+            raise ScenarioError(
+                f"{who} per-stream tag policy has {policy.streams} streams, not 1..{MAX_TAGS}"
+            )
+        if policy.kind is TagPolicyKind.POOLED and not 1 <= policy.capacity <= MAX_TAGS:
+            raise ScenarioError(
+                f"{who} pooled tag policy has {policy.capacity} tags, not 1..{MAX_TAGS}"
+            )
         if not 1 <= self.capacity <= MAX_TAGS:
-            raise ScenarioError(f"capacity must be 1..{MAX_TAGS}")
+            raise ScenarioError(f"{who} capacity {self.capacity} is not in 1..{MAX_TAGS}")
         if self.max_payload < 1:
-            raise ScenarioError("max payload must be positive")
+            raise ScenarioError(f"{who} max payload {self.max_payload} is not positive")
         if not 0 <= self.priority <= 7:
-            raise ScenarioError("priority must be 0..7")
+            raise ScenarioError(f"{who} priority {self.priority} is not in 0..7")
 
 
-class InitiatorNiu:
-    """Socket-side adapter for one master."""
+class InitiatorNiu(PacketPort):
+    """Socket-side adapter for one master; requests out, responses in."""
 
     def __init__(self, config: InitiatorConfig, address_map: AddressMap):
-        config.validate()
+        super().__init__()
         self.config = config
         self.niu_id = config.niu_id
         self.variant = FAMILY_VARIANT[config.family]
@@ -418,16 +468,8 @@ class InitiatorNiu:
         self.pending = PendingTable(min(config.capacity, config.tag_policy.max_outstanding()))
         self.gate = ReleaseGate()
         self.next_seq = 0
-        self.inject_queue: deque[Packet] = deque()
-        self.flits: Optional[list[Flit]] = None  # of the packet being sent; None between
-        self.next_flit = 0  # index into flits of the next to send
         self.emit_buffer: list[tuple[PendingEntry, TransactionResponse]] = []
         self.lock_held_address: Optional[int] = None
-        # wired by the engine
-        self.tx: Optional[ChannelStream] = None  # requests out
-        self.rx: Optional[ChannelStream] = None  # responses in
-        # first cycle in which step_egress can act; rx sends lower it
-        self.wake_cycle = 0
 
     # -- socket side ----------------------------------------------------------
 
@@ -537,27 +579,6 @@ class InitiatorNiu:
 
     # -- fabric side ------------------------------------------------------------
 
-    def step_inject(self, cycle: int) -> Optional[Packet]:
-        """Send at most one request flit; returns the packet when its head goes out."""
-        flits = self.flits
-        if flits is None:
-            if not self.inject_queue:
-                return None
-            self.flits = flits = serialize(self.inject_queue.popleft(), self.tx.params)
-            self.next_flit = 0
-        if not self.tx.can_send(cycle):
-            return None
-        i = self.next_flit
-        flit = flits[i]
-        self.tx.send(cycle, flit)
-        if i + 1 == len(flits):
-            self.flits = None
-        else:
-            self.next_flit = i + 1
-        if flit.is_head:
-            return flit.packet
-        return None
-
     def egress_unpack(self, packet: Packet) -> Optional[tuple[PendingEntry, TransactionResponse]]:
         """Fold one response packet into its pending entry.
 
@@ -597,11 +618,8 @@ class InitiatorNiu:
         rx = self.rx
         rx.deliver(cycle)
         emissions: list[tuple[PendingEntry, TransactionResponse, bool]] = []
-        while True:
-            packet = rx.pop_complete_packet()
-            if packet is None:
-                break
-            done = self.egress_unpack(packet)
+        while rx.tails:
+            done = self.egress_unpack(rx.pop_complete_packet())
             if done is None:
                 continue
             entry, response = done
@@ -635,32 +653,31 @@ class TargetConfig:
     niu_id: int
     region_base: int
     region_size: int
-    memory_size: Optional[int] = None
+    memory_size: Optional[int] = None  # None backs the whole region
     monitor_granule: int = 8
 
-    def validate(self) -> None:
-        if self.region_size < 1:
-            raise ScenarioError("target region must not be empty")
-        granule = self.monitor_granule
-        if granule < 1 or granule & (granule - 1):
-            raise ScenarioError(
-                f"target NIU {self.niu_id} monitor granule {granule} is not a power of two"
-            )
+    def __post_init__(self) -> None:
         if self.memory_size is None:
             self.memory_size = self.region_size
+
+    def validate(self) -> None:
+        who = f"target NIU {self.niu_id}"
+        if self.region_size < 1:
+            raise ScenarioError(f"{who} region size {self.region_size} is not positive")
+        granule = self.monitor_granule
+        if granule < 1 or granule & (granule - 1):
+            raise ScenarioError(f"{who} monitor granule {granule} is not a power of two")
         if self.memory_size < 0:
-            raise ScenarioError("target memory size must not be negative")
+            raise ScenarioError(f"{who} memory size {self.memory_size} is negative")
         if self.memory_size > sys.maxsize:
-            raise ScenarioError(
-                f"target NIU {self.niu_id} memory size exceeds {sys.maxsize} bytes"
-            )
+            raise ScenarioError(f"{who} memory size exceeds {sys.maxsize} bytes")
 
 
-class TargetNiu:
-    """Memory-backed slave with exclusive monitors."""
+class TargetNiu(PacketPort):
+    """Memory-backed slave with exclusive monitors; requests in, responses out."""
 
     def __init__(self, config: TargetConfig, monitor_event: Optional[Callable] = None):
-        config.validate()
+        super().__init__()
         self.config = config
         self.niu_id = config.niu_id
         try:
@@ -670,14 +687,6 @@ class TargetNiu:
                 f"cannot allocate {config.memory_size} bytes of memory for target NIU {self.niu_id}"
             ) from None
         self.monitors = ExclusiveMonitorSet(config.monitor_granule)
-        self.response_queue: deque[Packet] = deque()
-        self.flits: Optional[list[Flit]] = None  # as in InitiatorNiu
-        self.next_flit = 0
-        # wired by the engine
-        self.rx: Optional[ChannelStream] = None  # requests in
-        self.tx: Optional[ChannelStream] = None  # responses out
-        # first cycle in which step can act; rx sends lower it
-        self.wake_cycle = 0
         # monitor_event(cycle, kind, owner, actor, opcode, granule)
         self.monitor_event = monitor_event
 
@@ -733,25 +742,14 @@ class TargetNiu:
         rx = self.rx
         rx.deliver(cycle)
         handled = []
-        while True:
+        while rx.tails:
             packet = rx.pop_complete_packet()
-            if packet is None:
-                break
             handled.append(packet)
-            self.response_queue.append(self.handle_request(packet, cycle))
-        flits = self.flits
-        if flits is None and self.response_queue:
-            self.flits = flits = serialize(self.response_queue.popleft(), self.tx.params)
-            self.next_flit = 0
-        if flits is not None and self.tx.can_send(cycle):
-            i = self.next_flit
-            self.tx.send(cycle, flits[i])
-            if i + 1 == len(flits):
-                self.flits = flits = None
-            else:
-                self.next_flit = i + 1
+            self.inject_queue.append(self.handle_request(packet, cycle))
+        if self.flits is not None or self.inject_queue:
+            self.step_inject(cycle)
         wake = rx.next_arrival()
-        if flits is not None or self.response_queue:
+        if self.flits is not None or self.inject_queue:
             wake = min(wake, max(cycle + 1, self.tx.next_send))
         self.wake_cycle = wake
         return handled

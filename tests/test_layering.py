@@ -5,7 +5,8 @@ Criterion 6 checks at run time, by mutation, that the fabric ignores
 transaction fields. This test reads the source of ``fabric.py`` and
 ``link.py`` instead, so a leak fails at once: neither module may import a
 transaction-aware module, and the only packet fields they may read are the
-ones that route, arbitrate, lock and carry a packet.
+ones that route, arbitrate, lock and carry a packet. In ``niu.py`` only the
+packet port may touch flits: the socket half of each NIU sees packets.
 """
 
 import ast
@@ -20,6 +21,8 @@ FORBIDDEN_MODULES = {"niu", "transaction", "workload", "trace"}
 ALLOWED_PACKET_FIELDS = {"dest", "src", "priority", "lock_marker", "payload", "sliced"}
 # attributes that hold a packet: a flit's ``packet``, an output's active one
 PACKET_HOLDERS = {"packet", "active_pkt"}
+# the names that slice, send and frame flits, which only ``PacketPort`` uses
+FLIT_NAMES = {"serialize", "Flit", "can_send", "send", "is_head", "next_flit"}
 
 
 def _imported_names(tree: ast.Module) -> set:
@@ -79,6 +82,23 @@ def _packet_reads(tree: ast.Module) -> set:
     return reads
 
 
+def _flit_names(tree: ast.AST, port: str = "PacketPort") -> set:
+    """Flit names used outside the class ``port`` and the import statements."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ClassDef) and node.name == port
+        ):
+            skip.update(ast.walk(node))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node not in skip:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node not in skip:
+            used.add(node.attr)
+    return used & FLIT_NAMES
+
+
 def _tree(name: str) -> ast.Module:
     return ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
 
@@ -99,6 +119,13 @@ def test_layer_reads_only_transport_packet_fields(name, seen):
     assert seen <= reads
 
 
+def test_niu_flits_stay_in_the_packet_port():
+    tree = _tree("niu.py")
+    assert _flit_names(tree) == set()
+    # the port itself is where they are: with no port excluded, all are seen
+    assert _flit_names(tree, port="") == FLIT_NAMES
+
+
 def test_guard_catches_a_leak():
     leak = ast.parse(
         "def step(self, out):\n"
@@ -109,3 +136,9 @@ def test_guard_catches_a_leak():
     )
     assert _packet_reads(leak) == {"op"}
     assert _imported_names(leak) & FORBIDDEN_MODULES == {"transaction"}
+    niu_leak = ast.parse(
+        "class TargetNiu(PacketPort):\n"
+        "    def step(self, cycle):\n"
+        "        self.tx.send(cycle, self.flits[self.next_flit])\n"
+    )
+    assert _flit_names(niu_leak) == {"send", "next_flit"}

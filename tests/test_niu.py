@@ -1,7 +1,5 @@
 """NIU units: decode, tag policies, chopping, byte lanes, monitors, packing."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -633,13 +631,25 @@ def test_target_out_of_bounds_error_slave():
 
 
 def test_target_memory_that_cannot_be_allocated_is_a_scenario_error():
-    # 2**62 bytes passes the size check but no address space can hold it,
-    # so the allocation fails at once without touching memory
+    # 2**62 bytes passes the load-time size check but no address space can
+    # hold it, so the allocation fails at once without touching memory
     with pytest.raises(ScenarioError, match="cannot allocate 4611686018427387904 bytes of "
                                             "memory for target NIU 100"):
         _target(memory=2**62)
-    with pytest.raises(ScenarioError, match="target NIU 100 memory size"):
-        _target(memory=sys.maxsize + 1)
+
+
+def test_target_boundary_is_the_end_of_its_memory():
+    # memory backs only part of the region: the last bytes inside it work,
+    # and a burst ending one byte past it is refused without growing it
+    tgt = _target(memory=128)
+    store = tgt.handle_request(_request_packet(Opcode.STORE, 124, payload=b"\x01\x02\x03\x04"))
+    assert store.op is Status.OKAY
+    load = tgt.handle_request(_request_packet(Opcode.LOAD, 120, payload_len=8))
+    assert load.op is Status.OKAY and load.payload == bytes(4) + b"\x01\x02\x03\x04"
+    for past in (_request_packet(Opcode.LOAD, 121, payload_len=8),
+                 _request_packet(Opcode.STORE, 121, payload=bytes(8))):
+        assert tgt.handle_request(past).op is Status.ERROR_SLAVE
+    assert len(tgt.memory) == 128
 
 
 def test_store_emits_monitor_events_only_for_armed_monitors():

@@ -213,7 +213,8 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
 
 # Each of these used to load, then fail in Engine(...) or mid-run; the
 # negative stream ids ran with negative packet tags, and memory past a
-# region was allocated but could never be addressed.
+# region was allocated but could never be addressed. The NIU settings from
+# capacity on are refused here only: the NIU constructors no longer check.
 @pytest.mark.parametrize("initiator, program, target, message", [
     ({"family": "threaded"}, _LOOP, {},
      "master 0 loop program needs a fully_ordered NIU, got threaded"),
@@ -254,6 +255,20 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
      "master 0 script step 1: stream id must not be negative (thread 0, tid -2)"),
     ({}, {}, {"memory": 4097},
      "target NIU 100 memory size 4097 exceeds its region size 4096"),
+    ({"capacity": 0}, {}, {}, "initiator NIU 0 capacity 0 is not in 1..16"),
+    ({"capacity": 17}, {}, {}, "initiator NIU 0 capacity 17 is not in 1..16"),
+    ({"max_payload": 0}, {}, {}, "initiator NIU 0 max payload 0 is not positive"),
+    ({"priority": 8}, {}, {}, "initiator NIU 0 priority 8 is not in 0..7"),
+    ({"priority": -1}, {}, {}, "initiator NIU 0 priority -1 is not in 0..7"),
+    ({"tag_policy": {"per_stream": 0}}, {}, {},
+     "initiator NIU 0 per-stream tag policy has 0 streams, not 1..16"),
+    ({"tag_policy": {"pooled": 17}}, {}, {},
+     "initiator NIU 0 pooled tag policy has 17 tags, not 1..16"),
+    ({}, {}, {"region": [0, 0]}, "target NIU 100 region size 0 is not positive"),
+    ({}, {}, {"memory": -1}, "target NIU 100 memory size -1 is negative"),
+    # the memory defaults to the region, which no bytearray can hold
+    ({}, {}, {"region": [0, 2**63]},
+     f"target NIU 100 memory size exceeds {sys.maxsize} bytes"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
