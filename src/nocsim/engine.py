@@ -354,7 +354,6 @@ class Engine:
                 emissions = niu.step_egress(cycle)
                 for entry, response, visible in emissions:
                     if visible:
-                        ms.completed += 1
                         ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
                             cycle, slot.site, RESP_EMITTED,
@@ -413,7 +412,7 @@ class Engine:
             masters=self.master_stats,
         )
         stats.completed_transactions = sum(
-            ms.completed for ms in self.master_stats.values()
+            len(ms.latencies) for ms in self.master_stats.values()
         )
         for name, ch in sorted(self.channels.items()):
             stats.channels[name] = {

@@ -71,10 +71,15 @@ class TraceEvent(NamedTuple):
 
 
 class Trace:
-    """Ordered event log of one run."""
+    """Ordered event log of one run, recorded at detail level ``level``.
 
-    def __init__(self, events: Optional[list[TraceEvent]] = None):
+    A hand-built trace is taken to be at "full" level, so the audit assumes
+    it may hold packet events.
+    """
+
+    def __init__(self, events: Optional[list[TraceEvent]] = None, level: str = "full"):
         self.events: list[TraceEvent] = events if events is not None else []
+        self.level = level
 
     def __iter__(self):
         return iter(self.events)
@@ -102,7 +107,7 @@ class TraceRecorder:
         rank = TRACE_LEVELS[level]
         self.record_packets = rank >= TRACE_LEVELS["packet"]
         self.record_hops = rank >= TRACE_LEVELS["full"]
-        self.trace = Trace()
+        self.trace = Trace(level=level)
 
     def event(self, cycle, site, kind, master=-1, key="", tag=-1, op="", address=-1) -> None:
         self.trace.events.append(
@@ -198,35 +203,78 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     are supplied (the trace itself carries no flit-level events).
     ``scenario`` is accepted for callers that pass it and is not read.
 
-    One walk over the events checks streams, lock windows and exclusive
-    safety; tag liveness walks the trace again only when that walk saw a
-    packet event. Time is linear in the trace length, and only the streams,
-    tags and granules reported on are sorted. Violations are listed by
-    check: streams, tag liveness, locks, exclusive safety, credit bounds.
+    One walk over the events checks everything, at every trace level; time
+    is linear in the trace length, and only the streams, tags and granules
+    reported on are sorted. Violations are listed by check: streams, tag
+    liveness, locks, exclusive safety, credit bounds.
+
+    Tag liveness: a tag's live window opens at its REQ_ISSUED and closes at
+    the RESP_EMITTED that answers it; responses are matched to requests in
+    issue order per (master, ordering stream). A posted store has no
+    response, so its window stays open to the end of the trace. Two
+    consecutive windows of one (master, tag) overlap exactly when the older
+    one is still open as the newer one opens, so the walk reports, per
+    sorted (master, tag), each tag issued on one stream while its newest
+    window is open on another ("live twice"), then each packet event whose
+    (master, tag) has no open window ("dead tag"), in trace order. Both are
+    reported only for a trace that holds a packet event, and windows are
+    tracked only for a trace that can hold one: not for one recorded at
+    transaction level.
+
+    Known limitation: at packet/full trace level this reports false "live
+    twice" violations for masters that pool tags across streams. A posted
+    store's window never closes, so a later request that reuses its tag
+    overlaps it; and a response held by the release gate is emitted after
+    the NIU has already freed and reused its tag. Telling these apart from
+    real double use needs a trace event at tag release.
     """
     # per (master, stream): [unmatched events of the side that is ahead,
-    # pairs made, first mismatch, issued]; a stream's non-posted requests and
-    # its responses pair by position, whichever of the two comes first
+    # pairs made, first mismatch, issued, (master, tag) and window of each
+    # tagged request awaiting its response]; a stream's non-posted requests
+    # and its responses pair by position, whichever of the two comes first
     streams: dict[tuple[int, str], list] = {}
+    track = trace.level != "transaction"  # such a trace holds no packet events
+    open_windows: dict[tuple[int, int], int] = {}  # (master, tag) -> open windows
+    newest: dict[tuple[int, int], list] = {}  # (master, tag) -> [stream, open]
+    twice: dict[tuple[int, int], list[str]] = {}
+    dead = []
     locked: dict[str, tuple[int, int]] = {}  # site -> (owner, cycle locked)
     locks = []
-    # last win per (site, granule), last MONITOR_ARMED per (site, granule, master)
+    # last win per (site, granule), last MONITOR_ARMED per (site, granule,
+    # master), each numbered by its place among arms and wins
+    monitor_events = 0
     last_win: dict[tuple[str, int], tuple[int, int]] = {}
     last_arm: dict[tuple[str, int, int], int] = {}
     exclusive: dict[tuple[str, int], list[str]] = {}
     packets = False
-    for idx, ev in enumerate(trace.events):
+    for ev in trace.events:
         kind = ev.kind
         if kind == STALL:
             continue
         if kind == REQ_ISSUED or kind == RESP_EMITTED:
             state = streams.get((ev.master, ev.key))
             if state is None:
-                state = streams[(ev.master, ev.key)] = [deque(), 0, "", False]
+                state = streams[(ev.master, ev.key)] = [deque(), 0, "", False, deque()]
             if kind == REQ_ISSUED:
                 state[3] = True
+                if track and ev.tag >= 0:
+                    mt = (ev.master, ev.tag)
+                    window = newest.get(mt)
+                    if window is not None and window[1] and window[0] != ev.key:
+                        twice.setdefault(mt, []).append(
+                            f"tag liveness violation: master {mt[0]} tag {mt[1]} live "
+                            f"twice (streams {window[0]} and {ev.key})"
+                        )
+                    window = newest[mt] = [ev.key, True]
+                    open_windows[mt] = open_windows.get(mt, 0) + 1
+                    if ev.op != _POSTED_NAME:
+                        state[4].append((mt, window))
                 if ev.op == _POSTED_NAME:
                     continue
+            elif track and ev.tag >= 0 and state[4]:
+                mt, window = state[4].popleft()
+                window[1] = False
+                open_windows[mt] -= 1
             ahead = state[0]
             if not ahead or ahead[0].kind == kind:
                 ahead.append(ev)
@@ -241,9 +289,14 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
                     f"{resp.tag} at cycle {resp.cycle}"
                 )
             state[1] += 1
-        elif kind == PKT_DELIVERED:
+        elif kind == PKT_DELIVERED or kind == PKT_INJECTED:
             packets = True
-            if locked:
+            if not open_windows.get((ev.master, ev.tag)) and ev.master >= 0 and ev.tag >= 0:
+                dead.append(
+                    f"tag liveness violation: packet event at cycle {ev.cycle} "
+                    f"site {ev.site} carries dead tag {ev.tag} of master {ev.master}"
+                )
+            if locked and kind == PKT_DELIVERED:
                 held = locked.get(ev.site)
                 if held is not None and ev.master != held[0]:
                     locks.append(
@@ -251,17 +304,17 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
                         f"{ev.site} at cycle {ev.cycle} while locked by {held[0]} "
                         f"since cycle {held[1]}"
                     )
-        elif kind == PKT_INJECTED:
-            packets = True
         elif kind == LOCK_SET:
             locked[ev.site] = (ev.master, ev.cycle)
         elif kind == LOCK_CLEARED:
             locked.pop(ev.site, None)
         elif kind == MONITOR_ARMED:
-            last_arm[(ev.site, ev.address, ev.master)] = idx
+            monitor_events += 1
+            last_arm[(ev.site, ev.address, ev.master)] = monitor_events
         elif kind == MONITOR_CLEARED and ev.master == ev.tag:
             # a win: the acting master owns the monitor; between two wins on
             # a granule the second winner must have armed after the first
+            monitor_events += 1
             granule = (ev.site, ev.address)
             prev = last_win.get(granule)
             if prev is not None and last_arm.get((ev.site, ev.address, ev.master), -1) < prev[0]:
@@ -269,14 +322,14 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
                     f"exclusive safety violation at {ev.site} granule {ev.address:#x}: "
                     f"master {ev.master} won without re-arming after master {prev[1]}'s win"
                 )
-            last_win[granule] = (idx, ev.master)
+            last_win[granule] = (monitor_events, ev.master)
     ordered = sorted(streams)
     violations = [
         f"conservation violation: response without request for master {m} stream {k}"
         for m, k in ordered if not streams[(m, k)][3]
     ]
     for m, k in ordered:
-        ahead, _, mismatch, issued = streams[(m, k)]
+        ahead, _, mismatch, issued, _ = streams[(m, k)]
         if not issued:
             continue
         if mismatch:
@@ -291,8 +344,9 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
                 f"conservation violation: {len(ahead)} request(s) "
                 f"without response for master {m} stream {k}"
             )
-    if packets:
-        violations.extend(_check_tag_liveness(trace))
+    if packets and track:
+        violations.extend(v for mt in sorted(twice) for v in twice[mt])
+        violations.extend(dead)
     violations.extend(locks)
     violations.extend(v for granule in sorted(exclusive) for v in exclusive[granule])
     if stats is not None:
@@ -304,67 +358,6 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     return violations
 
 
-def _check_tag_liveness(trace: Trace) -> list[str]:
-    """Packets observed in the fabric must belong to a live (master, tag).
-
-    A tag's live window opens at its REQ_ISSUED and closes at the
-    RESP_EMITTED that answers it; responses are matched to requests in
-    issue order per (master, ordering stream). A posted store has no
-    response, so its window stays open to the end of the trace. Reports,
-    per sorted (master, tag), each two consecutive windows of different
-    streams that overlap ("live twice"), then each packet event whose
-    (master, tag) has no open window ("dead tag"), in trace order.
-
-    Known limitation: at packet/full trace level this reports false "live
-    twice" violations for masters that pool tags across streams. A posted
-    store's window never closes, so a later request that reuses its tag
-    overlaps it; and a response held by the release gate is emitted after
-    the NIU has already freed and reused its tag. Telling these apart from
-    real double use needs a trace event at tag release.
-    """
-    events = trace.events
-    end_of_trace = len(events)
-    # live windows per (master, tag): [issue_idx, close_idx, stream key]
-    windows: dict[tuple[int, int], list[list]] = {}
-    open_count: dict[tuple[int, int], int] = {}
-    # per (master, stream): (tag, window) of each request awaiting its response
-    awaiting: dict[tuple[int, str], deque[tuple[int, list]]] = {}
-    dead = []
-    for idx, ev in enumerate(events):
-        kind = ev.kind
-        if kind == REQ_ISSUED:
-            if ev.tag >= 0:
-                mt = (ev.master, ev.tag)
-                window = [idx, end_of_trace, ev.key]
-                windows.setdefault(mt, []).append(window)
-                open_count[mt] = open_count.get(mt, 0) + 1
-                if ev.op != _POSTED_NAME:
-                    awaiting.setdefault((ev.master, ev.key), deque()).append((ev.tag, window))
-        elif kind == RESP_EMITTED:
-            if ev.tag >= 0:
-                pending = awaiting.get((ev.master, ev.key))
-                if pending:
-                    tag, window = pending.popleft()
-                    window[1] = idx
-                    open_count[(ev.master, tag)] -= 1
-        elif kind == PKT_INJECTED or kind == PKT_DELIVERED:
-            if ev.master >= 0 and ev.tag >= 0 and not open_count.get((ev.master, ev.tag)):
-                dead.append(
-                    f"tag liveness violation: packet event at cycle {ev.cycle} "
-                    f"site {ev.site} carries dead tag {ev.tag} of master {ev.master}"
-                )
-    violations = []
-    for mt, ws in sorted(windows.items()):
-        for w1, w2 in zip(ws, ws[1:]):
-            if w2[0] < w1[1] and w1[2] != w2[2]:
-                violations.append(
-                    f"tag liveness violation: master {mt[0]} tag {mt[1]} live "
-                    f"twice (streams {w1[2]} and {w2[2]})"
-                )
-    violations.extend(dead)
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # Stats
 # ---------------------------------------------------------------------------
@@ -372,7 +365,6 @@ def _check_tag_liveness(trace: Trace) -> list[str]:
 @dataclass
 class MasterStats:
     issued: int = 0
-    completed: int = 0
     tag_stall_cycles: int = 0
     latencies: list[int] = field(default_factory=list)
 
@@ -411,7 +403,7 @@ class Stats:
         for mid in sorted(self.masters):
             ms = self.masters[mid]
             lines.append(f"master.{mid}.issued = {ms.issued}")
-            lines.append(f"master.{mid}.completed = {ms.completed}")
+            lines.append(f"master.{mid}.completed = {len(ms.latencies)}")
             lines.append(f"master.{mid}.tag_stall_cycles = {ms.tag_stall_cycles}")
             for k, v in ms.summary().items():
                 lines.append(f"master.{mid}.{k} = {v}")

@@ -1,8 +1,12 @@
 """Post-run audits: each flags a poisoned trace, by exact message text, the
-one-walk audit agrees with the per-check references on poisoned real traces,
-and it walks a trace once, or twice when the trace has packet events."""
+one-walk audit agrees with the per-check references on poisoned real traces
+and, for tag liveness, on generated event lists, and it walks a trace once
+at every trace level."""
 
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from nocsim import random_scenario
 from nocsim.engine import run
@@ -15,6 +19,7 @@ from nocsim.trace import (
     PKT_INJECTED,
     REQ_ISSUED,
     RESP_EMITTED,
+    STALL,
     Trace,
     TraceEvent,
     check_invariants,
@@ -102,6 +107,45 @@ def test_response_before_its_request_pairs_by_position():
     ]
 
 
+# masters and tags; 0 is drawn most, so windows of one (master, tag) often overlap
+_ids = st.one_of(st.just(0), st.integers(-1, 3))
+
+
+@st.composite
+def tag_events(draw):
+    """Requests over few masters, streams and tags, each with its packet
+    events after it and usually a response, ordered by drawn cycles: tags are
+    reused across streams, stores may be posted, and a response may come
+    before its request or not at all. Stray events are mixed in."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        master, tag = draw(_ids), draw(_ids)
+        key = draw(st.sampled_from(["thread:0", "thread:1", "id:2"]))
+        op = draw(st.sampled_from(["LOAD", "STORE", "STORE_POSTED"]))
+        cycle = draw(st.integers(0, 20))
+        rows.append((cycle, REQ_ISSUED, master, key, tag, op))
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from([PKT_INJECTED, PKT_DELIVERED]))
+            rows.append((cycle + draw(st.integers(0, 6)), kind, master, "", tag, op))
+        if draw(st.integers(0, 3)):
+            resp_tag = draw(st.one_of(st.just(tag), _ids))
+            rows.append((cycle + draw(st.integers(-2, 8)), RESP_EMITTED, master, key, resp_tag, "OKAY"))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([RESP_EMITTED, PKT_DELIVERED, STALL]))
+        rows.append((draw(st.integers(0, 20)), kind, draw(_ids), "thread:0", draw(_ids), "OKAY"))
+    rows.sort(key=lambda row: row[0])
+    return [
+        TraceEvent(cycle, "niu0", kind, master, key, tag, op, 0x10 * tag)
+        for cycle, kind, master, key, tag, op in rows
+    ]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(events=tag_events())
+def test_tag_liveness_matches_its_definition_on_generated_events(events):
+    assert _of(check_invariants(Trace(events)), "tag liveness") == tag_liveness_reference(events)
+
+
 class _CountedWalks(list):
     """An event list that counts the walks over it."""
 
@@ -123,9 +167,12 @@ def test_transaction_level_trace_is_walked_once():
     assert _walks(result.trace) == 1
 
 
-def test_full_level_trace_is_walked_twice():
-    result = run(atomic_loop_scenario("lock", n_masters=2, iterations=3))
-    assert result.trace.events and _walks(result.trace) == 2
+@pytest.mark.parametrize("level", ["transaction", "packet", "full"])
+def test_trace_is_walked_once_at_every_level(level):
+    result = run(atomic_loop_scenario("lock", n_masters=2, iterations=3).with_trace_level(level))
+    kinds = {e.kind for e in result.trace.events}
+    assert (PKT_INJECTED in kinds) == (level != "transaction")
+    assert _walks(result.trace) == 1
 
 
 def test_foreign_packet_inside_lock_window():

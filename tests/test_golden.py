@@ -12,7 +12,7 @@ and says so; every other change must leave them untouched.
 
 ``GOLDEN_AUDIT`` deliberately pins today's false "live twice" tag-liveness
 reports on pooled multi-stream masters at packet/full trace level (see
-``_check_tag_liveness``). The change that fixes them regenerates that table
+``check_invariants``). The change that fixes them regenerates that table
 on purpose.
 """
 
