@@ -107,25 +107,31 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
     """Expand a master's program into explicit steps, if it is list-shaped.
 
     Kept separate from the engine so reference models can replay the exact
-    same workload without running the fabric.
+    same workload without running the fabric. A random program's steps are
+    kept on the spec (``MasterSpec.expansion``) with everything they were
+    drawn from, and returned again while all of that stays the same: the
+    variants of a scenario share its masters, so they share one list, and
+    callers must not change it.
     """
     program = spec.program
     if isinstance(program, ScriptProgram):
         return program.steps
     if isinstance(program, RandomProgram):
-        return generate_random_steps(
-            master_id=spec.master_id,
-            family=spec.niu.family,
-            rng=derive_rng(seed, spec.master_id),
-            transactions=program.transactions,
-            op_mix=program.op_mix,
-            address_ranges=program.address_ranges,
-            burst_lens=program.burst_lens,
-            beat_sizes=program.beat_sizes,
-            threads=program.threads,
-            txn_ids=program.txn_ids,
-            max_bytes=program.max_bytes,
+        niu = spec.niu
+        key = (seed, niu.niu_id, niu.family, program.transactions,
+               tuple(program.op_mix.items()), tuple(program.address_ranges),
+               tuple(program.burst_lens), tuple(program.beat_sizes),
+               program.threads, program.txn_ids, program.max_bytes)
+        kept = spec.expansion
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        steps = generate_random_steps(
+            niu.niu_id, niu.family, derive_rng(seed, niu.niu_id), program.transactions,
+            program.op_mix, program.address_ranges, program.burst_lens, program.beat_sizes,
+            program.threads, program.txn_ids, program.max_bytes,
         )
+        spec.expansion = (key, steps)
+        return steps
     return None
 
 
@@ -410,9 +416,6 @@ class Engine:
             seed=self.scenario.run.seed,
             timed_out=timed_out,
             masters=self.master_stats,
-        )
-        stats.completed_transactions = sum(
-            len(ms.latencies) for ms in self.master_stats.values()
         )
         for name, ch in sorted(self.channels.items()):
             stats.channels[name] = {

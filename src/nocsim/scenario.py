@@ -90,6 +90,8 @@ Program = Union[ScriptProgram, RandomProgram, ExclusiveLoopProgram, LockLoopProg
 class MasterSpec:
     niu: InitiatorConfig
     program: Program
+    # (key, steps) of the latest random-program expansion: see scripted_steps_for
+    expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def master_id(self) -> int:
@@ -293,7 +295,9 @@ class Scenario:
 
     # -- derived variants ---------------------------------------------------------
     # A variant shares all but ``run`` with its base (``with_link_params`` also
-    # gets its own topology): replace, never edit in place, any other part.
+    # gets its own topology), masters and their kept expansion included, so
+    # variants expand each random program once: replace, never edit in place,
+    # any other part.
 
     def with_mode(self, mode: TransportMode) -> "Scenario":
         return replace(self, run=replace(self.run, mode=mode))

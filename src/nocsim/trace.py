@@ -384,12 +384,15 @@ class Stats:
     mode: str = ""
     seed: int = 0
     workload_rng: str = "python-random-mt19937"
-    completed_transactions: int = 0
     timed_out: bool = False
     masters: dict[int, MasterStats] = field(default_factory=dict)
     channels: dict[str, dict] = field(default_factory=dict)
     switch_grants: dict[str, dict[int, int]] = field(default_factory=dict)
     port_stalls: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    @property
+    def completed_transactions(self) -> int:
+        return sum(len(ms.latencies) for ms in self.masters.values())
 
     def to_text(self) -> str:
         lines = [

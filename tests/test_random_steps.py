@@ -10,19 +10,26 @@ of bits was drawn.
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from helpers import line_scenario
 from hypothesis import given, settings, strategies as st
 from oracles import reference_random_steps
 
-from nocsim.engine import derive_rng, scripted_steps_for
+import nocsim.engine
+import nocsim.oracle
+from nocsim.cli import main
+from nocsim.engine import Engine, derive_rng, scripted_steps_for
+from nocsim.fabric import TransportMode
+from nocsim.link import LinkParams
 from nocsim.niu import SocketFamily
-from nocsim.scenario import RandomProgram, random_scenario
+from nocsim.scenario import RandomProgram, Scenario, random_scenario
 from nocsim.transaction import Opcode, OrderVariant
 from nocsim.workload import generate_random_steps
 
 LOAD, STORE, POSTED = Opcode.LOAD, Opcode.STORE, Opcode.STORE_POSTED
+BASIC = str(Path(__file__).resolve().parent.parent / "scenarios" / "basic_line.yaml")
 MIX = {LOAD: 1.0, STORE: 1.0, POSTED: 1.0}
 
 
@@ -168,3 +175,115 @@ def test_valid_program_steps_equal_reference(program, family, seed):
     _validate(program, family)
     spec = {name: getattr(program, name) for name in RandomProgram.__dataclass_fields__}
     _assert_same(family, seed, **spec)
+
+
+# -- one expansion per spec --------------------------------------------------------
+# scripted_steps_for keeps a spec's latest random-program expansion with its key,
+# so the variants of a scenario, which share its masters, share one list.
+
+FO, TH, ID = SocketFamily.FULLY_ORDERED, SocketFamily.THREADED, SocketFamily.ID_BASED
+
+
+def _corpus() -> Scenario:
+    """A random scenario with masters of every family (seed 1, six masters)."""
+    scenario = random_scenario(1, n_masters=6)
+    assert {m.niu.family for m in scenario.masters} == set(SocketFamily)
+    return scenario
+
+
+def _steps(engine: Engine) -> dict:
+    return {mid: master.steps for mid, master in engine.masters.items()}
+
+
+@pytest.mark.parametrize("variant", [
+    lambda s: s.with_mode(TransportMode.STORE_AND_FORWARD),
+    lambda s: s.with_link_params(LinkParams(4, 3, 2)),
+    lambda s: s.with_trace_level("full"),
+], ids=["with_mode", "with_link_params", "with_trace_level"])
+def test_variants_share_their_masters_steps(variant):
+    base = _corpus()
+    first, second = _steps(Engine(base)), _steps(Engine(variant(base)))
+    assert first.keys() == second.keys()
+    assert all(first[mid] is second[mid] for mid in first)
+
+
+def test_sequential_oracle_replays_the_engines_steps(monkeypatch):
+    base = _corpus()
+    built = _steps(Engine(base))
+    replayed = {}
+
+    def recording(spec, seed):
+        replayed[spec.master_id] = scripted_steps_for(spec, seed)
+        return replayed[spec.master_id]
+
+    monkeypatch.setattr(nocsim.oracle, "scripted_steps_for", recording)
+    nocsim.oracle.sequential_oracle(base)
+    assert replayed.keys() == built.keys()
+    assert all(replayed[mid] is built[mid] for mid in built)
+
+
+def _set_family(scenario, spec):
+    spec.niu.family = TH if spec.niu.family is not TH else ID
+
+
+def _set_niu_id(scenario, spec):
+    spec.niu.niu_id += 50
+
+
+def _next_seed(scenario, spec):
+    scenario.run.seed += 1
+
+
+# (family of the edited master, in-place edit of the scenario or that master)
+EDITS = {
+    "transactions": (FO, lambda s, m: setattr(m.program, "transactions", m.program.transactions - 1)),
+    "op_mix": (FO, lambda s, m: m.program.op_mix.update({LOAD: 5.0})),
+    "address_ranges": (FO, lambda s, m: m.program.address_ranges.append(m.program.address_ranges[0])),
+    "burst_lens": (FO, lambda s, m: m.program.burst_lens.remove(8)),
+    "beat_sizes": (FO, lambda s, m: m.program.beat_sizes.remove(4)),
+    "threads": (TH, lambda s, m: setattr(m.program, "threads", 3)),
+    "txn_ids": (ID, lambda s, m: setattr(m.program, "txn_ids", 3)),
+    "max_bytes": (FO, lambda s, m: setattr(m.program, "max_bytes", 8)),
+    "niu.family": (FO, _set_family),
+    "niu.niu_id": (FO, _set_niu_id),
+    "seed": (FO, _next_seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+def test_edit_in_place_never_serves_stale_steps(name):
+    family, edit = EDITS[name]
+    edited = _corpus()
+    spec = next(m for m in edited.masters if m.niu.family is family)
+    before = Engine(edited).masters[spec.master_id].steps
+    edit(edited, spec)
+    fresh = _corpus()
+    fresh_spec = next(m for m in fresh.masters if m.niu.family is family)
+    edit(fresh, fresh_spec)
+    got = scripted_steps_for(spec, edited.run.seed)
+    want = scripted_steps_for(fresh_spec, fresh.run.seed)
+    assert _fields(got) == _fields(want) != _fields(before)
+
+
+def test_seed_sweep_keeps_one_expansion_per_spec():
+    base = _corpus()
+    for seed in range(50):
+        Engine(base.with_seed(seed))
+    for spec in base.masters:
+        key, steps = spec.expansion
+        assert key[0] == 49
+        assert _fields(steps) == _fields(scripted_steps_for(replace(spec), 49))
+
+
+def test_compare_links_expands_each_program_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(master_id, *args):
+        calls.append(master_id)
+        return generate_random_steps(master_id, *args)
+
+    monkeypatch.setattr(nocsim.engine, "generate_random_steps", counting)
+    rc = main(["compare-links", BASIC, "--widths", "4,8", "--latencies", "1,2",
+               "--ratios", "1"])
+    assert rc == 0 and "4 link configurations agree" in capsys.readouterr().out
+    assert sorted(calls) == [0, 1]
