@@ -218,10 +218,10 @@ class Engine:
 
     def _build_channels(self) -> None:
         topo = self.scenario.topology
-        suffix = {PacketKind.REQUEST: "req", PacketKind.RESPONSE: "rsp"}
+        planes = ((PacketKind.REQUEST, "req"), (PacketKind.RESPONSE, "rsp"))
         for ln in topo.links:
             a, ap, b, bp = ln.a_switch, ln.a_port, ln.b_switch, ln.b_port
-            for plane, tagname in suffix.items():
+            for plane, tagname in planes:
                 fwd = self._channel(
                     f"sw{a}p{ap}-sw{b}p{bp}.{tagname}", ln.params, ln.buffer_depth
                 )
@@ -235,16 +235,13 @@ class Engine:
         for at in topo.attachments:
             sw, port, nid = at.switch_id, at.port, at.niu_id
             # an initiator sends requests and receives responses; a target the reverse
-            if nid in self.initiators:
-                niu, up, down = self.initiators[nid], PacketKind.REQUEST, PacketKind.RESPONSE
-            else:
-                niu, up, down = self.targets[nid], PacketKind.RESPONSE, PacketKind.REQUEST
-            niu.tx = self._channel(
-                f"niu{nid}-sw{sw}p{port}.{suffix[up]}", at.params, at.buffer_depth
-            )
+            initiator = nid in self.initiators
+            niu = self.initiators[nid] if initiator else self.targets[nid]
+            (up, up_name), (down, down_name) = planes if initiator else planes[::-1]
+            niu.tx = self._channel(f"niu{nid}-sw{sw}p{port}.{up_name}", at.params, at.buffer_depth)
             self.switches[sw].attach_input(up, port, niu.tx)
             niu.rx = self._channel(
-                f"sw{sw}p{port}-niu{nid}.{suffix[down]}", at.params, at.buffer_depth
+                f"sw{sw}p{port}-niu{nid}.{down_name}", at.params, at.buffer_depth
             )
             niu.rx.sink = niu
             self.switches[sw].attach_output(down, port, niu.rx)

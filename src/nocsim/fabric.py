@@ -23,9 +23,11 @@ removes request/response protocol deadlock by construction.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, auto
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CreditError, FramingError, LockProtocolError, ScenarioError
@@ -39,9 +41,11 @@ class TransportMode(Enum):
 
 
 # bound once: an attribute read on an Enum class goes through its metaclass
-STORE_AND_FORWARD, REQUEST = TransportMode.STORE_AND_FORWARD, PacketKind.REQUEST
+STORE_AND_FORWARD = TransportMode.STORE_AND_FORWARD
+REQUEST, RESPONSE = PacketKind.REQUEST, PacketKind.RESPONSE
 LOCK_ACQUIRE, LOCK_RELEASE = LockMarker.LOCK_ACQUIRE, LockMarker.LOCK_RELEASE
 new_tuple = tuple.__new__  # builds a Candidate without its generated Python __new__
+port_of = itemgetter(0)  # the port of a plane's (port, input or output) pair
 
 
 # ---------------------------------------------------------------------------
@@ -82,70 +86,65 @@ class Topology:
     switches: list[SwitchSpec]
     links: list[LinkSpec]
     attachments: list[AttachmentSpec]
+    # (key, table) of the latest checked routing: see build_routing
+    kept_routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def switch_ids(self) -> list[int]:
         return sorted(s.switch_id for s in self.switches)
 
-    def ports_of(self, switch_id: int) -> int:
-        for s in self.switches:
-            if s.switch_id == switch_id:
-                return s.ports
-        raise ScenarioError(f"unknown switch {switch_id}")
+    def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Each switch's neighbors as (other_switch, my_port, other_port), sorted."""
+        adjacent: dict[int, list] = {s.switch_id: [] for s in self.switches}
+        for ln in self.links:
+            adjacent.setdefault(ln.a_switch, []).append((ln.b_switch, ln.a_port, ln.b_port))
+            adjacent.setdefault(ln.b_switch, []).append((ln.a_switch, ln.b_port, ln.a_port))
+        for out in adjacent.values():
+            out.sort()
+        return adjacent
 
     def neighbors(self, switch_id: int) -> list[tuple[int, int, int]]:
         """Adjacent switches as (other_switch, my_port, other_port), sorted."""
-        out = []
-        for ln in self.links:
-            if ln.a_switch == switch_id:
-                out.append((ln.b_switch, ln.a_port, ln.b_port))
-            if ln.b_switch == switch_id:
-                out.append((ln.a_switch, ln.b_port, ln.a_port))
-        out.sort()
-        return out
+        return self.adjacency().get(switch_id, [])
 
     def validate(self) -> None:
-        ids = [s.switch_id for s in self.switches]
-        if len(ids) != len(set(ids)):
-            raise ScenarioError("duplicate switch ids")
+        ports = {s.switch_id: s.ports for s in self.switches}  # switch id -> port count
+        if len(ports) != len(self.switches):
+            ids = [s.switch_id for s in self.switches]
+            twice = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+            raise ScenarioError(f"duplicate switch id {twice}")
         used: set[tuple[int, int]] = set()
+
+        def take(what: str, sw: int, port: int) -> None:
+            if sw not in ports:
+                raise ScenarioError(f"{what} references unknown switch {sw}")
+            if not 0 <= port < ports[sw]:
+                raise ScenarioError(f"switch {sw} has no port {port}")
+            if (sw, port) in used:
+                raise ScenarioError(f"switch {sw} port {port} used twice")
+            used.add((sw, port))
+
         for ln in self.links:
-            for sw, port in ((ln.a_switch, ln.a_port), (ln.b_switch, ln.b_port)):
-                if sw not in ids:
-                    raise ScenarioError(f"link references unknown switch {sw}")
-                if not 0 <= port < self.ports_of(sw):
-                    raise ScenarioError(f"switch {sw} has no port {port}")
-                if (sw, port) in used:
-                    raise ScenarioError(f"switch {sw} port {port} used twice")
-                used.add((sw, port))
+            take("link", ln.a_switch, ln.a_port)
+            take("link", ln.b_switch, ln.b_port)
             ln.params.validate()
         niu_ids = [a.niu_id for a in self.attachments]
         if len(niu_ids) != len(set(niu_ids)):
-            raise ScenarioError("an NIU attaches to more than one switch port")
+            twice = next(nid for i, nid in enumerate(niu_ids) if nid in niu_ids[:i])
+            raise ScenarioError(f"NIU {twice} attaches to more than one switch port")
         for at in self.attachments:
-            if at.switch_id not in ids:
-                raise ScenarioError(f"attachment references unknown switch {at.switch_id}")
-            if not 0 <= at.port < self.ports_of(at.switch_id):
-                raise ScenarioError(f"switch {at.switch_id} has no port {at.port}")
-            if (at.switch_id, at.port) in used:
-                raise ScenarioError(
-                    f"switch {at.switch_id} port {at.port} used twice"
-                )
-            used.add((at.switch_id, at.port))
+            take("attachment", at.switch_id, at.port)
             at.params.validate()
-        self._check_connected()
-
-    def _check_connected(self) -> None:
         if not self.switches:
             raise ScenarioError("topology has no switches")
+        adjacent = self.adjacency()
         seen = {self.switches[0].switch_id}
         frontier = deque(seen)
         while frontier:
-            cur = frontier.popleft()
-            for other, _, _ in self.neighbors(cur):
+            for other, _, _ in adjacent[frontier.popleft()]:
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)
-        missing = set(s.switch_id for s in self.switches) - seen
+        missing = set(adjacent) - seen
         if missing:
             raise ScenarioError(f"topology is not connected; unreachable switches {sorted(missing)}")
 
@@ -178,32 +177,53 @@ def build_routing(topology: Topology, explicit: Optional[dict[int, dict[int, int
     """Derive shortest-path routes per target, or validate explicit tables.
 
     Either way the result is checked for completeness and loop freedom at
-    load time so the fabric never faces an unroutable packet at runtime.
+    load time so the fabric never faces an unroutable packet at runtime, in
+    time linear in the table plus, per target, the links. The checked table
+    is kept on the topology with its key: the (frozen) specs and the explicit
+    table. While the key stays equal, as in the variants of a scenario, the
+    table is shared, and callers must not change it.
     """
+    routes = explicit and tuple((sw, tuple(t.items())) for sw, t in explicit.items())
+    key = (tuple(topology.switches), tuple(topology.links), tuple(topology.attachments), routes)
+    kept = topology.kept_routing
+    if kept is not None and kept[0] == key:
+        return kept[1]
     if explicit is None:
+        adjacent = topology.adjacency()
         ports: dict[int, dict[int, int]] = {s: {} for s in topology.switch_ids()}
         for at in sorted(topology.attachments, key=lambda a: a.niu_id):
             ports[at.switch_id][at.niu_id] = at.port
             # breadth-first from the attach switch; first-found parent wins,
             # neighbor order is sorted so derivation is deterministic
             seen = {at.switch_id}
-            frontier = deque([at.switch_id])
+            frontier = deque(seen)
             while frontier:
-                cur = frontier.popleft()
-                for other, _my_port, other_port in topology.neighbors(cur):
+                for other, _my_port, other_port in adjacent[frontier.popleft()]:
                     if other not in seen:
                         seen.add(other)
                         ports[other][at.niu_id] = other_port
                         frontier.append(other)
         table = RoutingTable(ports)
-    else:
-        table = RoutingTable(explicit)
+    else:  # copied, so an engine built on it never sees a later edit of the scenario
+        table = RoutingTable({sw: dict(routes) for sw, routes in explicit.items()})
     validate_routing(topology, table)
+    topology.kept_routing = (key, table)
     return table
 
 
 def validate_routing(topology: Topology, table: RoutingTable) -> None:
-    """Walk every (switch, target) pair; reject loops, gaps, and bad ports."""
+    """Walk every (switch, target) pair; reject loops, gaps, bad ports, and
+    entries for a switch or NIU the topology lacks. A walk stops at a switch
+    an earlier walk showed to reach the target: each entry is followed once.
+    """
+    switch_ids = topology.switch_ids()
+    known, niu_ids = set(switch_ids), {at.niu_id for at in topology.attachments}
+    for sw, routes in table.ports.items():
+        if sw not in known:
+            raise ScenarioError(f"routing names switch {sw}, which the topology does not have")
+        for target in routes:
+            if target not in niu_ids:
+                raise ScenarioError(f"routing at switch {sw} names unattached NIU {target}")
     port_owner: dict[tuple[int, int], tuple[str, int]] = {}
     for ln in topology.links:
         port_owner[(ln.a_switch, ln.a_port)] = ("switch", ln.b_switch)
@@ -212,20 +232,21 @@ def validate_routing(topology: Topology, table: RoutingTable) -> None:
         port_owner[(at.switch_id, at.port)] = ("niu", at.niu_id)
     for at in topology.attachments:
         target = at.niu_id
-        for start in topology.switch_ids():
-            cur = start
+        reaches: set[int] = set()  # switches whose route toward target is checked
+        for cur in switch_ids:
             visited = set()
-            while True:
+            while cur not in reaches:
                 if cur in visited:
                     raise ScenarioError(
                         f"routing loop for target NIU {target} at switch {cur}"
                     )
                 visited.add(cur)
-                if cur not in table.ports or target not in table.ports[cur]:
+                routes = table.ports.get(cur)
+                if routes is None or target not in routes:
                     raise ScenarioError(
                         f"unroutable packet: switch {cur} has no route to NIU {target}"
                     )
-                port = table.ports[cur][target]
+                port = routes[target]
                 owner = port_owner.get((cur, port))
                 if owner is None:
                     raise ScenarioError(
@@ -239,6 +260,7 @@ def validate_routing(topology: Topology, table: RoutingTable) -> None:
                         )
                     break
                 cur = other
+            reaches |= visited
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +554,7 @@ class Switch:
         self.switch_id = switch_id
         self.nports = nports
         self.routes = table.ports.get(switch_id, {})  # target NIU id -> output port
-        self._planes = [_Plane(PacketKind.REQUEST), _Plane(PacketKind.RESPONSE)]
+        self._planes = [_Plane(REQUEST), _Plane(RESPONSE)]
         self.outputs: dict[PacketKind, dict[int, OutPort]] = {
             pl.kind: pl.out_by_port for pl in self._planes
         }
@@ -541,23 +563,20 @@ class Switch:
         self.wake_cycle = 0
         self.counted_to = -1  # stall counters are complete up to this cycle
 
-    def _plane(self, kind: PacketKind) -> _Plane:
-        return self._planes[kind is PacketKind.RESPONSE]
-
     def attach_input(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        pl = self._plane(plane)
+        pl = self._planes[plane is RESPONSE]
         pl.in_by_port[port] = channel
-        pl.inputs = sorted(pl.in_by_port.items())
+        insort(pl.inputs, (port, channel), key=port_of)
         channel.sink = self
         channel.sink_plane = pl
 
     def attach_output(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        pl = self._plane(plane)
-        pl.out_by_port[port] = OutPort(channel, self.nports, self.port_site(plane, port))
-        pl.outputs = sorted(pl.out_by_port.items())
+        pl = self._planes[plane is RESPONSE]
+        out = pl.out_by_port[port] = OutPort(channel, self.nports, self.port_site(plane, port))
+        insort(pl.outputs, (port, out), key=port_of)
 
     def port_site(self, plane: PacketKind, port: int) -> str:
-        suffix = "" if plane is PacketKind.REQUEST else ".rsp"
+        suffix = "" if plane is REQUEST else ".rsp"
         return f"sw{self.switch_id}.out{port}{suffix}"
 
     def catch_up(self, cycle: int) -> None:

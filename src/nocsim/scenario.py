@@ -125,7 +125,8 @@ class Scenario:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> RoutingTable:
-        """Reject an inconsistent scenario; return its checked routing table."""
+        """Reject an inconsistent scenario, in time linear in it; return its checked
+        routing table, which is kept on the topology (see build_routing)."""
         if self.run.trace_level not in TRACE_LEVELS:
             raise ScenarioError(f"unknown trace level {self.run.trace_level!r}")
         if self.run.max_cycles < 1:
@@ -134,12 +135,13 @@ class Scenario:
 
         initiator_ids = [m.niu.niu_id for m in self.masters]
         target_ids = [t.niu_id for t in self.targets]
-        if len(set(initiator_ids)) != len(initiator_ids):
-            raise ScenarioError("duplicate master/initiator NIU ids")
-        if len(set(target_ids)) != len(target_ids):
-            raise ScenarioError("duplicate target NIU ids")
-        if set(initiator_ids) & set(target_ids):
-            raise ScenarioError("initiator and target NIU ids overlap")
+        for role, ids in (("master/initiator", initiator_ids), ("target", target_ids)):
+            if len(set(ids)) != len(ids):
+                twice = next(nid for i, nid in enumerate(ids) if nid in ids[:i])
+                raise ScenarioError(f"duplicate {role} NIU id {twice}")
+        both = set(initiator_ids) & set(target_ids)
+        if both:
+            raise ScenarioError(f"NIU {min(both)} is both an initiator and a target")
         attached = {a.niu_id for a in self.topology.attachments}
         declared = set(initiator_ids) | set(target_ids)
         if attached != declared:
@@ -189,15 +191,15 @@ class Scenario:
         streams = 1  # the order streams it issues on, each a per-stream policy tag
         if isinstance(program, RandomProgram):
             if program.transactions < 0:
-                raise ScenarioError("transaction count must not be negative")
-            mixed = program.op_mix.keys() - _RANDOM_OPCODES
+                raise ScenarioError(f"{who} transaction count {program.transactions} is negative")
+            mixed = [op for op in program.op_mix if op not in _RANDOM_OPCODES]
             if mixed:
                 raise ScenarioError(
                     f"{who} op_mix may only hold LOAD, STORE and STORE_POSTED, "
                     f"got {min(op.name for op in mixed)}"
                 )
             weights = list(program.op_mix.values())
-            if not all(math.isfinite(w) and w >= 0 for w in weights) or not sum(weights) > 0:
+            if not (sum(weights) > 0 and all(map(math.isfinite, weights)) and min(weights) >= 0):
                 raise ScenarioError(
                     f"{who} op_mix weights must be finite, non-negative and not all zero"
                 )
@@ -223,26 +225,26 @@ class Scenario:
             # every step generate_random_steps can draw must be valid as built:
             # a power-of-two beat, at a multiple of it, inside the range; and,
             # checked below, one packet wide at most, on a stream with a tag
+            largest = 0  # the largest burst in bytes: a beat, or a burst of beats that fits
             for beat in program.beat_sizes:
                 if beat & (beat - 1):
                     raise ScenarioError(f"{who} beat size {beat} is not a power of two")
-            largest = max(
-                max((b for b in program.burst_lens if b * beat <= program.max_bytes), default=1)
-                * beat
-                for beat in program.beat_sizes
-            )
+                largest = max(largest, beat)
+                for burst in program.burst_lens:
+                    if largest < burst * beat <= program.max_bytes:
+                        largest = burst * beat
+            widest = max(program.beat_sizes)  # each beat divides it
             for base, size in program.address_ranges:
-                where = f"{who} range [{base:#x},{base+size:#x})"
-                misaligned = [beat for beat in program.beat_sizes if base % beat]
-                if misaligned:
-                    raise ScenarioError(
-                        f"{where} base is not a multiple of beat size {misaligned[0]}"
-                    )
-                if size < largest:
+                if base % widest or size < largest:
+                    where = f"{who} range [{base:#x},{base+size:#x})"
+                    misaligned = [beat for beat in program.beat_sizes if base % beat]
+                    if misaligned:
+                        raise ScenarioError(
+                            f"{where} base is not a multiple of beat size {misaligned[0]}"
+                        )
                     raise ScenarioError(
                         f"{where} is smaller than the largest burst ({largest} bytes)"
                     )
-            widest = max(program.beat_sizes)
             if niu.family is SocketFamily.THREADED:
                 streams = program.threads
             elif niu.family is SocketFamily.ID_BASED:  # tag 2*id reads, 2*id + 1 writes
@@ -254,11 +256,13 @@ class Scenario:
                     f"{who} loop program needs a fully_ordered NIU, got {niu.family.name.lower()}"
                 )
             if niu.endianness is not Endianness.LITTLE:
-                raise ScenarioError("atomic loop masters must use little-endian sockets")
-            if program.counter_address % COUNTER_BYTES:
-                raise ScenarioError("loop counter must be word aligned")
-            if amap.decode(program.counter_address) is None:
-                raise ScenarioError("loop counter address does not decode")
+                raise ScenarioError(f"{who} loop program needs a little-endian socket, "
+                                    f"got {niu.endianness.name.lower()}")
+            address = program.counter_address
+            if address % COUNTER_BYTES:
+                raise ScenarioError(f"{who} loop counter {address:#x} is not word aligned")
+            if amap.decode(address) is None:
+                raise ScenarioError(f"{who} loop counter {address:#x} does not decode")
             widest = COUNTER_BYTES
         elif isinstance(program, ScriptProgram):
             for i, (request, wait) in enumerate(program.steps):

@@ -119,29 +119,24 @@ def generate_random_steps(
     Draws call only ``rng.random()`` and ``rng.getrandbits()``, as
     ``choices``, ``choice``, ``randrange`` and ``randbytes`` do in CPython
     3.11, with the same arguments and in the same order: the opcode bisects
-    ``random() * total`` into the cumulative weights, other picks are
-    ``_randbelow``'s rejection loop (``below``), store data is
-    ``getrandbits(8 * n)`` little endian. So the steps are the ones those
-    wrappers drew, without a Python frame per wrapper call, and no longer
-    depend on how the standard library implements the wrappers.
+    ``random() * total`` into the cumulative weights, a pick below n is
+    ``_randbelow``'s loop inline (``getrandbits(n.bit_length())`` until below
+    n, so n = 1 draws too), store data is ``getrandbits(8 * n)`` little
+    endian. So the steps are the ones those wrappers drew, without a Python
+    frame per draw; each request is built by slot stores, without its
+    generated ``__init__`` (tests/test_field_order.py pins the fields).
     """
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
     total, last = cum_weights[-1] + 0.0, len(opcodes) - 1
-    random, getrandbits = rng.random, rng.getrandbits
+    random, getrandbits, new = rng.random, rng.getrandbits, object.__new__
 
-    def below(n: int, k: int) -> int:
-        """A uniform integer in [0, n), with k = n.bit_length(): draws even when n is 1."""
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    # per beat size: the beat, and the bursts that fit it under max_bytes
+    # per beat size: the beat, and the bursts that fit it under max_bytes; if
+    # none does, one beat, picked by getrandbits(0), which draws nothing
     beats = []
     for beat in beat_sizes:
         bursts = [b for b in burst_lens if b * beat <= max_bytes]
-        beats.append((beat, bursts, len(bursts), len(bursts).bit_length()))
+        beats.append((beat, bursts or [1], len(bursts) or 1, len(bursts).bit_length()))
     n_beats, k_beats = len(beats), len(beats).bit_length()
     n_ranges, k_ranges = len(address_ranges), len(address_ranges).bit_length()
     # Stream keys come from the shared constructors, one object per stream,
@@ -154,32 +149,42 @@ def generate_random_steps(
     write_keys = read_keys if threaded else {}
     single, load = SocketOrderKey.single(), Opcode.LOAD
 
-    def stream_key(i: int, is_load: bool) -> SocketOrderKey:
-        if threaded:
-            return SocketOrderKey.thread(i)
-        return SocketOrderKey.txn(i, Channel.READ if is_load else Channel.WRITE)
-
     steps = []
     for _ in range(transactions):
         opcode = opcodes[bisect_right(cum_weights, random() * total, 0, last)]
-        beat, bursts, n, k = beats[below(n_beats, k_beats)]
-        burst = bursts[below(n, k)] if n else 1
+        while (r := getrandbits(k_beats)) >= n_beats:
+            pass
+        beat, bursts, n, k = beats[r]
+        while (r := getrandbits(k)) >= n:
+            pass
+        burst = bursts[r]
         nbytes = burst * beat
-        base, size = address_ranges[below(n_ranges, k_ranges)]
+        while (r := getrandbits(k_ranges)) >= n_ranges:
+            pass
+        base, size = address_ranges[r]
         slots = (size - nbytes) // beat + 1
-        address = base + below(slots, slots.bit_length()) * beat
+        k = slots.bit_length()
+        while (r := getrandbits(k)) >= slots:
+            pass
+        request = new(TransactionRequest)
+        request.master_id = master_id
+        request.opcode = opcode
+        request.address = base + r * beat
+        request.burst_len = burst
+        request.beat_size = beat
+        key = single
         if streams:
-            i = below(streams, k_streams)
+            while (i := getrandbits(k_streams)) >= streams:
+                pass
             keys = read_keys if opcode is load else write_keys
             key = keys.get(i)
             if key is None:
-                key = keys[i] = stream_key(i, opcode is load)
-        else:
-            key = single
-        data = getrandbits(8 * nbytes).to_bytes(nbytes, "little") if opcode.is_store else b""
-        steps.append(
-            (TransactionRequest(master_id, opcode, address, burst, beat, key, data), False)
-        )
+                key = keys[i] = SocketOrderKey.thread(i) if threaded else SocketOrderKey.txn(
+                    i, Channel.READ if opcode is load else Channel.WRITE)
+        request.order_key = key
+        request.data = (getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+                        if opcode.is_store else b"")
+        steps.append((request, False))
     return steps
 
 

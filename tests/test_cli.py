@@ -50,6 +50,20 @@ def test_run_unroutable_exit_one_names_target(tmp_path, capsys):
     assert "unroutable" in err and "NIU" in err
 
 
+def test_run_routing_entry_for_unknown_switch_exit_one(tmp_path, capsys):
+    text = Path(BASIC).read_text().replace(
+        "routing: auto",
+        "routing: {0: {0: 0, 1: 1, 100: 2, 101: 2}, 1: {0: 0, 1: 0, 100: 1, 101: 2},"
+        " 99: {100: 7}}",
+    )
+    broken = tmp_path / "routed.yaml"
+    broken.write_text(text)
+    assert main(["run", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert "routing names switch 99, which the topology does not have" in err
+    assert "Traceback" not in err
+
+
 def test_run_deadlock_exit_two_with_stuck_list(capsys):
     assert main(["run", DEADLOCK]) == 2
     out = capsys.readouterr().out

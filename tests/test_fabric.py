@@ -96,6 +96,17 @@ def test_route_to_wrong_niu_rejected():
         validate_routing(topo, RoutingTable(table))
 
 
+def test_kept_table_is_derived_again_after_an_edit_in_place():
+    # Scenario.validate checks the topology before routing; called on its own,
+    # build_routing must still see a switch added after its table was kept
+    topo = _ring4()
+    table = build_routing(topo)
+    assert build_routing(topo) is table
+    topo.switches.append(SwitchSpec(4, 1))  # nothing routes from it
+    with pytest.raises(ScenarioError, match="switch 4 has no route to NIU 100"):
+        build_routing(topo)
+
+
 def test_disconnected_topology_rejected():
     topo = Topology(
         switches=[SwitchSpec(0, 2), SwitchSpec(1, 2)],

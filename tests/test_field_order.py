@@ -2,7 +2,8 @@
 
 The NIUs build ``Packet`` positionally and ``PacketDest`` with
 ``tuple.__new__``; the trace recorder builds ``TraceEvent`` and the switch
-builds ``Candidate`` the same way. Nothing checks the order of positional
+builds ``Candidate`` the same way, and ``generate_random_steps`` builds each
+``TransactionRequest`` by slot stores. Nothing checks the order of positional
 values at run time, and two fields of one type (``priority`` and
 ``user_bits``, ``frag_index`` and ``payload_len``) can trade places
 silently. Each test here compares what a hot path built with the same
@@ -10,9 +11,11 @@ record built by keyword, field by field and type by type (``True == 1``,
 so equality alone would miss a bool trading places with an int).
 """
 
+import random
 from dataclasses import fields
 
 import pytest
+from oracles import reference_random_steps
 
 import nocsim.fabric
 from nocsim.fabric import ChannelStream, Candidate, RoutingTable, Switch, TransportMode
@@ -30,7 +33,10 @@ from nocsim.niu import (
 )
 from nocsim.packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from nocsim.trace import TRACE_LEVELS, TraceEvent, TraceRecorder
-from nocsim.transaction import Opcode, SocketOrderKey, Status, TransactionRequest
+from nocsim.transaction import (
+    Channel, Opcode, OrderVariant, SocketOrderKey, Status, TransactionRequest,
+)
+from nocsim.workload import generate_random_steps
 
 INITIATOR, TARGET, REGION_BASE, THREAD = 3, 7, 0x1000, 2
 PRIORITY = 5
@@ -223,3 +229,34 @@ def test_grant_candidates_equal_keyword_built(monkeypatch, mode):
     for cand, want in zip(seen[0], expected):
         _assert_same(cand, want)
     assert sw.outputs[PacketKind.REQUEST][3].grants_by_input == {0: 1}  # priority 6 wins
+
+
+# -- expanded random programs: generate_random_steps ------------------------------------
+
+def _order_key(stream):
+    """The keyword-built key of a reference stream tuple (see tests/oracles.py)."""
+    if stream[0] == "thread":
+        return SocketOrderKey(variant=OrderVariant.THREAD, thread_id=stream[1])
+    if stream[0] == "txn":
+        return SocketOrderKey(variant=OrderVariant.TXN_ID, txn_id=stream[1],
+                              channel=Channel[stream[2]])
+    return SocketOrderKey(variant=OrderVariant.SINGLE)
+
+
+@pytest.mark.parametrize("family", list(SocketFamily), ids=lambda f: f.name)
+def test_expanded_requests_equal_keyword_built(family):
+    program = dict(
+        transactions=200, op_mix={Opcode.LOAD: 1.0, Opcode.STORE: 1.0, Opcode.STORE_POSTED: 0.5},
+        address_ranges=[(0x40, 256), (0x1000, 96)], burst_lens=[1, 2, 4], beat_sizes=[1, 2, 8],
+        threads=3, txn_ids=5,
+    )
+    built = generate_random_steps(INITIATOR, family, random.Random(5), **program)
+    drawn = reference_random_steps(INITIATOR, family.name, random.Random(5), **program)
+    assert len(built) == len(drawn) == 200
+    for (request, wait), (master, op, address, burst, beat, stream, data, _) in zip(built, drawn):
+        expected = TransactionRequest(
+            master_id=master, opcode=Opcode[op], address=address, burst_len=burst,
+            beat_size=beat, order_key=_order_key(stream), data=data,
+        )
+        _assert_same(request, expected)
+        assert wait is False

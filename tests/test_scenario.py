@@ -11,10 +11,10 @@ import yaml
 
 from helpers import line_scenario, req
 
-from nocsim import scenario as scenario_module, transaction
+from nocsim import fabric, scenario as scenario_module, transaction
 from nocsim.engine import Engine, run, scripted_steps_for
 from nocsim.errors import ScenarioError
-from nocsim.fabric import TransportMode
+from nocsim.fabric import AttachmentSpec, LinkSpec, SwitchSpec, TransportMode
 from nocsim.link import LinkParams
 from nocsim.scenario import (
     load_scenario,
@@ -269,6 +269,14 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     # the memory defaults to the region, which no bytearray can hold
     ({}, {}, {"region": [0, 2**63]},
      f"target NIU 100 memory size exceeds {sys.maxsize} bytes"),
+    ({}, {"transactions": -1}, {}, "master 0 transaction count -1 is negative"),
+    *[({}, {"op_mix": mix}, {},
+       "master 0 op_mix weights must be finite, non-negative and not all zero")
+      for mix in ({"load": -1.0, "store": 2.0}, {"load": float("inf")},
+                  {"load": 1.0, "store": float("nan")}, {"load": 0.0}, {})],
+    ({"endianness": "big"}, _LOOP, {}, "master 0 loop program needs a little-endian socket, got big"),
+    ({}, {**_LOOP, "counter": 66}, {}, "master 0 loop counter 0x42 is not word aligned"),
+    ({}, {**_LOOP, "counter": 0x2000}, {}, "master 0 loop counter 0x2000 does not decode"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
@@ -295,6 +303,53 @@ def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, 
 def test_pairing_at_its_limit_runs(initiator, program, target):
     result = run(scenario_from_dict(_paired(initiator, program, target)))
     assert result.ok and result.stats.completed_transactions > 0
+
+
+def _second_initiator(doc: dict, niu_id: int) -> None:
+    """Add an initiator with its own port on switch 0, and a program for it."""
+    doc["topology"]["switches"][0]["ports"] = 3
+    doc["nius"].append({"id": niu_id, "role": "initiator", "attach": [0, 2]})
+    doc["workload"].append({"master": niu_id, "program": doc["workload"][0]["program"]})
+
+
+def _hand_built(edit):
+    """The base scenario, edited where the YAML reader cannot reach."""
+    def build(tmp_path):
+        scenario = scenario_from_dict(_doc())
+        edit(scenario)
+        scenario.validate()
+    return build
+
+
+def _loaded(edit):
+    def build(tmp_path):
+        doc = _doc()
+        edit(doc)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        load_scenario(path)
+    return build
+
+
+# Refusals that name the switch or NIU they refuse. A YAML document gives
+# each NIU one attachment, so a repeated NIU id is refused as an attachment
+# before the masters and targets are compared; only a scenario built by hand
+# reaches those checks.
+@pytest.mark.parametrize("build, message", [
+    (_loaded(lambda d: d["topology"]["switches"].append({"id": 1, "ports": 2})),
+     "duplicate switch id 1"),
+    (_loaded(lambda d: _second_initiator(d, 100)),
+     "NIU 100 attaches to more than one switch port"),
+    (_hand_built(lambda s: s.masters.append(s.masters[0])),
+     "duplicate master/initiator NIU id 0"),
+    (_hand_built(lambda s: s.targets.append(s.targets[0])), "duplicate target NIU id 100"),
+    (_hand_built(lambda s: s.masters.append(replace(s.masters[0], niu=replace(
+        s.masters[0].niu, niu_id=100)))), "NIU 100 is both an initiator and a target"),
+])
+def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
+    with pytest.raises(ScenarioError) as err:
+        build(tmp_path)
+    assert str(err.value) == message
 
 
 def test_buffer_depth_below_packet_size_diagnosed():
@@ -369,6 +424,139 @@ def test_with_variants_do_not_alias():
         assert base.run == run_spec
     # the parts a variant does not replace are shared, not copied
     assert reseeded.masters is base.masters and modified.targets is base.targets
+
+
+# -- explicit routing names only what the topology has ---------------------------------
+
+BASIC_AUTO = {0: {0: 0, 1: 1, 100: 2, 101: 2}, 1: {0: 0, 1: 0, 100: 1, 101: 2}}
+
+
+def _basic_routed(tmp_path, routing: dict) -> Path:
+    doc = yaml.safe_load((SCENARIO_DIR / "basic_line.yaml").read_text())
+    doc["topology"]["routing"] = routing
+    path = tmp_path / "routed.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_basic_line_auto_table_loads_when_explicit(tmp_path):
+    auto = load_scenario(SCENARIO_DIR / "basic_line.yaml")
+    explicit = load_scenario(_basic_routed(tmp_path, BASIC_AUTO))
+    assert Engine(explicit).table.ports == Engine(auto).table.ports == BASIC_AUTO
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({99: {100: 7}}, "routing names switch 99, which the topology does not have"),
+    ({0: {555: 2}}, "routing at switch 0 names unattached NIU 555"),
+])
+def test_explicit_routing_entry_for_what_the_topology_lacks_refused(tmp_path, extra, message):
+    routing = {sw: dict(routes) for sw, routes in BASIC_AUTO.items()}
+    for sw, routes in extra.items():
+        routing.setdefault(sw, {}).update(routes)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_basic_routed(tmp_path, routing))
+    assert str(err.value) == message
+
+
+# -- one routing table per topology ------------------------------------------------------
+# build_routing keeps a topology's checked table with its key, so the variants of
+# a scenario, which share its topology, share one table.
+
+def _ring_doc(explicit: bool = False) -> dict:
+    """Four switches in a ring (port 0 to the previous, 1 to the next, 2 and 3
+    free for NIUs), an initiator on switch 0 and a target on switch 2."""
+    doc = _doc()
+    doc["topology"] = {
+        "switches": [{"id": i, "ports": 4} for i in range(4)],
+        "links": [{"a": [i, 1], "b": [(i + 1) % 4, 0]} for i in range(4)],
+    }
+    doc["nius"][0]["attach"] = [0, 2]
+    doc["nius"][1]["attach"] = [2, 2]
+    if explicit:
+        doc["topology"]["routing"] = {0: {0: 2, 100: 1}, 1: {0: 0, 100: 1},
+                                      2: {0: 0, 100: 2}, 3: {0: 1, 100: 0}}
+    return doc
+
+
+def test_variants_share_one_routing_table():
+    base = scenario_from_dict(_ring_doc())
+    table = Engine(base).table
+    for variant in (base.with_mode(TransportMode.STORE_AND_FORWARD), base.with_seed(99),
+                    base.with_trace_level("full")):
+        assert Engine(variant).table is table
+    other = Engine(base.with_link_params(LinkParams(8, 2, 1))).table
+    assert other is not table and other.ports == table.ports
+
+
+def test_variants_derive_the_table_once(monkeypatch):
+    calls = []
+    real = fabric.validate_routing
+
+    def counting(topology, table):
+        calls.append(topology)
+        return real(topology, table)
+
+    monkeypatch.setattr(fabric, "validate_routing", counting)
+    base = scenario_from_dict(_ring_doc())  # validated once here
+    for variant in (base, base.with_mode(TransportMode.STORE_AND_FORWARD), base.with_seed(3),
+                    base.with_trace_level("transaction")):
+        Engine(variant)
+    assert calls == [base.topology]
+    Engine(base.with_link_params(LinkParams(8, 2, 1)))
+    assert len(calls) == 2
+
+
+def _add_switch(scenario):
+    scenario.topology.switches.append(SwitchSpec(4, 1))
+    scenario.topology.links.append(LinkSpec(3, 3, 4, 0))
+
+
+def _cut_link(scenario):
+    del scenario.topology.links[1]  # switch 1 to switch 2: the ring becomes a line
+
+
+def _move_target(scenario):
+    scenario.topology.attachments[1] = AttachmentSpec(100, 3, 2)
+
+
+def _reroute(scenario):
+    scenario.routing[0][100] = 0  # the other way round the ring
+
+
+# name: (explicit routing, in-place edit, bad in-place edit, its message)
+ROUTING_EDITS = {
+    "switches": (False, _add_switch,
+                 lambda s: s.topology.switches.__setitem__(2, SwitchSpec(2, 2)),
+                 "switch 2 has no port 2"),
+    "links": (False, _cut_link, lambda s: s.topology.links.clear(),
+              "topology is not connected; unreachable switches [1, 2, 3]"),
+    "attachments": (False, _move_target,
+                    lambda s: s.topology.attachments.__setitem__(1, AttachmentSpec(100, 0, 2)),
+                    "switch 0 port 2 used twice"),
+    "routing": (True, _reroute, lambda s: s.routing[1].__setitem__(100, 0),
+                "routing loop for target NIU 100 at switch 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING_EDITS))
+def test_edit_in_place_never_serves_a_stale_table(name):
+    explicit, edit, bad_edit, message = ROUTING_EDITS[name]
+    edited = scenario_from_dict(_ring_doc(explicit))
+    before = Engine(edited).table
+    kept = {sw: dict(routes) for sw, routes in before.ports.items()}
+    edit(edited)
+    fresh = scenario_from_dict(_ring_doc(explicit))
+    edit(fresh)
+    after = Engine(edited).table
+    assert after.ports == Engine(fresh).table.ports != kept
+    assert before.ports == kept  # an engine built before the edit keeps its checked table
+    assert Engine(edited).table is after
+    bad = scenario_from_dict(_ring_doc(explicit))
+    Engine(bad)
+    bad_edit(bad)
+    with pytest.raises(ScenarioError) as err:
+        Engine(bad)
+    assert str(err.value) == message
 
 
 def _count_validate_request(monkeypatch) -> list:
