@@ -5,7 +5,7 @@ external contract (changing it is a breaking change):
 
   1. masters       - react to responses, offer one transaction to their NIU
   2. initiator NIUs - slice the next request packet into flits, send one
-  3. switches      - ingest arrivals, arbitrate, forward one flit per output
+  3. switch planes - ingest arrivals, arbitrate, forward one flit per output
   4. target NIUs   - consume arrived requests, run them, send response flits
   5. response path - initiator NIUs reassemble responses and emit them to
                      the socket in release order
@@ -25,27 +25,30 @@ stall counters it would have bumped are added in bulk (see below):
      or its pending table shrinks;
   2. an initiator NIU is visited while it has request flits to send and
      its channel can take one;
-  3. a switch is stepped from its wake cycle on: the next cycle while a
-     head waits for a grant, else the earliest arrival on its inputs or
-     the cycle a streaming output's channel accepts a flit again. Inside a
-     step each plane delivers only on the inputs with flits in flight and
-     visits its outputs, in port order, only while it has a ready head or
-     an active stream; an idle output runs its grant scan only while a
-     head that may compete is routed to it, and grants a lone such head
-     without arbitration, as ``arbitrate`` would;
+  3. each switch is two planes, a request and a response Switch that
+     share no channel, stepped in switch id order, request first. A plane
+     is stepped from its own wake cycle on: the next cycle while a head
+     waits for a grant, else the earliest arrival on its inputs or the
+     cycle a streaming output's channel accepts a flit again. Inside a
+     step it delivers only on the inputs with flits in flight and visits
+     its outputs, in port order, only while it has a ready head or an
+     active stream; an idle output runs its grant scan only while a head
+     that may compete is routed to it, and grants a lone such head without
+     arbitration, as ``arbitrate`` would;
   4. and 5. an NIU is visited from its wake cycle on: the earliest arrival
      on its receive channel, the next cycle while a target has responses
      to send, or the cycle a local error response is queued.
 
-A send lowers the wake cycle of the switch or NIU that reads the channel,
-so wake state is arrival cycles and head counts, and the fabric stays
-unaware of transactions. The phase order, the sorted order inside each
-phase, the credits a switch returns reaching the switches stepped after it
-in the same cycle, and the per-cycle stall counters are unchanged. A switch with a
-lock-blocked head, or with a stream whose channel's pacing allows a send,
-is stepped every cycle; the credit stalls of a stream slept through are
-added at the switch's next step and at the end of the run, and a
-master's tag stall cycles slept through when it wakes. The run ends when
+A send lowers the wake cycle of the switch plane or NIU that reads the
+channel, so wake state is arrival cycles and head counts, and the fabric
+stays unaware of transactions. The phase order, the sorted order inside
+each phase, the credits a plane returns reaching the planes stepped after
+it in the same cycle, and the per-cycle stall counters are unchanged. A
+plane with a lock-blocked head, or with a stream whose channel's pacing
+allows a send, is stepped every cycle, while the other plane of its
+switch keeps its own wake cycle; the credit stalls of a stream slept
+through are added at the plane's next step and at the end of the run, and
+a master's tag stall cycles slept through when it wakes. The run ends when
 every master is done and every initiator NIU idle, which is checked only
 for masters that issued or received something.
 """
@@ -84,6 +87,8 @@ from .workload import (
     ScriptedMaster,
     generate_random_steps,
 )
+
+REQUEST, RESPONSE = PacketKind.REQUEST, PacketKind.RESPONSE
 
 
 @dataclass(slots=True)
@@ -182,11 +187,13 @@ class Engine:
         self.channels: dict[str, ChannelStream] = {}
         self.address_map = scenario.address_map()
 
-        self.switches: dict[int, Switch] = {
-            s.switch_id: Switch(s.switch_id, s.ports, self.table)
-            for s in scenario.topology.switches
+        # two planes per switch, in the order phase 3 steps them: switch id,
+        # request before response
+        self.switches: dict[tuple[int, PacketKind], Switch] = {
+            (s.switch_id, kind): Switch(s.switch_id, s.ports, self.table, kind)
+            for s in sorted(scenario.topology.switches, key=lambda s: s.switch_id)
+            for kind in (REQUEST, RESPONSE)
         }
-        self._switch_order = sorted(self.switches)
 
         self.initiators: dict[int, InitiatorNiu] = {}
         self.targets: dict[int, TargetNiu] = {}
@@ -218,20 +225,21 @@ class Engine:
 
     def _build_channels(self) -> None:
         topo = self.scenario.topology
-        planes = ((PacketKind.REQUEST, "req"), (PacketKind.RESPONSE, "rsp"))
+        switches = self.switches
+        planes = ((REQUEST, "req"), (RESPONSE, "rsp"))
         for ln in topo.links:
             a, ap, b, bp = ln.a_switch, ln.a_port, ln.b_switch, ln.b_port
             for plane, tagname in planes:
                 fwd = self._channel(
                     f"sw{a}p{ap}-sw{b}p{bp}.{tagname}", ln.params, ln.buffer_depth
                 )
-                self.switches[a].attach_output(plane, ap, fwd)
-                self.switches[b].attach_input(plane, bp, fwd)
+                switches[a, plane].attach_output(ap, fwd)
+                switches[b, plane].attach_input(bp, fwd)
                 rev = self._channel(
                     f"sw{b}p{bp}-sw{a}p{ap}.{tagname}", ln.params, ln.buffer_depth
                 )
-                self.switches[b].attach_output(plane, bp, rev)
-                self.switches[a].attach_input(plane, ap, rev)
+                switches[b, plane].attach_output(bp, rev)
+                switches[a, plane].attach_input(ap, rev)
         for at in topo.attachments:
             sw, port, nid = at.switch_id, at.port, at.niu_id
             # an initiator sends requests and receives responses; a target the reverse
@@ -239,30 +247,26 @@ class Engine:
             niu = self.initiators[nid] if initiator else self.targets[nid]
             (up, up_name), (down, down_name) = planes if initiator else planes[::-1]
             niu.tx = self._channel(f"niu{nid}-sw{sw}p{port}.{up_name}", at.params, at.buffer_depth)
-            self.switches[sw].attach_input(up, port, niu.tx)
+            switches[sw, up].attach_input(port, niu.tx)
             niu.rx = self._channel(
                 f"sw{sw}p{port}-niu{nid}.{down_name}", at.params, at.buffer_depth
             )
             niu.rx.sink = niu
-            self.switches[sw].attach_output(down, port, niu.rx)
+            switches[sw, down].attach_output(port, niu.rx)
 
     def _build_masters(self) -> None:
         seed = self.scenario.run.seed
         for spec in self.scenario.masters:
             mid = spec.master_id
-            niu = self.initiators[mid]
             program = spec.program
             if isinstance(program, ExclusiveLoopProgram):
                 master: Master = ExclusiveLoopMaster(
-                    mid, niu, program.counter_address, program.iterations
+                    mid, program.counter_address, program.iterations
                 )
             elif isinstance(program, LockLoopProgram):
-                master = LockLoopMaster(
-                    mid, niu, program.counter_address, program.iterations
-                )
+                master = LockLoopMaster(mid, program.counter_address, program.iterations)
             else:
-                steps = scripted_steps_for(spec, seed)
-                master = ScriptedMaster(mid, niu, steps)
+                master = ScriptedMaster(mid, scripted_steps_for(spec, seed))
             self.masters[mid] = master
             self.master_stats[mid] = MasterStats()
         self._master_order = sorted(self.masters)
@@ -283,7 +287,7 @@ class Engine:
             )
             for mid in self._master_order
         ]
-        switches = [self.switches[sid] for sid in self._switch_order]
+        switches = list(self.switches.values())
         targets = [(f"niu{tid}", self.targets[tid]) for tid in sorted(self.targets)]
         # masters whose program or NIU still has work; shrinks only in
         # phases 1 and 5, the only places a master or its NIU can finish
@@ -333,7 +337,7 @@ class Engine:
                     if packet is not None and record_packets:
                         packet_marker(cycle, slot.site, PKT_INJECTED, packet)
 
-            # phase 3: switches move flits
+            # phase 3: switch planes move flits
             for sw in switches:
                 if sw.wake_cycle <= cycle:
                     sw.step(cycle, mode, packet_marker, record_hops)
@@ -420,20 +424,16 @@ class Engine:
                 "min_credits": ch.min_seen,
                 "depth": ch.depth,
             }
-        for sid in self._switch_order:
-            sw = self.switches[sid]
-            for plane in (PacketKind.REQUEST, PacketKind.RESPONSE):
-                for port, out in sorted(sw.outputs[plane].items()):
-                    site = out.site
-                    if plane is PacketKind.REQUEST and out.grants_by_input:
-                        stats.switch_grants[site] = dict(
-                            sorted(out.grants_by_input.items())
-                        )
-                    if out.lock_stall_cycles or out.credit_stall_cycles:
-                        stats.port_stalls[site] = {
-                            "lock": out.lock_stall_cycles,
-                            "credit": out.credit_stall_cycles,
-                        }
+        for sw in self.switches.values():
+            for _, out in sw.outputs:
+                site = out.site
+                if sw.kind is REQUEST and out.grants_by_input:
+                    stats.switch_grants[site] = dict(sorted(out.grants_by_input.items()))
+                if out.lock_stall_cycles or out.credit_stall_cycles:
+                    stats.port_stalls[site] = {
+                        "lock": out.lock_stall_cycles,
+                        "credit": out.credit_stall_cycles,
+                    }
         return stats
 
 

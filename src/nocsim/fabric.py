@@ -18,7 +18,8 @@ flit-exact without a byte being moved.
 
 Requests and responses travel on physically separate channel planes so a
 backed-up request path can never block responses (and vice versa), which
-removes request/response protocol deadlock by construction.
+removes request/response protocol deadlock by construction. Each plane of
+a switch is its own Switch, which sleeps and wakes on its own.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ STORE_AND_FORWARD = TransportMode.STORE_AND_FORWARD
 REQUEST, RESPONSE = PacketKind.REQUEST, PacketKind.RESPONSE
 LOCK_ACQUIRE, LOCK_RELEASE = LockMarker.LOCK_ACQUIRE, LockMarker.LOCK_RELEASE
 new_tuple = tuple.__new__  # builds a Candidate without its generated Python __new__
-port_of = itemgetter(0)  # the port of a plane's (port, input or output) pair
+port_of = itemgetter(0)  # the port of a switch's (port, input or output) pair
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +175,23 @@ def route(table: RoutingTable, switch_id: int, target_id: int) -> int:
 
 
 def build_routing(topology: Topology, explicit: Optional[dict[int, dict[int, int]]] = None) -> RoutingTable:
-    """Derive shortest-path routes per target, or validate explicit tables.
+    """Check the topology, then derive shortest-path routes per target, or
+    validate explicit tables.
 
     Either way the result is checked for completeness and loop freedom at
     load time so the fabric never faces an unroutable packet at runtime, in
     time linear in the table plus, per target, the links. The checked table
     is kept on the topology with its key: the (frozen) specs and the explicit
     table. While the key stays equal, as in the variants of a scenario, the
-    table is shared, and callers must not change it.
+    table is shared, the topology, whose checks read only the key's specs,
+    is not checked again, and callers must not change the table.
     """
     routes = explicit and tuple((sw, tuple(t.items())) for sw, t in explicit.items())
     key = (tuple(topology.switches), tuple(topology.links), tuple(topology.attachments), routes)
     kept = topology.kept_routing
     if kept is not None and kept[0] == key:
         return kept[1]
+    topology.validate()
     if explicit is None:
         adjacent = topology.adjacency()
         ports: dict[int, dict[int, int]] = {s: {} for s in topology.switch_ids()}
@@ -284,12 +288,12 @@ class ChannelStream:
     ``waiting`` to the output port that the head at the front of ``rx`` is
     routed to while it waits for a grant.
 
-    ``sink`` is the switch or NIU that reads the channel. The engine steps
-    it only from its ``wake_cycle`` on, and a send lowers that cycle to the
-    flit's arrival. A send into an empty pipe also puts the channel on the
-    ``arrivals`` list of its reading switch plane (``sink_plane``; None when
-    an NIU reads it), so a switch step visits only inputs with flits in
-    flight. Credits are taken and returned inline on the hot path; misuse
+    ``sink`` is the switch plane or NIU that reads the channel. The engine
+    steps it only from its ``wake_cycle`` on, and a send lowers that cycle
+    to the flit's arrival. A send into an empty pipe also puts the channel
+    on the ``arrivals`` list of its reading Switch (``sink_switch``; None
+    when an NIU reads it), so a switch step visits only inputs with flits
+    in flight. Credits are taken and returned inline on the hot path; misuse
     raises CreditError, which fires only on internal accounting bugs, never
     on legitimate backpressure.
     """
@@ -297,7 +301,7 @@ class ChannelStream:
     __slots__ = (
         "name", "params", "credits", "depth", "min_seen", "in_flight",
         "next_send", "flits_sent", "rx", "tails", "received", "open", "waiting",
-        "sink", "sink_plane", "delay",
+        "sink", "sink_switch", "delay",
     )
 
     def __init__(self, name: str, params: LinkParams, depth: int):
@@ -313,7 +317,7 @@ class ChannelStream:
         self.open = False
         self.waiting: Optional[int] = None
         self.sink = None
-        self.sink_plane: Optional[_Plane] = None
+        self.sink_switch: Optional[Switch] = None
         self.delay = 1 + params.latency  # send to arrival, in cycles
 
     def can_send(self, cycle: int) -> bool:
@@ -328,8 +332,8 @@ class ChannelStream:
             self.min_seen = credits
         arrival = cycle + self.delay
         q = self.in_flight
-        if not q and self.sink_plane is not None:
-            self.sink_plane.arrivals.append(self)
+        if not q and self.sink_switch is not None:
+            self.sink_switch.arrivals.append(self)
         q.append((arrival, flit))
         self.next_send = cycle + self.params.rate_ratio
         self.flits_sent += 1
@@ -466,7 +470,7 @@ def lock_release(state: ArbiterState, src: int, where: str = "") -> None:
 
 
 class OutPort:
-    """Per-(output port, plane) switch state: arbiter, lock, active stream.
+    """Per-output-port state of a switch plane: arbiter, lock, active stream.
 
     ``ready`` counts the heads routed here that may compete for a grant:
     each sits at the front of an input's flit buffer, is not granted yet,
@@ -503,45 +507,30 @@ class OutPort:
 # Switch
 # ---------------------------------------------------------------------------
 
-class _Plane:
-    """One plane of a switch: its ports by number and in scan order.
-
-    ``arrivals`` lists the inputs with flits in flight (see ChannelStream),
-    in no particular order. ``work`` counts the plane's ready heads plus its
-    active streams; a plane whose count is 0 has no output to visit.
-    """
-
-    __slots__ = ("kind", "in_by_port", "out_by_port", "inputs", "outputs", "arrivals", "work")
-
-    def __init__(self, kind: PacketKind):
-        self.kind = kind
-        self.in_by_port: dict[int, ChannelStream] = {}
-        self.out_by_port: dict[int, OutPort] = {}
-        self.inputs: list[tuple[int, ChannelStream]] = []
-        self.outputs: list[tuple[int, OutPort]] = []
-        self.arrivals: list[ChannelStream] = []
-        self.work = 0
-
-
 class Switch:
-    """One fabric switch; the engine steps it in the cycles it can act in.
+    """One channel plane of one fabric switch: the ports that carry ``kind``.
 
-    Inputs and outputs are ChannelStream objects per (port, plane); a port
-    with no connection simply has no channel. Event reporting goes through a
-    recorder callback supplied by the engine, called as
-    ``recorder(cycle, site, kind, packet)``: lock events always, and a
-    packet's delivery at each output port only when ``record_hops`` is set.
+    A switch of the topology is two of these, one per PacketKind, that share
+    no channel; the engine steps each in the cycles it can act in. Inputs
+    and outputs are ChannelStream objects by port; a port with no connection
+    simply has no channel. Event reporting goes through a recorder callback
+    supplied by the engine, called as ``recorder(cycle, site, kind,
+    packet)``: lock events always, and a packet's delivery at each output
+    port only when ``record_hops`` is set. Only request packets carry a lock
+    marker, so only a request plane captures and releases ports.
 
     ``wake_cycle`` is the first cycle in which a step can change anything:
     the next cycle while a ready head waits for a grant (see OutPort), else
     the earliest of the arrivals on its inputs and the cycles in which its
     streaming outputs' channels accept a flit again. A send toward the
-    switch lowers it. A stream cannot send in a cycle slept through, so
-    each such cycle is one credit stall for it, which ``catch_up`` adds.
+    plane lowers it. A stream cannot send in a cycle slept through, so each
+    such cycle is one credit stall for it, which ``catch_up`` adds.
 
-    Inside a step the same rule holds per port (see _Plane): each plane
-    delivers only on the inputs with flits in flight, and scans its outputs,
-    in port order, only while it has a ready head or an active stream.
+    Inside a step the same rule holds per port: ``arrivals`` lists the
+    inputs with flits in flight (see ChannelStream), in no particular order,
+    and a step delivers only on those; it scans the outputs, in port order,
+    only while ``ready`` (the ready heads, summed over the outputs) or
+    ``streaming`` (the outputs with an active stream) is non-empty.
     Delivery only bumps head counts, so the order of the inputs is free.
 
     Each input is a flit buffer (see ChannelStream). A head is routed once,
@@ -550,34 +539,32 @@ class Switch:
     out, returning their credits.
     """
 
-    def __init__(self, switch_id: int, nports: int, table: RoutingTable):
+    def __init__(self, switch_id: int, nports: int, table: RoutingTable, kind: PacketKind):
         self.switch_id = switch_id
         self.nports = nports
+        self.kind = kind
         self.routes = table.ports.get(switch_id, {})  # target NIU id -> output port
-        self._planes = [_Plane(REQUEST), _Plane(RESPONSE)]
-        self.outputs: dict[PacketKind, dict[int, OutPort]] = {
-            pl.kind: pl.out_by_port for pl in self._planes
-        }
-        self.ready = 0  # ready heads, summed over the outputs
-        self.streaming: list[OutPort] = []  # outputs with an active stream
+        self.in_by_port: dict[int, ChannelStream] = {}
+        self.out_by_port: dict[int, OutPort] = {}
+        self.inputs: list[tuple[int, ChannelStream]] = []  # in port order
+        self.outputs: list[tuple[int, OutPort]] = []  # in port order
+        self.arrivals: list[ChannelStream] = []
+        self.ready = 0
+        self.streaming: list[OutPort] = []
         self.wake_cycle = 0
         self.counted_to = -1  # stall counters are complete up to this cycle
 
-    def attach_input(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        pl = self._planes[plane is RESPONSE]
-        pl.in_by_port[port] = channel
-        insort(pl.inputs, (port, channel), key=port_of)
-        channel.sink = self
-        channel.sink_plane = pl
+    def attach_input(self, port: int, channel: ChannelStream) -> None:
+        self.in_by_port[port] = channel
+        insort(self.inputs, (port, channel), key=port_of)
+        channel.sink = channel.sink_switch = self
 
-    def attach_output(self, plane: PacketKind, port: int, channel: ChannelStream) -> None:
-        pl = self._planes[plane is RESPONSE]
-        out = pl.out_by_port[port] = OutPort(channel, self.nports, self.port_site(plane, port))
-        insort(pl.outputs, (port, out), key=port_of)
-
-    def port_site(self, plane: PacketKind, port: int) -> str:
-        suffix = "" if plane is REQUEST else ".rsp"
-        return f"sw{self.switch_id}.out{port}{suffix}"
+    def attach_output(self, port: int, channel: ChannelStream) -> None:
+        suffix = "" if self.kind is REQUEST else ".rsp"
+        out = self.out_by_port[port] = OutPort(
+            channel, self.nports, f"sw{self.switch_id}.out{port}{suffix}"
+        )
+        insort(self.outputs, (port, out), key=port_of)
 
     def catch_up(self, cycle: int) -> None:
         """Count the stalls of the streams slept through before ``cycle``."""
@@ -594,56 +581,53 @@ class Switch:
             self.catch_up(cycle)
         self.counted_to = cycle
         self.wake_cycle = wake = NEVER  # sends during this step may lower it
-        for pl in self._planes:
-            if pl.arrivals:
-                in_flight = []
-                for ch in pl.arrivals:
-                    q = ch.in_flight
-                    if q[0][0] <= cycle:
-                        rx = ch.rx
-                        no_head = not rx or (saf and not ch.tails)
-                        ch.deliver(cycle)
-                        # rx[0] is no head when the delivery continues a stream
-                        if no_head and rx[0].is_head and (not saf or ch.tails):
-                            self._head_ready(pl, ch)
-                        if not q:
-                            continue
-                    in_flight.append(ch)
-                    if q[0][0] < wake:
-                        wake = q[0][0]
-                pl.arrivals = in_flight
-            if not pl.work:
-                continue
-            for port, out in pl.outputs:
+        if self.arrivals:
+            in_flight = []
+            for ch in self.arrivals:
+                q = ch.in_flight
+                if q[0][0] <= cycle:
+                    rx = ch.rx
+                    no_head = not rx or (saf and not ch.tails)
+                    ch.deliver(cycle)
+                    # rx[0] is no head when the delivery continues a stream
+                    if no_head and rx[0].is_head and (not saf or ch.tails):
+                        self._head_ready(ch)
+                    if not q:
+                        continue
+                in_flight.append(ch)
+                if q[0][0] < wake:
+                    wake = q[0][0]
+            self.arrivals = in_flight
+        if self.ready or self.streaming:
+            for port, out in self.outputs:
                 if out.active_pkt is not None:
-                    self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
+                    self._continue_stream(cycle, port, out, saf, recorder, record_hops)
                 elif out.ready:
-                    self._try_grant(cycle, pl, port, out, saf, recorder, record_hops)
+                    self._try_grant(cycle, port, out, saf, recorder, record_hops)
                 if out.active_pkt is not None:
                     resume = out.channel.next_send
                     if resume <= cycle:
                         resume = cycle + 1
                     if resume < wake:
                         wake = resume
-        if self.ready:
-            wake = cycle + 1
+            if self.ready:
+                wake = cycle + 1
         if wake < self.wake_cycle:
             self.wake_cycle = wake
 
     # -- grant ---------------------------------------------------------------
 
-    def _head_ready(self, pl: _Plane, ch: ChannelStream) -> None:
+    def _head_ready(self, ch: ChannelStream) -> None:
         ch.waiting = port = self.routes[ch.rx[0].packet.dest.target_id]
-        pl.out_by_port[port].ready += 1
-        pl.work += 1
+        self.out_by_port[port].ready += 1
         self.ready += 1
 
-    def _try_grant(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
+    def _try_grant(self, cycle, port, out: OutPort, saf: bool, recorder,
                    record_hops: bool) -> None:
         arbiter = out.arbiter
         if out.ready == 1:
             # the lone ready head wins unless a lock owner filters it out
-            for winner, in_ch in pl.inputs:
+            for winner, in_ch in self.inputs:
                 if in_ch.waiting == port:
                     break
             pkt = in_ch.rx[0].packet
@@ -653,7 +637,7 @@ class Switch:
             arbiter.cursor = (winner + 1) % arbiter.nports
         else:
             candidates = []
-            for in_port, ch in pl.inputs:
+            for in_port, ch in self.inputs:
                 if ch.waiting == port:
                     head = ch.rx[0].packet
                     candidates.append(new_tuple(Candidate, (in_port, head.priority, head.src)))
@@ -661,7 +645,7 @@ class Switch:
             if winner is None:
                 out.lock_stall_cycles += 1
                 return
-            in_ch = pl.in_by_port[winner]
+            in_ch = self.in_by_port[winner]
             pkt = in_ch.rx[0].packet
         in_ch.waiting = None
         out.ready -= 1
@@ -672,15 +656,15 @@ class Switch:
         out.next_flit = 0
         self.streaming.append(out)
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
-        if pkt.lock_marker is LOCK_ACQUIRE and pl.kind is REQUEST:
+        if pkt.lock_marker is LOCK_ACQUIRE:
             lock_capture(arbiter, pkt.src)
             if recorder is not None:
                 recorder(cycle, out.site, "LOCK_SET", pkt)
-        self._continue_stream(cycle, pl, port, out, saf, recorder, record_hops)
+        self._continue_stream(cycle, port, out, saf, recorder, record_hops)
 
     # -- streaming -----------------------------------------------------------
 
-    def _continue_stream(self, cycle, pl: _Plane, port, out: OutPort, saf: bool, recorder,
+    def _continue_stream(self, cycle, port, out: OutPort, saf: bool, recorder,
                          record_hops: bool) -> None:
         """Forward the active packet's next flit for the output link.
 
@@ -703,7 +687,7 @@ class Switch:
         ch.send(cycle, flit)
         if flit.is_tail:
             in_ch.pop_packet()
-            self._finish_stream(cycle, pl, port, out, in_ch, saf, recorder, record_hops)
+            self._finish_stream(cycle, port, out, in_ch, saf, recorder, record_hops)
             return
         # pop the inbound flits forwarded in full; the tail stays until the end
         rx = in_ch.rx
@@ -715,17 +699,16 @@ class Switch:
         if count:
             in_ch.release(count)
 
-    def _finish_stream(self, cycle, pl: _Plane, port, out: OutPort, in_ch: ChannelStream,
+    def _finish_stream(self, cycle, port, out: OutPort, in_ch: ChannelStream,
                        saf: bool, recorder, record_hops: bool) -> None:
         pkt = out.active_pkt
         # the next packet's head is exposed to later ports in this same step
         if in_ch.rx and (not saf or in_ch.tails):
-            self._head_ready(pl, in_ch)
+            self._head_ready(in_ch)
         out.active_ch = None
         out.active_pkt = None
         self.streaming.remove(out)
-        pl.work -= 1
-        if pkt.lock_marker is LOCK_RELEASE and pl.kind is REQUEST:
+        if pkt.lock_marker is LOCK_RELEASE:
             lock_release(out.arbiter, pkt.src, f" at sw{self.switch_id} port {port}")
             if recorder is not None:
                 recorder(cycle, out.site, "LOCK_CLEARED", pkt)

@@ -131,7 +131,7 @@ class Scenario:
             raise ScenarioError(f"unknown trace level {self.run.trace_level!r}")
         if self.run.max_cycles < 1:
             raise ScenarioError("max_cycles must be positive")
-        self.topology.validate()
+        table = build_routing(self.topology, self.routing)  # checks the topology first
 
         initiator_ids = [m.niu.niu_id for m in self.masters]
         target_ids = [t.niu_id for t in self.targets]
@@ -151,7 +151,6 @@ class Scenario:
             )
 
         amap = self.address_map()
-        table = build_routing(self.topology, self.routing)
         self._check_buffer_depths()
         for t in self.targets:
             t.validate()
@@ -265,10 +264,20 @@ class Scenario:
                 raise ScenarioError(f"{who} loop counter {address:#x} does not decode")
             widest = COUNTER_BYTES
         elif isinstance(program, ScriptProgram):
+            variant = FAMILY_VARIANT[niu.family]
+            # (address, step) of the READEX whose lock is held, walked as
+            # InitiatorNiu._check_lock_protocol sees the steps at run time
+            held = None
             for i, (request, wait) in enumerate(program.steps):
                 problems = validate_request(request)
                 if problems:
                     raise ScenarioError(f"{who} script step {i}: {problems}")
+                key = request.order_key
+                if key.variant is not variant:
+                    raise ScenarioError(
+                        f"{who} script step {i}: NIU speaks {niu.family.name}, "
+                        f"got {key.variant.name} order key"
+                    )
                 opcode = request.opcode
                 if wait and not needs_response(opcode):
                     raise ScenarioError(f"{who} script step {i} waits on a posted write")
@@ -278,12 +287,31 @@ class Scenario:
                         f"{who} script step {i}: {opcode.name} burst of {nbytes} bytes does "
                         f"not fit one packet (max payload {niu.max_payload})"
                     )
-                key = request.order_key
                 if key.thread_id < 0 or key.txn_id < 0:
                     raise ScenarioError(
                         f"{who} script step {i}: stream id must not be negative "
                         f"(thread {key.thread_id}, tid {key.txn_id})"
                     )
+                address = request.address
+                if opcode is Opcode.READEX:
+                    if held is not None:
+                        raise ScenarioError(
+                            f"{who} script step {i}: READEX while the lock of step "
+                            f"{held[1]} is held"
+                        )
+                    if amap.decode(address) is not None:  # a decode miss takes no lock
+                        held = (address, i)
+                elif opcode is Opcode.STORE_LOCKED_RELEASE:
+                    if held is None:
+                        raise ScenarioError(
+                            f"{who} script step {i}: STORE_LOCKED_RELEASE with no lock held"
+                        )
+                    if address != held[0]:
+                        raise ScenarioError(
+                            f"{who} script step {i}: lock release address {address:#x} "
+                            f"does not match the READEX address {held[0]:#x} of step {held[1]}"
+                        )
+                    held = None
                 widest = max(widest, request.beat_size)
                 streams = max(streams, stream_tag(key) + 1)
         else:

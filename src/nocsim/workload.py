@@ -14,7 +14,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Optional
 
-from .niu import InitiatorNiu, PendingEntry, SocketFamily
+from .niu import PendingEntry, SocketFamily
 from .transaction import (
     Channel,
     Opcode,
@@ -30,9 +30,8 @@ COUNTER_BYTES = 4  # atomic loop counters are 4-byte little-endian words
 class Master:
     """Common issue machinery; subclasses supply the transaction stream."""
 
-    def __init__(self, master_id: int, niu: InitiatorNiu):
+    def __init__(self, master_id: int):
         self.master_id = master_id
-        self.niu = niu
         self.waiting_seq: Optional[int] = None
         self.stall_flagged = False
 
@@ -79,9 +78,8 @@ class Master:
 class ScriptedMaster(Master):
     """Plays back a fixed list of (request, wait) steps, checked before it is built."""
 
-    def __init__(self, master_id: int, niu: InitiatorNiu,
-                 steps: list[tuple[TransactionRequest, bool]]):
-        super().__init__(master_id, niu)
+    def __init__(self, master_id: int, steps: list[tuple[TransactionRequest, bool]]):
+        super().__init__(master_id)
         self.steps = steps
         self.index = 0
 
@@ -200,8 +198,8 @@ class _AtomicLoopMaster(Master):
     store_op: Opcode
     store_ok: Optional[Status]
 
-    def __init__(self, master_id: int, niu: InitiatorNiu, counter_address: int, iterations: int):
-        super().__init__(master_id, niu)
+    def __init__(self, master_id: int, counter_address: int, iterations: int):
+        super().__init__(master_id)
         self.counter_address = counter_address
         self.iterations = iterations
         self.completed_iterations = 0

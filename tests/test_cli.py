@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import yaml
 
 from nocsim.cli import main
 
@@ -61,6 +62,20 @@ def test_run_routing_entry_for_unknown_switch_exit_one(tmp_path, capsys):
     assert main(["run", str(broken)]) == 1
     err = capsys.readouterr().err
     assert "routing names switch 99, which the topology does not have" in err
+    assert "Traceback" not in err
+
+
+def test_run_lock_pairing_fault_exit_one_at_load(tmp_path, capsys):
+    # a release with no READEX before it used to stop the run mid-way, exit 3
+    doc = yaml.safe_load((SCENARIO_DIR / "lock_loop.yaml").read_text())
+    doc["workload"][0]["program"] = {"kind": "script", "steps": [
+        {"op": "store_locked_release", "addr": 64, "data": "01000000"},
+    ]}
+    broken = tmp_path / "release.yaml"
+    broken.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert "master 0 script step 0: STORE_LOCKED_RELEASE with no lock held" in err
     assert "Traceback" not in err
 
 

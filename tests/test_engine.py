@@ -1,6 +1,7 @@
 """End-to-end engine behavior on small scripted scenarios."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,12 @@ from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
 from nocsim.engine import Engine, run
-from nocsim.fabric import Switch, TransportMode, _Plane
+from nocsim.fabric import Switch, TransportMode
 from nocsim.link import LinkParams
 from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
-from nocsim.scenario import atomic_loop_scenario, random_scenario
+from nocsim.packet import PacketKind
+from nocsim.scenario import atomic_loop_scenario, load_scenario, random_scenario
 from nocsim.trace import (
     LOCK_CLEARED,
     LOCK_SET,
@@ -301,17 +303,44 @@ def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
         return out
 
     woken = outputs()
-    # the reference steps every switch and NIU in every cycle, and every
-    # switch step visits each input port and, in port order, each output
+    # the reference steps every switch plane and NIU in every cycle, and
+    # every plane's step visits each input port and, in port order, each output
     always = property(lambda self: 0, lambda self, value: None)
     for cls in (Switch, InitiatorNiu, TargetNiu):
         monkeypatch.setattr(cls, "wake_cycle", always, raising=False)
     every_input = property(
         lambda self: [ch for _, ch in self.inputs if ch.in_flight], lambda self, value: None
     )
-    monkeypatch.setattr(_Plane, "arrivals", every_input)
-    monkeypatch.setattr(_Plane, "work", property(lambda self: 1, lambda self, value: None))
+    monkeypatch.setattr(Switch, "arrivals", every_input, raising=False)
+    monkeypatch.setattr(Switch, "ready", property(lambda self: 1, lambda self, value: None),
+                        raising=False)
     assert outputs() == woken
+
+
+def test_each_plane_sleeps_on_its_own(monkeypatch):
+    # In lock_deadlock each READEX holds the request-plane port the other
+    # one waits for. From then on the lock-blocked request planes of
+    # switches 0 and 2 are stepped every cycle, and no response plane is.
+    steps = []
+    step = Switch.step
+
+    def counted(self, cycle, *rest):
+        steps.append((cycle, self.switch_id, self.kind))
+        return step(self, cycle, *rest)
+
+    monkeypatch.setattr(Switch, "step", counted)
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                             / "lock_deadlock.yaml")
+    result = run(scenario)
+    assert result.timed_out
+    last = max(ev.cycle for ev in result.trace)
+    assert last == 4
+    responses = [cycle for cycle, _, kind in steps if kind is PacketKind.RESPONSE]
+    assert responses and max(responses) <= last
+    # the heads that wait on the locks arrive at their switches by cycle 10
+    after = sorted((cycle, sid) for cycle, sid, _ in steps if cycle > 10)
+    assert after == [(cycle, sid) for cycle in range(11, result.stats.cycles)
+                     for sid in (0, 2)]
 
 
 @pytest.mark.parametrize("mode", list(TransportMode))
@@ -324,19 +353,19 @@ def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
     scans = []
     grant = Switch._try_grant
 
-    def checked(self, cycle, pl, port, out, saf, *rest):
-        streamed = {o.active_ch for _, o in pl.outputs}
+    def checked(self, cycle, port, out, saf, *rest):
+        streamed = {o.active_ch for _, o in self.outputs}
         competing = [
-            ch for _, ch in pl.inputs
+            ch for _, ch in self.inputs
             if ch.rx and ch.rx[0].is_head and ch not in streamed and (not saf or ch.tails)
             and self.routes[ch.rx[0].packet.dest.target_id] == port
         ]
         heads = len(competing)
         assert out.ready == heads, (self.switch_id, port, cycle)
-        waiting = [ch for _, ch in pl.inputs if ch.waiting == port]
+        waiting = [ch for _, ch in self.inputs if ch.waiting == port]
         assert waiting == competing, (self.switch_id, port, cycle)
         scans.append(heads)
-        return grant(self, cycle, pl, port, out, saf, *rest)
+        return grant(self, cycle, port, out, saf, *rest)
 
     monkeypatch.setattr(Switch, "_try_grant", checked)
     scenarios = [random_scenario(seed, total_transactions=120) for seed in range(6)]

@@ -97,13 +97,13 @@ def test_route_to_wrong_niu_rejected():
 
 
 def test_kept_table_is_derived_again_after_an_edit_in_place():
-    # Scenario.validate checks the topology before routing; called on its own,
-    # build_routing must still see a switch added after its table was kept
+    # build_routing checks the topology before it routes, so it must see a
+    # switch added after its table was kept, and refuse it
     topo = _ring4()
     table = build_routing(topo)
     assert build_routing(topo) is table
-    topo.switches.append(SwitchSpec(4, 1))  # nothing routes from it
-    with pytest.raises(ScenarioError, match="switch 4 has no route to NIU 100"):
+    topo.switches.append(SwitchSpec(4, 1))  # nothing links or routes to it
+    with pytest.raises(ScenarioError, match=r"unreachable switches \[4\]"):
         build_routing(topo)
 
 
@@ -191,13 +191,13 @@ from nocsim.transaction import Opcode
 
 def _mini_switch(nports=3):
     table = RoutingTable({0: {100: 2}})
-    sw = Switch(0, nports, table)
+    sw = Switch(0, nports, table, PacketKind.REQUEST)
     outs = ChannelStream("out", LinkParams(), 16)
-    sw.attach_output(PacketKind.REQUEST, 2, outs)
+    sw.attach_output(2, outs)
     ins = []
     for port in (0, 1):
         ch = ChannelStream(f"in{port}", LinkParams(), 16)
-        sw.attach_input(PacketKind.REQUEST, port, ch)
+        sw.attach_input(port, ch)
         ins.append(ch)
     return sw, ins, outs
 
@@ -251,13 +251,12 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
     for in_port in range(3):
         for cursor in range(nports):
             table = RoutingTable({0: {100: 3}})
-            sw = Switch(0, nports, table)
-            sw.attach_output(PacketKind.REQUEST, 3,
-                             ChannelStream("out", LinkParams(), 16))
+            sw = Switch(0, nports, table, PacketKind.REQUEST)
+            sw.attach_output(3, ChannelStream("out", LinkParams(), 16))
             ins = [ChannelStream(f"in{p}", LinkParams(), 16) for p in range(3)]
             for p, ch in enumerate(ins):
-                sw.attach_input(PacketKind.REQUEST, p, ch)
-            out = sw.outputs[PacketKind.REQUEST][3]
+                sw.attach_input(p, ch)
+            out = sw.out_by_port[3]
             out.arbiter.cursor = cursor
             out.arbiter.lock_owner = owner
             pkt = _packet(5, bytes(12))
@@ -408,11 +407,11 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     # another; the output carries exactly the framing serialize would give
     # the packet for that link, and the target NIU stores the bytes sent
     in_params, out_params = LinkParams(in_width), LinkParams(out_width)
-    sw = Switch(0, 2, RoutingTable({0: {100: 1}}))
+    sw = Switch(0, 2, RoutingTable({0: {100: 1}}), PacketKind.REQUEST)
     cin = ChannelStream("in", in_params, 64)
     out = ChannelStream("out", out_params, 64)
-    sw.attach_input(PacketKind.REQUEST, 0, cin)
-    sw.attach_output(PacketKind.REQUEST, 1, out)
+    sw.attach_input(0, cin)
+    sw.attach_output(1, out)
     tgt = TargetNiu(TargetConfig(100, 0, 64))
     tgt.rx = out
     tgt.tx = ChannelStream("rsp", out_params, 64)

@@ -206,12 +206,12 @@ def test_grant_candidates_equal_keyword_built(monkeypatch, mode):
         return real(candidates, state)
 
     monkeypatch.setattr(nocsim.fabric, "arbitrate", recording)
-    sw = Switch(0, 4, RoutingTable({0: {TARGET: 3}}))
-    sw.attach_output(PacketKind.REQUEST, 3, ChannelStream("out", LinkParams(), 16))
+    sw = Switch(0, 4, RoutingTable({0: {TARGET: 3}}), PacketKind.REQUEST)
+    sw.attach_output(3, ChannelStream("out", LinkParams(), 16))
     heads = {0: (6, 9), 1: (1, 11), 2: (4, 13)}  # input port: (priority, src)
     for port, (priority, src) in heads.items():
         ch = ChannelStream(f"in{port}", LinkParams(), 16)
-        sw.attach_input(PacketKind.REQUEST, port, ch)
+        sw.attach_input(port, ch)
         pkt = Packet(dest=PacketDest(TARGET, 0), src=src, tag=0, kind=PacketKind.REQUEST,
                      op=Opcode.LOAD, priority=priority, payload_len=4)
         for i, flit in enumerate(serialize(pkt, ch.params)):
@@ -228,7 +228,7 @@ def test_grant_candidates_equal_keyword_built(monkeypatch, mode):
     assert len(seen[0]) == len(expected)
     for cand, want in zip(seen[0], expected):
         _assert_same(cand, want)
-    assert sw.outputs[PacketKind.REQUEST][3].grants_by_input == {0: 1}  # priority 6 wins
+    assert sw.out_by_port[3].grants_by_input == {0: 1}  # priority 6 wins
 
 
 # -- expanded random programs: generate_random_steps ------------------------------------

@@ -17,11 +17,12 @@ from nocsim.errors import ScenarioError
 from nocsim.fabric import AttachmentSpec, LinkSpec, SwitchSpec, TransportMode
 from nocsim.link import LinkParams
 from nocsim.scenario import (
+    ScriptProgram,
     load_scenario,
     random_scenario,
     scenario_from_dict,
 )
-from nocsim.transaction import Opcode
+from nocsim.transaction import Opcode, SocketOrderKey
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,6 +200,14 @@ def test_random_program_at_its_limits_runs(edit):
 _LOOP = {"kind": "exclusive_loop", "counter": 64, "iterations": 3}
 
 
+_READEX = {"op": "readex", "addr": 0x40, "wait": True}
+_RELEASE = {"op": "store_locked_release", "addr": 0x40, "data": "01000000", "wait": True}
+
+
+def _script(*steps: dict) -> dict:
+    return {"kind": "script", "steps": list(steps)}
+
+
 def _paired(initiator: dict, program: dict, target: dict) -> dict:
     """The base document with its initiator, program and target edited."""
     doc = _doc()
@@ -277,6 +286,17 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     ({"endianness": "big"}, _LOOP, {}, "master 0 loop program needs a little-endian socket, got big"),
     ({}, {**_LOOP, "counter": 66}, {}, "master 0 loop counter 0x42 is not word aligned"),
     ({}, {**_LOOP, "counter": 0x2000}, {}, "master 0 loop counter 0x2000 does not decode"),
+    # each lock-pairing fault stopped the run at the NIU, a simulation fault
+    ({}, _script(_READEX, {**_READEX, "addr": 0x44}), {},
+     "master 0 script step 1: READEX while the lock of step 0 is held"),
+    ({}, _script({"op": "load", "addr": 0x40}, _RELEASE), {},
+     "master 0 script step 1: STORE_LOCKED_RELEASE with no lock held"),
+    ({}, _script(_READEX, {**_RELEASE, "addr": 0x44}), {},
+     "master 0 script step 1: lock release address 0x44 does not match the READEX "
+     "address 0x40 of step 0"),
+    # a READEX that does not decode gets an error response and takes no lock
+    ({}, _script({**_READEX, "addr": 0x2000}, {**_RELEASE, "addr": 0x2000}), {},
+     "master 0 script step 1: STORE_LOCKED_RELEASE with no lock held"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
@@ -299,6 +319,7 @@ def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, 
     ({"max_payload": 16},
      {"kind": "script", "steps": [{"op": "load_exclusive", "addr": 0x40, "beats": 4}]}, {}),
     ({}, {}, {"memory": 4096}),
+    ({}, _script({**_READEX, "addr": 0x2000}, _READEX, _RELEASE, _READEX), {}),
 ])
 def test_pairing_at_its_limit_runs(initiator, program, target):
     result = run(scenario_from_dict(_paired(initiator, program, target)))
@@ -345,6 +366,10 @@ def _loaded(edit):
     (_hand_built(lambda s: s.targets.append(s.targets[0])), "duplicate target NIU id 100"),
     (_hand_built(lambda s: s.masters.append(replace(s.masters[0], niu=replace(
         s.masters[0].niu, niu_id=100)))), "NIU 100 is both an initiator and a target"),
+    # the YAML reader gives every step its NIU's key variant
+    (_hand_built(lambda s: s.masters.__setitem__(0, replace(s.masters[0], program=ScriptProgram(
+        [(req(0, Opcode.LOAD, 0x40, key=SocketOrderKey.thread(3)), False)])))),
+     "master 0 script step 0: NIU speaks FULLY_ORDERED, got THREAD order key"),
 ])
 def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
     with pytest.raises(ScenarioError) as err:
@@ -504,6 +529,26 @@ def test_variants_derive_the_table_once(monkeypatch):
     assert calls == [base.topology]
     Engine(base.with_link_params(LinkParams(8, 2, 1)))
     assert len(calls) == 2
+
+
+def test_variants_check_the_topology_once(monkeypatch):
+    # build_routing checks the topology only when it derives a table again
+    calls = []
+    real = fabric.Topology.validate
+
+    def counting(topology):
+        calls.append(topology)
+        return real(topology)
+
+    monkeypatch.setattr(fabric.Topology, "validate", counting)
+    base = scenario_from_dict(_ring_doc())  # checked once here
+    for variant in (base, base.with_mode(TransportMode.STORE_AND_FORWARD), base.with_seed(3),
+                    base.with_trace_level("transaction")):
+        Engine(variant)
+    assert calls == [base.topology]
+    linked = base.with_link_params(LinkParams(8, 2, 1))
+    Engine(linked)
+    assert calls == [base.topology, linked.topology]
 
 
 def _add_switch(scenario):
