@@ -39,7 +39,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "seed", None) is not None:
         scenario = scenario.with_seed(args.seed)
     if getattr(args, "max_cycles", None) is not None:
-        scenario.run.max_cycles = args.max_cycles
+        scenario = scenario.with_run(max_cycles=args.max_cycles)
     return scenario
 
 
@@ -104,11 +104,8 @@ def cmd_compare_modes(args) -> int:
     if seed_a != seed_b:
         print(f"refusing to compare across seeds ({seed_a} vs {seed_b}); legs must share one seed")
         return EXIT_CONFIG
-    scenario = load_scenario(args.scenario)
-    if args.max_cycles is not None:
-        scenario.run.max_cycles = args.max_cycles
-    if seed_a is not None:
-        scenario = scenario.with_seed(seed_a)
+    args.seed = seed_a
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     results = {}
     for name, mode in _MODES.items():
         leg = run_engine(scenario.with_mode(mode))

@@ -112,30 +112,26 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
     """Expand a master's program into explicit steps, if it is list-shaped.
 
     Kept separate from the engine so reference models can replay the exact
-    same workload without running the fabric. A random program's steps are
-    kept on the spec (``MasterSpec.expansion``) with everything they were
-    drawn from, and returned again while all of that stays the same: the
-    variants of a scenario share its masters, so they share one list, and
-    callers must not change it.
+    same workload without running the fabric. A spec is immutable, so a
+    random program's steps depend on the seed alone: the latest expansion is
+    kept on the spec (``MasterSpec.expansion``) with its seed and returned
+    again for that seed. The variants of a scenario share its masters, so
+    they share one list, and callers must not change it.
     """
     program = spec.program
     if isinstance(program, ScriptProgram):
         return program.steps
     if isinstance(program, RandomProgram):
-        niu = spec.niu
-        key = (seed, niu.niu_id, niu.family, program.transactions,
-               tuple(program.op_mix.items()), tuple(program.address_ranges),
-               tuple(program.burst_lens), tuple(program.beat_sizes),
-               program.threads, program.txn_ids, program.max_bytes)
         kept = spec.expansion
-        if kept is not None and kept[0] == key:
+        if kept is not None and kept[0] == seed:
             return kept[1]
+        niu = spec.niu
         steps = generate_random_steps(
             niu.niu_id, niu.family, derive_rng(seed, niu.niu_id), program.transactions,
             program.op_mix, program.address_ranges, program.burst_lens, program.beat_sizes,
             program.threads, program.txn_ids, program.max_bytes,
         )
-        spec.expansion = (key, steps)
+        object.__setattr__(spec, "expansion", (seed, steps))
         return steps
     return None
 
@@ -180,7 +176,7 @@ class Engine:
     """Builds the runtime objects for one scenario and runs it to completion."""
 
     def __init__(self, scenario: Scenario):
-        self.table = scenario.validate()
+        self.table = scenario.topology.table
         self.scenario = scenario
         self.mode = scenario.run.mode
         self.recorder = TraceRecorder(scenario.run.trace_level)

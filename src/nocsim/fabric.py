@@ -82,13 +82,27 @@ class AttachmentSpec:
     buffer_depth: int = 16
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Topology:
-    switches: list[SwitchSpec]
-    links: list[LinkSpec]
-    attachments: list[AttachmentSpec]
-    # (key, table) of the latest checked routing: see build_routing
-    kept_routing: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    """Switches, links and NIU attachments, checked when built, and the routing
+    table derived from them, or copied from an explicit ``routing`` (switch ->
+    NIU -> port, kept as pairs), and checked once; callers must not change it.
+    """
+
+    switches: tuple[SwitchSpec, ...]
+    links: tuple[LinkSpec, ...]
+    attachments: tuple[AttachmentSpec, ...]
+    routing: Optional[tuple] = None  # None derives shortest paths
+    table: RoutingTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("switches", "links", "attachments"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.validate()
+        object.__setattr__(self, "table", build_routing(self))
+        if self.routing is not None:
+            pairs = tuple((sw, tuple(routes.items())) for sw, routes in self.table.ports.items())
+            object.__setattr__(self, "routing", pairs)
 
     def switch_ids(self) -> list[int]:
         return sorted(s.switch_id for s in self.switches)
@@ -174,25 +188,15 @@ def route(table: RoutingTable, switch_id: int, target_id: int) -> int:
     return table.lookup(switch_id, target_id)
 
 
-def build_routing(topology: Topology, explicit: Optional[dict[int, dict[int, int]]] = None) -> RoutingTable:
-    """Check the topology, then derive shortest-path routes per target, or
-    validate explicit tables.
+def build_routing(topology: Topology) -> RoutingTable:
+    """Derive shortest-path routes per target, or copy the explicit table.
 
     Either way the result is checked for completeness and loop freedom at
     load time so the fabric never faces an unroutable packet at runtime, in
-    time linear in the table plus, per target, the links. The checked table
-    is kept on the topology with its key: the (frozen) specs and the explicit
-    table. While the key stays equal, as in the variants of a scenario, the
-    table is shared, the topology, whose checks read only the key's specs,
-    is not checked again, and callers must not change the table.
+    time linear in the table plus, per target, the links. The topology's
+    shape must already be checked (``Topology.validate``).
     """
-    routes = explicit and tuple((sw, tuple(t.items())) for sw, t in explicit.items())
-    key = (tuple(topology.switches), tuple(topology.links), tuple(topology.attachments), routes)
-    kept = topology.kept_routing
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    topology.validate()
-    if explicit is None:
+    if topology.routing is None:
         adjacent = topology.adjacency()
         ports: dict[int, dict[int, int]] = {s: {} for s in topology.switch_ids()}
         for at in sorted(topology.attachments, key=lambda a: a.niu_id):
@@ -208,10 +212,9 @@ def build_routing(topology: Topology, explicit: Optional[dict[int, dict[int, int
                         ports[other][at.niu_id] = other_port
                         frontier.append(other)
         table = RoutingTable(ports)
-    else:  # copied, so an engine built on it never sees a later edit of the scenario
-        table = RoutingTable({sw: dict(routes) for sw, routes in explicit.items()})
+    else:
+        table = RoutingTable({sw: dict(routes) for sw, routes in dict(topology.routing).items()})
     validate_routing(topology, table)
-    topology.kept_routing = (key, table)
     return table
 
 

@@ -427,7 +427,7 @@ class PacketPort:
 # Initiator NIU
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class InitiatorConfig:
     niu_id: int
     family: SocketFamily
@@ -648,7 +648,7 @@ class InitiatorNiu(PacketPort):
 # Target NIU
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TargetConfig:
     niu_id: int
     region_base: int
@@ -658,7 +658,7 @@ class TargetConfig:
 
     def __post_init__(self) -> None:
         if self.memory_size is None:
-            self.memory_size = self.region_size
+            object.__setattr__(self, "memory_size", self.region_size)
 
     def validate(self) -> None:
         who = f"target NIU {self.niu_id}"

@@ -1,8 +1,9 @@
 """Scenario model: one object fully determines one simulation run.
 
-Scenarios are plain data (topology, NIU configs, workload programs, run
-limits) with load-time validation, a YAML file format with the same shape,
-and generators for seeded random workloads and the atomic counter loops.
+Scenarios are immutable plain data (topology, NIU configs, workload
+programs, run limits), checked once when built; there is a YAML file format
+of the same shape, and generators for seeded random workloads and the
+atomic counter loops.
 Fixed experiments, such as the lock deadlock and the QoS contention run,
 are scenario files under ``scenarios/``.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from copy import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -21,11 +23,9 @@ from .errors import ScenarioError
 from .fabric import (
     AttachmentSpec,
     LinkSpec,
-    RoutingTable,
     SwitchSpec,
     Topology,
     TransportMode,
-    build_routing,
 )
 from .link import LinkParams, flit_count
 from .niu import (
@@ -54,30 +54,38 @@ _LOCKING = (Opcode.READEX, Opcode.STORE_LOCKED_RELEASE)
 # Program specs
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ScriptProgram:
-    steps: list[tuple[TransactionRequest, bool]]
+    steps: tuple[tuple[TransactionRequest, bool], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(self.steps))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RandomProgram:
     transactions: int
-    op_mix: dict[Opcode, float]
-    address_ranges: list[tuple[int, int]]
-    burst_lens: list[int] = field(default_factory=lambda: [1, 2, 4])
-    beat_sizes: list[int] = field(default_factory=lambda: [1, 2, 4])
+    op_mix: tuple[tuple[Opcode, float], ...]  # (opcode, weight) pairs, from a mapping too
+    address_ranges: tuple[tuple[int, int], ...]
+    burst_lens: tuple[int, ...] = (1, 2, 4)
+    beat_sizes: tuple[int, ...] = (1, 2, 4)
     threads: int = 2
     txn_ids: int = 4
     max_bytes: int = 64
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "op_mix", tuple(dict(self.op_mix).items()))
+        for name in ("address_ranges", "burst_lens", "beat_sizes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class ExclusiveLoopProgram:
     counter_address: int
     iterations: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class LockLoopProgram:
     counter_address: int
     iterations: int
@@ -86,11 +94,11 @@ class LockLoopProgram:
 Program = Union[ScriptProgram, RandomProgram, ExclusiveLoopProgram, LockLoopProgram]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MasterSpec:
     niu: InitiatorConfig
     program: Program
-    # (key, steps) of the latest random-program expansion: see scripted_steps_for
+    # (seed, steps) of the latest random-program expansion: see scripted_steps_for
     expansion: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -98,21 +106,30 @@ class MasterSpec:
         return self.niu.niu_id
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RunSpec:
     mode: TransportMode = TransportMode.WORMHOLE
     seed: int = 1
     max_cycles: int = DEFAULT_MAX_CYCLES
     trace_level: str = "packet"
 
+    def __post_init__(self) -> None:
+        if self.trace_level not in TRACE_LEVELS:
+            raise ScenarioError(f"unknown trace level {self.trace_level!r}")
+        if self.max_cycles < 1:
+            raise ScenarioError("max_cycles must be positive")
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class Scenario:
+    """One simulation run, immutable and checked once, when built: the run and
+    the topology check themselves, then the scenario its NIUs, programs and
+    buffer depths, in time linear in it."""
+
     run: RunSpec
     topology: Topology
-    targets: list[TargetConfig]
-    masters: list[MasterSpec]
-    routing: Optional[dict[int, dict[int, int]]] = None  # None derives shortest paths
+    targets: tuple[TargetConfig, ...]
+    masters: tuple[MasterSpec, ...]
 
     # -- derived views ---------------------------------------------------------
 
@@ -124,15 +141,9 @@ class Scenario:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self) -> RoutingTable:
-        """Reject an inconsistent scenario, in time linear in it; return its checked
-        routing table, which is kept on the topology (see build_routing)."""
-        if self.run.trace_level not in TRACE_LEVELS:
-            raise ScenarioError(f"unknown trace level {self.run.trace_level!r}")
-        if self.run.max_cycles < 1:
-            raise ScenarioError("max_cycles must be positive")
-        table = build_routing(self.topology, self.routing)  # checks the topology first
-
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "masters", tuple(self.masters))
         initiator_ids = [m.niu.niu_id for m in self.masters]
         target_ids = [t.niu_id for t in self.targets]
         for role, ids in (("master/initiator", initiator_ids), ("target", target_ids)):
@@ -163,25 +174,18 @@ class Scenario:
         for m in self.masters:
             m.niu.validate()
             self._check_program(m, amap)
-        return table
 
     def _check_buffer_depths(self) -> None:
         # every buffer must hold the largest packet whole, so store-and-forward
         # switching can always make progress
         worst = self.max_payload()
-        for ln in self.topology.links:
+        links = [(f"link sw{ln.a_switch}<->sw{ln.b_switch}", ln) for ln in self.topology.links]
+        links += [(f"attachment of NIU {at.niu_id}", at) for at in self.topology.attachments]
+        for where, ln in links:
             need = flit_count(worst, ln.params.flit_payload_width)
             if ln.buffer_depth < need:
                 raise ScenarioError(
-                    f"link sw{ln.a_switch}<->sw{ln.b_switch} buffer depth "
-                    f"{ln.buffer_depth} below largest packet ({need} flits)"
-                )
-        for at in self.topology.attachments:
-            need = flit_count(worst, at.params.flit_payload_width)
-            if at.buffer_depth < need:
-                raise ScenarioError(
-                    f"attachment of NIU {at.niu_id} buffer depth {at.buffer_depth} "
-                    f"below largest packet ({need} flits)"
+                    f"{where} buffer depth {ln.buffer_depth} below largest packet ({need} flits)"
                 )
 
     def _check_program(self, m: MasterSpec, amap: AddressMap) -> None:
@@ -191,13 +195,13 @@ class Scenario:
         if isinstance(program, RandomProgram):
             if program.transactions < 0:
                 raise ScenarioError(f"{who} transaction count {program.transactions} is negative")
-            mixed = [op for op in program.op_mix if op not in _RANDOM_OPCODES]
+            mixed = [op for op, _ in program.op_mix if op not in _RANDOM_OPCODES]
             if mixed:
                 raise ScenarioError(
                     f"{who} op_mix may only hold LOAD, STORE and STORE_POSTED, "
                     f"got {min(op.name for op in mixed)}"
                 )
-            weights = list(program.op_mix.values())
+            weights = [weight for _, weight in program.op_mix]
             if not (sum(weights) > 0 and all(map(math.isfinite, weights)) and min(weights) >= 0):
                 raise ScenarioError(
                     f"{who} op_mix weights must be finite, non-negative and not all zero"
@@ -247,7 +251,7 @@ class Scenario:
             if niu.family is SocketFamily.THREADED:
                 streams = program.threads
             elif niu.family is SocketFamily.ID_BASED:  # tag 2*id reads, 2*id + 1 writes
-                writes = any(op.is_store and w > 0 for op, w in program.op_mix.items())
+                writes = any(op.is_store and w > 0 for op, w in program.op_mix)
                 streams = 2 * program.txn_ids - (not writes)
         elif isinstance(program, (ExclusiveLoopProgram, LockLoopProgram)):
             if niu.family is not SocketFamily.FULLY_ORDERED:
@@ -326,27 +330,29 @@ class Scenario:
             )
 
     # -- derived variants ---------------------------------------------------------
-    # A variant shares all but ``run`` with its base (``with_link_params`` also
-    # gets its own topology), masters and their kept expansion included, so
-    # variants expand each random program once: replace, never edit in place,
-    # any other part.
+
+    def with_run(self, **changes) -> "Scenario":
+        """A variant with a new run, the one part it checks; it shares the rest."""
+        variant = copy(self)
+        object.__setattr__(variant, "run", replace(self.run, **changes))
+        return variant
 
     def with_mode(self, mode: TransportMode) -> "Scenario":
-        return replace(self, run=replace(self.run, mode=mode))
+        return self.with_run(mode=mode)
 
     def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, run=replace(self.run, seed=seed))
+        return self.with_run(seed=seed)
 
     def with_trace_level(self, level: str) -> "Scenario":
-        return replace(self, run=replace(self.run, trace_level=level))
+        return self.with_run(trace_level=level)
 
     def with_link_params(self, params: LinkParams) -> "Scenario":
-        """Same scenario with every link and attachment using `params`."""
+        """Same scenario with every link and attachment using `params`: a new
+        topology, which checks itself, and the buffer depths checked again."""
         topo = self.topology
         links = [replace(ln, params=params) for ln in topo.links]
         attachments = [replace(at, params=params) for at in topo.attachments]
-        topology = replace(topo, links=links, attachments=attachments)
-        return replace(self, run=replace(self.run), topology=topology)
+        return replace(self, topology=replace(topo, links=links, attachments=attachments))
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +607,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
-    scenario = Scenario(run, Topology(switches, links, attachments), targets, masters, **routing)
-    scenario.validate()
-    return scenario
+    return Scenario(run, Topology(switches, links, attachments, **routing), targets, masters)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -751,14 +755,12 @@ def random_scenario(
             for nid, sw, port in attachments
         ],
     )
-    scenario = Scenario(
+    return Scenario(
         run=RunSpec(seed=seed, trace_level=trace_level),
         topology=topology,
         targets=targets,
         masters=masters,
     )
-    scenario.validate()
-    return scenario
 
 
 def atomic_loop_scenario(
@@ -795,11 +797,9 @@ def atomic_loop_scenario(
         links=[link],
         attachments=attachments,
     )
-    scenario = Scenario(
+    return Scenario(
         run=RunSpec(mode=mode, seed=seed, trace_level="full"),
         topology=topology,
         targets=[TargetConfig(niu_id=100, region_base=0, region_size=4096)],
         masters=masters,
     )
-    scenario.validate()
-    return scenario

@@ -100,10 +100,10 @@ def generate_random_steps(
     family: SocketFamily,
     rng: random.Random,
     transactions: int,
-    op_mix: dict[Opcode, float],
-    address_ranges: list[tuple[int, int]],
-    burst_lens: list[int],
-    beat_sizes: list[int],
+    op_mix,  # (opcode, weight) pairs, or a mapping
+    address_ranges: tuple[tuple[int, int], ...],
+    burst_lens: tuple[int, ...],
+    beat_sizes: tuple[int, ...],
     threads: int = 2,
     txn_ids: int = 4,
     max_bytes: int = 64,
@@ -111,7 +111,7 @@ def generate_random_steps(
     """Deterministically expand a random-program spec into scripted steps.
 
     Facts fixed per program are worked out once, outside the per-step draws.
-    The spec must have passed ``Scenario.validate``, which rejects every
+    The spec must come from a built ``Scenario``, which refuses every
     program that could draw an invalid step.
 
     Draws call only ``rng.random()`` and ``rng.getrandbits()``, as
@@ -124,6 +124,7 @@ def generate_random_steps(
     frame per draw; each request is built by slot stores, without its
     generated ``__init__`` (tests/test_field_order.py pins the fields).
     """
+    op_mix = dict(op_mix)
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
     total, last = cum_weights[-1] + 0.0, len(opcodes) - 1

@@ -108,7 +108,7 @@ def line_scenario(
                 program=ScriptProgram(steps),
             )
         )
-    scenario = Scenario(
+    return Scenario(
         run=RunSpec(mode=mode, seed=seed, max_cycles=max_cycles, trace_level=trace_level),
         topology=Topology(switches, links, attachments),
         targets=[
@@ -116,8 +116,6 @@ def line_scenario(
         ],
         masters=masters,
     )
-    scenario.validate()
-    return scenario
 
 
 def mixed_widths(scenario: Scenario, seed: int) -> Scenario:

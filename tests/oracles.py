@@ -293,6 +293,7 @@ def reference_random_steps(
     wait) tuple per step; stream is ("single",), ("thread", t) or
     ("txn", i, "READ" | "WRITE").
     """
+    op_mix = dict(op_mix)  # a RandomProgram keeps (opcode, weight) pairs
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(itertools.accumulate(op_mix[o] for o in opcodes))
     choices, choice, randrange, randbytes = rng.choices, rng.choice, rng.randrange, rng.randbytes

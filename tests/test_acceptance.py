@@ -186,7 +186,7 @@ def _two_target_scenario(family, policy, keys_and_addresses):
         (req(0, Opcode.LOAD, addr, beats=beats, key=key), False)
         for key, addr, beats in keys_and_addresses
     ]
-    scenario = Scenario(
+    return Scenario(
         run=RunSpec(trace_level="transaction"),
         topology=topology,
         targets=[
@@ -200,8 +200,6 @@ def _two_target_scenario(family, policy, keys_and_addresses):
             )
         ],
     )
-    scenario.validate()
-    return scenario
 
 
 def test_criterion_3_ordering_model_conformance(corpus):

@@ -2,9 +2,12 @@
 
 from pathlib import Path
 
+import pytest
 import yaml
 
+from nocsim import cli
 from nocsim.cli import main
+from nocsim.errors import CreditError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BASIC = str(SCENARIO_DIR / "basic_line.yaml")
@@ -210,3 +213,87 @@ def test_run_unallocatable_memory_exit_one(tmp_path, capsys):
     assert main(["run", edited]) == 1
     err = capsys.readouterr().err
     assert "target NIU 100 memory size" in err and "Traceback" not in err
+
+
+# -- run-only overrides ---------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare-modes", "compare-links"])
+def test_zero_max_cycles_exit_one(command, capsys):
+    assert main([command, BASIC, "--max-cycles", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "max_cycles must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("compare-modes", "wormhole leg timed out\n"),
+    ("compare-links",
+     "timeout with link params LinkParams(flit_payload_width=4, latency=1, rate_ratio=1)\n"),
+])
+def test_short_max_cycles_exit_two(command, message, capsys):
+    assert main([command, BASIC, "--max-cycles", "5"]) == 2
+    assert capsys.readouterr().out == message
+
+
+def test_compare_modes_seed_override_reaches_both_legs(tmp_path, capsys):
+    assert main(["compare-modes", BASIC, "--seed", "5", "--out", str(tmp_path)]) == 0
+    for leg in ("wormhole", "store_and_forward"):
+        assert "\nseed = 5\n" in (tmp_path / f"{leg}-stats.txt").read_text()
+
+
+# -- failure paths, planted from outside the simulator -----------------------------
+
+def test_run_and_verify_print_violations_exit_three(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_invariants", lambda *args: ["a planted violation"])
+    assert main(["run", BASIC]) == 3
+    assert capsys.readouterr().out == "1 invariant violation(s):\n  a planted violation\n"
+    assert main(["verify", BASIC]) == 3
+    assert capsys.readouterr().out == "basic_line.yaml: 1 violation(s)\n  a planted violation\n"
+
+
+WIDTH_4, WIDTH_8 = (f"LinkParams(flit_payload_width={w}, latency=1, rate_ratio=1)" for w in (4, 8))
+
+
+def _second_leg_edited(monkeypatch, name, edit):
+    """Wrap ``cli.<name>`` so that what it returns from its second call on is edited."""
+    real, calls = getattr(cli, name), []
+
+    def edited(*args):
+        result = real(*args)
+        calls.append(result)
+        return edit(result) if len(calls) > 1 else result
+
+    monkeypatch.setattr(cli, name, edited)
+
+
+def test_compare_links_projection_mismatch_exit_four(monkeypatch, capsys):
+    def extra_row(projection):
+        projection[0]["single"].append(("single", "LOAD", 0, "OKAY"))
+        return projection
+
+    _second_leg_edited(monkeypatch, "transaction_projection", extra_row)
+    assert main(["compare-links", BASIC, "--widths", "4,8", "--latencies", "1",
+                 "--ratios", "1"]) == 4
+    assert capsys.readouterr().out == (
+        f"{WIDTH_8} vs {WIDTH_4}: projections diverge at row 120: "
+        "'1,thread:0,0,LOAD,2702,OKAY' vs '0,single,120,LOAD,0,OKAY'\n"
+    )
+
+
+def test_compare_links_memory_mismatch_exit_four(monkeypatch, capsys):
+    def other_memory(result):
+        result.memories = {**result.memories, 100: b"planted"}
+        return result
+
+    _second_leg_edited(monkeypatch, "run_engine", other_memory)
+    assert main(["compare-links", BASIC, "--widths", "4,8", "--latencies", "1",
+                 "--ratios", "1"]) == 4
+    assert capsys.readouterr().out == f"{WIDTH_8} vs {WIDTH_4}: final memory images differ\n"
+
+
+def test_simulation_fault_exit_three(monkeypatch, capsys):
+    def fault(scenario):
+        raise CreditError("planted credit fault")
+
+    monkeypatch.setattr(cli, "run_engine", fault)
+    assert main(["run", BASIC]) == 3
+    assert capsys.readouterr().err == "simulation fault: planted credit fault\n"

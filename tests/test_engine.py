@@ -1,6 +1,7 @@
 """End-to-end engine behavior on small scripted scenarios."""
 
 import copy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,16 @@ def test_projection_comparator_reports_first_divergence():
     assert compare_projections(a, a) is None
 
 
+@pytest.mark.parametrize("longer", ["a", "b"])
+def test_projection_comparator_reports_a_side_with_more_rows(longer):
+    short = {0: {"single": [("single", "LOAD", 64, "OKAY")]}}
+    long = {0: {"single": [("single", "LOAD", 64, "OKAY"), ("single", "STORE", 68, "OKAY")]}}
+    a, b = (long, short) if longer == "a" else (short, long)
+    assert compare_projections(a, b) == (
+        "projections diverge at row 1: only one side has '0,single,1,STORE,68,OKAY'"
+    )
+
+
 def test_check_invariants_clean_run():
     scenario = random_scenario(31, n_masters=3, total_transactions=90, trace_level="full")
     result = run(scenario)
@@ -273,10 +284,14 @@ def test_per_stream_multi_target_stall_preserves_order():
 
 
 def test_engine_rejects_invalid_scenario():
-    bad = line_scenario(programs=[[]])
-    bad.masters[0].niu.priority = 12
-    with pytest.raises(nocsim.ScenarioError):
-        Engine(bad)
+    # a built scenario is checked and immutable: the bad NIU setting can only
+    # come in a new scenario, which refuses it before any engine sees it
+    base = line_scenario(programs=[[]])
+    with pytest.raises(AttributeError):
+        base.masters[0].niu.priority = 12
+    master = replace(base.masters[0], niu=replace(base.masters[0].niu, priority=12))
+    with pytest.raises(nocsim.ScenarioError, match="priority 12 is not in 0..7"):
+        replace(base, masters=[master])
 
 
 def test_posted_decode_miss_as_last_step_ends_run():
@@ -296,9 +311,7 @@ def test_wake_ups_match_stepping_everything_every_cycle(monkeypatch, mode):
     def outputs():
         out = []
         for max_cycles in [*range(240, 256), base.run.max_cycles]:
-            scenario = copy.deepcopy(base)
-            scenario.run.max_cycles = max_cycles
-            result = run(scenario)
+            result = run(base.with_run(max_cycles=max_cycles))
             out.append((result.trace.to_csv(), result.stats.to_text()))
         return out
 

@@ -1,6 +1,7 @@
 """Transport layer units: routing tables, arbitration, credit flow."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,34 +98,33 @@ def test_route_to_wrong_niu_rejected():
 
 
 def test_kept_table_is_derived_again_after_an_edit_in_place():
-    # build_routing checks the topology before it routes, so it must see a
-    # switch added after its table was kept, and refuse it
+    # a topology is immutable, so its table is derived once, when it is built;
+    # a switch cannot be added in place, and a topology built with it is
+    # checked before it routes, and refused
     topo = _ring4()
-    table = build_routing(topo)
-    assert build_routing(topo) is table
-    topo.switches.append(SwitchSpec(4, 1))  # nothing links or routes to it
+    assert topo.table.ports == build_routing(topo).ports
+    with pytest.raises(AttributeError):
+        topo.switches.append(SwitchSpec(4, 1))
     with pytest.raises(ScenarioError, match=r"unreachable switches \[4\]"):
-        build_routing(topo)
+        replace(topo, switches=(*topo.switches, SwitchSpec(4, 1)))  # nothing links to it
 
 
 def test_disconnected_topology_rejected():
-    topo = Topology(
-        switches=[SwitchSpec(0, 2), SwitchSpec(1, 2)],
-        links=[],
-        attachments=[AttachmentSpec(100, 0, 0), AttachmentSpec(101, 1, 0)],
-    )
     with pytest.raises(ScenarioError, match="not connected"):
-        topo.validate()
+        Topology(
+            switches=[SwitchSpec(0, 2), SwitchSpec(1, 2)],
+            links=[],
+            attachments=[AttachmentSpec(100, 0, 0), AttachmentSpec(101, 1, 0)],
+        )
 
 
 def test_port_double_use_rejected():
-    topo = Topology(
-        switches=[SwitchSpec(0, 2), SwitchSpec(1, 2)],
-        links=[LinkSpec(0, 0, 1, 0)],
-        attachments=[AttachmentSpec(100, 0, 0)],
-    )
     with pytest.raises(ScenarioError, match="used twice"):
-        topo.validate()
+        Topology(
+            switches=[SwitchSpec(0, 2), SwitchSpec(1, 2)],
+            links=[LinkSpec(0, 0, 1, 0)],
+            attachments=[AttachmentSpec(100, 0, 0)],
+        )
 
 
 # -- arbitration ---------------------------------------------------------------

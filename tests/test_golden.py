@@ -74,8 +74,7 @@ def _cases() -> dict:
 
 
 def _cut(scenario, max_cycles: int):
-    scenario.run.max_cycles = max_cycles
-    return scenario
+    return scenario.with_run(max_cycles=max_cycles)
 
 
 CASES = _cases()

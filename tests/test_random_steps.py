@@ -54,7 +54,7 @@ def _validate(program: RandomProgram, family: SocketFamily) -> None:
     scenario = line_scenario([[]], region_size=0x10000, buffer_depth=80)
     master = scenario.masters[0]
     niu = replace(master.niu, family=family, max_payload=64)
-    replace(scenario, masters=[replace(master, niu=niu, program=program)]).validate()
+    replace(scenario, masters=[replace(master, niu=niu, program=program)])  # checked when built
 
 
 def _assert_same(family: SocketFamily, seed: int, **spec) -> None:
@@ -141,7 +141,7 @@ WEIGHTS = st.sampled_from([None, 0.0, 0.25, 1.0, 3.0])  # None leaves the opcode
 
 @st.composite
 def random_programs(draw) -> RandomProgram:
-    """A random program that ``Scenario.validate`` accepts for a 64 KiB region."""
+    """A random program that a built ``Scenario`` accepts for a 64 KiB region."""
     weights = draw(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS))
     op_mix = {op: w for op, w in zip((LOAD, STORE, POSTED), weights) if w is not None}
     if not sum(op_mix.values()):
@@ -178,7 +178,7 @@ def test_valid_program_steps_equal_reference(program, family, seed):
 
 
 # -- one expansion per spec --------------------------------------------------------
-# scripted_steps_for keeps a spec's latest random-program expansion with its key,
+# scripted_steps_for keeps a spec's latest random-program expansion with its seed,
 # so the variants of a scenario, which share its masters, share one list.
 
 FO, TH, ID = SocketFamily.FULLY_ORDERED, SocketFamily.THREADED, SocketFamily.ID_BASED
@@ -234,7 +234,8 @@ def _next_seed(scenario, spec):
     scenario.run.seed += 1
 
 
-# (family of the edited master, in-place edit of the scenario or that master)
+# (family of the edited master, in-place edit of the scenario or that master);
+# every part the expansion reads is immutable, so each edit is refused
 EDITS = {
     "transactions": (FO, lambda s, m: setattr(m.program, "transactions", m.program.transactions - 1)),
     "op_mix": (FO, lambda s, m: m.program.op_mix.update({LOAD: 5.0})),
@@ -256,13 +257,11 @@ def test_edit_in_place_never_serves_stale_steps(name):
     edited = _corpus()
     spec = next(m for m in edited.masters if m.niu.family is family)
     before = Engine(edited).masters[spec.master_id].steps
-    edit(edited, spec)
-    fresh = _corpus()
-    fresh_spec = next(m for m in fresh.masters if m.niu.family is family)
-    edit(fresh, fresh_spec)
-    got = scripted_steps_for(spec, edited.run.seed)
-    want = scripted_steps_for(fresh_spec, fresh.run.seed)
-    assert _fields(got) == _fields(want) != _fields(before)
+    with pytest.raises(AttributeError):
+        edit(edited, spec)
+    assert scripted_steps_for(spec, edited.run.seed) is before
+    fresh = next(m for m in _corpus().masters if m.niu.family is family)
+    assert _fields(before) == _fields(scripted_steps_for(fresh, edited.run.seed))
 
 
 def test_seed_sweep_keeps_one_expansion_per_spec():
@@ -270,8 +269,8 @@ def test_seed_sweep_keeps_one_expansion_per_spec():
     for seed in range(50):
         Engine(base.with_seed(seed))
     for spec in base.masters:
-        key, steps = spec.expansion
-        assert key[0] == 49
+        seed, steps = spec.expansion
+        assert seed == 49
         assert _fields(steps) == _fields(scripted_steps_for(replace(spec), 49))
 
 

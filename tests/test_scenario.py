@@ -14,10 +14,11 @@ from helpers import line_scenario, req
 from nocsim import fabric, scenario as scenario_module, transaction
 from nocsim.engine import Engine, run, scripted_steps_for
 from nocsim.errors import ScenarioError
-from nocsim.fabric import AttachmentSpec, LinkSpec, SwitchSpec, TransportMode
+from nocsim.fabric import AttachmentSpec, SwitchSpec, TransportMode
 from nocsim.link import LinkParams
 from nocsim.scenario import (
     ScriptProgram,
+    atomic_loop_scenario,
     load_scenario,
     random_scenario,
     scenario_from_dict,
@@ -133,26 +134,25 @@ def test_range_outside_regions_diagnosed():
 def _cut_master_0(scenario, **program_edits):
     m = scenario.masters[0]
     m = replace(m, program=replace(m.program, **program_edits))
-    return replace(scenario, masters=[m] + scenario.masters[1:])
+    return replace(scenario, masters=(m, *scenario.masters[1:]))
 
 
 def test_range_below_largest_burst_fails_validation_for_every_seed():
-    base = random_scenario(3).masters[0].program.address_ranges[0][0]
-    scenario = _cut_master_0(
-        random_scenario(3), address_ranges=[(base, 4)], beat_sizes=[4],
-        burst_lens=[1, 2], transactions=3,
-    )
+    # the refusal reads the program alone, so a scenario built with it is
+    # refused whatever its seed
+    scenario = random_scenario(3)
+    base = scenario.masters[0].program.address_ranges[0][0]
     message = (
         f"master 0 range [{base:#x},{base + 4:#x}) is smaller than the largest "
         "burst (8 bytes)"
     )
     for seed in range(1, 9):
-        variant = scenario.with_seed(seed)
         with pytest.raises(ScenarioError) as err:
-            variant.validate()
+            _cut_master_0(
+                scenario.with_seed(seed), address_ranges=[(base, 4)], beat_sizes=[4],
+                burst_lens=[1, 2], transactions=3,
+            )
         assert str(err.value) == message
-        with pytest.raises(ScenarioError, match=re.escape(message)):
-            Engine(variant)
 
 
 @pytest.mark.parametrize(
@@ -334,11 +334,9 @@ def _second_initiator(doc: dict, niu_id: int) -> None:
 
 
 def _hand_built(edit):
-    """The base scenario, edited where the YAML reader cannot reach."""
+    """The base scenario, rebuilt with a part the YAML reader cannot give."""
     def build(tmp_path):
-        scenario = scenario_from_dict(_doc())
-        edit(scenario)
-        scenario.validate()
+        edit(scenario_from_dict(_doc()))
     return build
 
 
@@ -361,14 +359,15 @@ def _loaded(edit):
      "duplicate switch id 1"),
     (_loaded(lambda d: _second_initiator(d, 100)),
      "NIU 100 attaches to more than one switch port"),
-    (_hand_built(lambda s: s.masters.append(s.masters[0])),
+    (_hand_built(lambda s: replace(s, masters=(*s.masters, s.masters[0]))),
      "duplicate master/initiator NIU id 0"),
-    (_hand_built(lambda s: s.targets.append(s.targets[0])), "duplicate target NIU id 100"),
-    (_hand_built(lambda s: s.masters.append(replace(s.masters[0], niu=replace(
-        s.masters[0].niu, niu_id=100)))), "NIU 100 is both an initiator and a target"),
+    (_hand_built(lambda s: replace(s, targets=(*s.targets, s.targets[0]))),
+     "duplicate target NIU id 100"),
+    (_hand_built(lambda s: replace(s, masters=(*s.masters, replace(s.masters[0], niu=replace(
+        s.masters[0].niu, niu_id=100))))), "NIU 100 is both an initiator and a target"),
     # the YAML reader gives every step its NIU's key variant
-    (_hand_built(lambda s: s.masters.__setitem__(0, replace(s.masters[0], program=ScriptProgram(
-        [(req(0, Opcode.LOAD, 0x40, key=SocketOrderKey.thread(3)), False)])))),
+    (_hand_built(lambda s: replace(s, masters=(replace(s.masters[0], program=ScriptProgram(
+        [(req(0, Opcode.LOAD, 0x40, key=SocketOrderKey.thread(3)), False)])),))),
      "master 0 script step 0: NIU speaks FULLY_ORDERED, got THREAD order key"),
 ])
 def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
@@ -426,12 +425,9 @@ def test_wait_on_posted_write_rejected():
 
 def test_with_variants_do_not_alias():
     base = line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)]])
-    run_spec = replace(base.run)
-    links, attachments = base.topology.links, base.topology.attachments
-    saved_links, saved_attachments = list(links), list(attachments)
+    run_spec, topology = base.run, base.topology
     modified = base.with_link_params(LinkParams(8, 3, 2))
-    assert base.topology.links is links and links == saved_links
-    assert base.topology.attachments is attachments and attachments == saved_attachments
+    assert base.topology is topology
     assert base.topology.links[0].params.flit_payload_width == 4
     assert modified.topology.links[0].params.flit_payload_width == 8
     assert modified.topology.attachments[0].params.latency == 3
@@ -442,13 +438,85 @@ def test_with_variants_do_not_alias():
     assert base.run.seed != 99 and reseeded.run.seed == 99
     quiet = base.with_trace_level("transaction")
     assert base.run.trace_level == "full" and quiet.run.trace_level == "transaction"
-    # each variant's run is its own: cutting it short, as a CLI override or
-    # a cut-off test case does, leaves the base as it was
+    # a run can only be replaced: cutting it short, as a CLI override or a
+    # cut-off test case does, leaves the base as it was
     for variant in (modified, other_mode, reseeded, quiet):
-        variant.run.max_cycles = 7
-        assert base.run == run_spec
+        assert variant.with_run(max_cycles=7).run.max_cycles == 7
+        assert base.run is run_spec and run_spec.max_cycles == 20_000
     # the parts a variant does not replace are shared, not copied
     assert reseeded.masters is base.masters and modified.targets is base.targets
+    assert quiet.topology is base.topology
+
+
+def test_run_variant_checks_its_run():
+    base = line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)]])
+    with pytest.raises(ScenarioError) as err:
+        base.with_trace_level("bogus")
+    assert str(err.value) == "unknown trace level 'bogus'"
+    with pytest.raises(ScenarioError) as err:
+        base.with_run(max_cycles=0)
+    assert str(err.value) == "max_cycles must be positive"
+
+
+# -- a built scenario is immutable -------------------------------------------------------
+
+BUILT = {
+    "load_scenario": lambda: load_scenario(SCENARIO_DIR / "lock_deadlock.yaml"),
+    "random_scenario": lambda: random_scenario(3),
+    "atomic_loop_scenario": lambda: atomic_loop_scenario("exclusive"),
+    "with_link_params": lambda: random_scenario(4).with_link_params(LinkParams(8, 2, 1)),
+    "line_scenario": lambda: line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)]]),
+}
+PARTS = ("run", "topology", "routing", "attachments", "targets", "masters", "NIU configs",
+         "programs")
+
+
+def _setting(obj, name: str):
+    """An in-place edit of one field: set it to its own value."""
+    return lambda: setattr(obj, name, getattr(obj, name))
+
+
+def _first_item(values):
+    """An in-place edit of a sequence: set its first item to itself."""
+    return lambda: values.__setitem__(0, values[0])
+
+
+def _part_edits(s) -> dict:
+    """In-place edits of each part of a built scenario, by part."""
+    topo, master, target = s.topology, s.masters[0], s.targets[0]
+    routing = [_setting(topo, "routing")]
+    if topo.routing is not None:  # explicit
+        routing.append(_first_item(topo.routing))
+    programs = []
+    for m in s.masters:
+        for name in m.program.__dataclass_fields__:
+            programs.append(_setting(m.program, name))
+            if isinstance(getattr(m.program, name), tuple):
+                programs.append(_first_item(getattr(m.program, name)))
+    return {
+        "run": [_setting(s, "run"), _setting(s.run, "max_cycles")],
+        "topology": [_setting(s, "topology"), _first_item(topo.switches),
+                     _first_item(topo.links), _setting(topo.links[0].params, "latency")],
+        "routing": routing,
+        "attachments": [_setting(topo, "attachments"), _first_item(topo.attachments),
+                        _setting(topo.attachments[0], "port")],
+        "targets": [_setting(s, "targets"), _first_item(s.targets)],
+        "masters": [_setting(s, "masters"), _first_item(s.masters),
+                    _setting(master, "program")],
+        "NIU configs": [_setting(master.niu, "priority"), _setting(target, "memory_size"),
+                        _setting(master.niu.tag_policy, "capacity")],
+        "programs": programs,
+    }
+
+
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("built", sorted(BUILT))
+def test_built_scenario_cannot_be_edited(built, part):
+    edits = _part_edits(BUILT[built]())[part]
+    assert edits
+    for edit in edits:
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
 
 
 # -- explicit routing names only what the topology has ---------------------------------
@@ -484,8 +552,8 @@ def test_explicit_routing_entry_for_what_the_topology_lacks_refused(tmp_path, ex
 
 
 # -- one routing table per topology ------------------------------------------------------
-# build_routing keeps a topology's checked table with its key, so the variants of
-# a scenario, which share its topology, share one table.
+# A topology derives and checks its table once, when it is built, so the variants
+# of a scenario, which share its topology, share one table.
 
 def _ring_doc(explicit: bool = False) -> dict:
     """Four switches in a ring (port 0 to the previous, 1 to the next, 2 and 3
@@ -532,7 +600,7 @@ def test_variants_derive_the_table_once(monkeypatch):
 
 
 def test_variants_check_the_topology_once(monkeypatch):
-    # build_routing checks the topology only when it derives a table again
+    # a topology is checked once, when it is built
     calls = []
     real = fabric.Topology.validate
 
@@ -553,7 +621,6 @@ def test_variants_check_the_topology_once(monkeypatch):
 
 def _add_switch(scenario):
     scenario.topology.switches.append(SwitchSpec(4, 1))
-    scenario.topology.links.append(LinkSpec(3, 3, 4, 0))
 
 
 def _cut_link(scenario):
@@ -565,42 +632,44 @@ def _move_target(scenario):
 
 
 def _reroute(scenario):
-    scenario.routing[0][100] = 0  # the other way round the ring
+    scenario.topology.routing[0] = (0, ((0, 2), (100, 0)))  # the other way round the ring
 
 
-# name: (explicit routing, in-place edit, bad in-place edit, its message)
+def _rerouted(topo):
+    routing = {sw: dict(routes) for sw, routes in topo.routing}
+    routing[1][100] = 0
+    return replace(topo, routing=routing)
+
+
+# name: (explicit routing, in-place edit, the same change in a new topology, its message)
 ROUTING_EDITS = {
     "switches": (False, _add_switch,
-                 lambda s: s.topology.switches.__setitem__(2, SwitchSpec(2, 2)),
+                 lambda t: replace(t, switches=(*t.switches[:2], SwitchSpec(2, 2), t.switches[3])),
                  "switch 2 has no port 2"),
-    "links": (False, _cut_link, lambda s: s.topology.links.clear(),
+    "links": (False, _cut_link, lambda t: replace(t, links=()),
               "topology is not connected; unreachable switches [1, 2, 3]"),
-    "attachments": (False, _move_target,
-                    lambda s: s.topology.attachments.__setitem__(1, AttachmentSpec(100, 0, 2)),
-                    "switch 0 port 2 used twice"),
-    "routing": (True, _reroute, lambda s: s.routing[1].__setitem__(100, 0),
-                "routing loop for target NIU 100 at switch 0"),
+    "attachments": (
+        False, _move_target,
+        lambda t: replace(t, attachments=(t.attachments[0], AttachmentSpec(100, 0, 2))),
+        "switch 0 port 2 used twice",
+    ),
+    "routing": (True, _reroute, _rerouted, "routing loop for target NIU 100 at switch 0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ROUTING_EDITS))
 def test_edit_in_place_never_serves_a_stale_table(name):
-    explicit, edit, bad_edit, message = ROUTING_EDITS[name]
+    # every part the table is derived from is immutable, so an edit is refused;
+    # a new topology with a bad change is refused as a loaded one would be
+    explicit, edit, rebuild, message = ROUTING_EDITS[name]
     edited = scenario_from_dict(_ring_doc(explicit))
     before = Engine(edited).table
-    kept = {sw: dict(routes) for sw, routes in before.ports.items()}
-    edit(edited)
-    fresh = scenario_from_dict(_ring_doc(explicit))
-    edit(fresh)
-    after = Engine(edited).table
-    assert after.ports == Engine(fresh).table.ports != kept
-    assert before.ports == kept  # an engine built before the edit keeps its checked table
-    assert Engine(edited).table is after
-    bad = scenario_from_dict(_ring_doc(explicit))
-    Engine(bad)
-    bad_edit(bad)
+    with pytest.raises((AttributeError, TypeError)):
+        edit(edited)
+    assert Engine(edited).table is before
+    assert before.ports == Engine(scenario_from_dict(_ring_doc(explicit))).table.ports
     with pytest.raises(ScenarioError) as err:
-        Engine(bad)
+        rebuild(edited.topology)
     assert str(err.value) == message
 
 
@@ -627,22 +696,28 @@ def test_engine_checks_no_random_step(monkeypatch):
 
 
 def test_engine_checks_each_script_step_once(monkeypatch):
+    # each step is checked once, when the scenario is built; the engine checks none
     programs = [
         [(req(0, Opcode.STORE, 0x40), True), (req(0, Opcode.LOAD, 0x40), True)],
         [(req(1, Opcode.STORE_POSTED, 0x80), False), (req(1, Opcode.LOAD, 0x80, 2), False)],
     ]
-    scenario = line_scenario(programs=programs)
     calls = _count_validate_request(monkeypatch)
-    Engine(scenario)
+    scenario = line_scenario(programs=programs)
     requests = [request for program in programs for request, _ in program]
     assert Counter(map(id, calls)) == Counter(map(id, requests))
+    Engine(scenario)
+    assert len(calls) == len(requests)
 
 
 def test_engine_rejects_script_step_edited_after_load():
-    scenario = line_scenario(programs=[[(req(0, Opcode.LOAD, 0x40), True)] * 2])
-    scenario.masters[0].program.steps[1] = (req(0, Opcode.LOAD, 0x42), True)
+    # a built program's steps cannot be replaced; a program built with the bad
+    # step is refused when it is built
+    ok, bad = (req(0, Opcode.LOAD, 0x40), True), (req(0, Opcode.LOAD, 0x42), True)
+    scenario = line_scenario(programs=[[ok, ok]])
+    with pytest.raises(TypeError):
+        scenario.masters[0].program.steps[1] = bad
     with pytest.raises(ScenarioError, match="master 0 script step 1: .*not aligned"):
-        Engine(scenario)
+        line_scenario(programs=[[ok, bad]])
 
 
 def test_random_scenario_is_deterministic():
@@ -662,7 +737,7 @@ def test_random_scenario_is_deterministic():
 
 def test_random_scenarios_validate_over_many_seeds():
     for seed in range(40):
-        random_scenario(seed)  # validate() runs inside
+        random_scenario(seed)  # checked when built
 
 
 def test_generated_requests_pass_validator():
