@@ -181,7 +181,6 @@ class Engine:
         self.mode = scenario.run.mode
         self.recorder = TraceRecorder(scenario.run.trace_level)
         self.channels: dict[str, ChannelStream] = {}
-        self.address_map = scenario.address_map()
 
         # two planes per switch, in the order phase 3 steps them: switch id,
         # request before response
@@ -203,7 +202,7 @@ class Engine:
 
     def _build_nius(self) -> None:
         for spec in self.scenario.masters:
-            self.initiators[spec.niu.niu_id] = InitiatorNiu(spec.niu, self.address_map)
+            self.initiators[spec.niu.niu_id] = InitiatorNiu(spec.niu, self.scenario.address_map)
         for cfg in self.scenario.targets:
             site = f"niu{cfg.niu_id}"
 

@@ -26,16 +26,13 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional
 
-from .errors import (
-    LockProtocolError,
-    OrphanResponseError,
-    RaggedBeatError,
-    ScenarioError,
-)
+from .errors import OrphanResponseError, RaggedBeatError, ScenarioError
 from .fabric import ChannelStream
 from .link import Flit, serialize
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from .transaction import (
+    ADDRESS_BITS,
+    ADDRESS_LIMIT,
     Channel,
     Opcode,
     OrderVariant,
@@ -44,7 +41,6 @@ from .transaction import (
     TransactionRequest,
     TransactionResponse,
     needs_response,
-    validate_request,
 )
 
 # Enum members read per transaction, bound once: an attribute read on an
@@ -226,11 +222,7 @@ def assign_tag(
     if kind is SINGLE_OUTSTANDING:
         return 0 if pending.count == 0 else None
     if kind is PER_STREAM:
-        tag = stream_tag(key)
-        if tag >= policy.streams:
-            raise ScenarioError(
-                f"order key {key.stream} maps to tag {tag}, beyond {policy.streams} streams"
-            )
+        tag = stream_tag(key)  # below policy.streams: Scenario counts the streams
         q = pending.entries.get(tag)
         if not q:
             return tag
@@ -463,77 +455,40 @@ class InitiatorNiu(PacketPort):
         super().__init__()
         self.config = config
         self.niu_id = config.niu_id
-        self.variant = FAMILY_VARIANT[config.family]
         self.address_map = address_map
         self.pending = PendingTable(min(config.capacity, config.tag_policy.max_outstanding()))
         self.gate = ReleaseGate()
         self.next_seq = 0
         self.emit_buffer: list[tuple[PendingEntry, TransactionResponse]] = []
-        self.lock_held_address: Optional[int] = None
 
     # -- socket side ----------------------------------------------------------
-
-    def _check_lock_protocol(self, req: TransactionRequest) -> None:
-        if req.opcode is READEX:
-            if self.lock_held_address is not None:
-                raise LockProtocolError(
-                    f"master {req.master_id} issued READEX while one is outstanding"
-                )
-        elif req.opcode is LOCKED_RELEASE:
-            if self.lock_held_address is None:
-                raise LockProtocolError(
-                    f"master {req.master_id} released a lock it does not hold"
-                )
-            if self.lock_held_address != req.address:
-                raise LockProtocolError(
-                    f"lock release address {req.address:#x} does not match "
-                    f"READEX address {self.lock_held_address:#x}"
-                )
 
     def try_accept(self, req: TransactionRequest, cycle: int) -> Optional[PendingEntry]:
         """Ingress path: returns the pending entry, or None on a tag stall.
 
-        A decode miss consumes the request and produces a local error
-        response without injecting anything into the fabric.
+        The request is not checked again: a built ``Scenario`` refused every
+        program that could offer an invalid one, one on another family's
+        order key, an unpaired lock release, or an exclusive or locking burst
+        wider than one packet. A decode miss consumes the request and
+        produces a local error response without injecting anything into the
+        fabric.
         """
         decoded = self.address_map.decode(req.address)
-        pending = self.pending
-        if decoded is not None and pending.count >= pending.capacity:
-            return None  # guaranteed tag stall; full checks run once a slot frees
-        violations = validate_request(req)
-        if violations:
-            raise ScenarioError(f"invalid request reached NIU {self.niu_id}: {violations}")
-        opcode = req.opcode
-        key = req.order_key
-        if key.variant is not self.variant:
-            raise ScenarioError(
-                f"NIU {self.niu_id} speaks {self.config.family.name}, "
-                f"got {key.variant.name} order key"
-            )
-        locking = opcode is READEX or opcode is LOCKED_RELEASE
-        if locking:
-            self._check_lock_protocol(req)
-
         if decoded is None:
             return self._local_error(req, cycle, Status.ERROR_DECODE)
         target_id, offset = decoded
+        key, pending = req.order_key, self.pending
+        tag = assign_tag(self.config.tag_policy, key, pending, target_id)
+        if tag is None:
+            return None
 
+        opcode = req.opcode
         nbytes = req.burst_len * req.beat_size
         max_payload = self.config.max_payload
         if nbytes <= max_payload:
             spans = [(0, nbytes)]  # what chop_spans gives for a burst that fits
         else:
             spans = chop_spans(nbytes, req.beat_size, max_payload)
-            if opcode.is_exclusive or locking:
-                raise ScenarioError(
-                    f"{opcode.name} burst of {nbytes} bytes does not fit "
-                    f"one packet (max payload {max_payload})"
-                )
-
-        tag = assign_tag(self.config.tag_policy, key, pending, target_id)
-        if tag is None:
-            return None
-
         entry = PendingEntry(self.next_seq, req, key, cycle, target_id, tag, len(spans))
         self.next_seq += 1
         pending.insert(tag, entry)
@@ -549,10 +504,8 @@ class InitiatorNiu(PacketPort):
         lock_marker = NO_LOCK
         if opcode is READEX:
             lock_marker = LockMarker.LOCK_ACQUIRE
-            self.lock_held_address = req.address
         elif opcode is LOCKED_RELEASE:
             lock_marker = LockMarker.LOCK_RELEASE
-            self.lock_held_address = None
 
         last = len(spans) - 1
         for i, (span_off, span_len) in enumerate(spans):
@@ -671,6 +624,14 @@ class TargetConfig:
             raise ScenarioError(f"{who} memory size {self.memory_size} is negative")
         if self.memory_size > sys.maxsize:
             raise ScenarioError(f"{who} memory size exceeds {sys.maxsize} bytes")
+        # offsets stay below region_size, so bytes past it are never addressed
+        if self.memory_size > self.region_size:
+            raise ScenarioError(f"{who} memory size {self.memory_size} exceeds its region "
+                                f"size {self.region_size}")
+        end = self.region_base + self.region_size
+        if self.region_base < 0 or end > ADDRESS_LIMIT:
+            raise ScenarioError(f"{who} region [{self.region_base:#x},{end:#x}) leaves the "
+                                f"{ADDRESS_BITS}-bit address space")
 
 
 class TargetNiu(PacketPort):

@@ -20,7 +20,7 @@ from .engine import scripted_steps_for
 
 def sequential_oracle(scenario: Scenario) -> dict[int, bytes]:
     """Final memory image per target under sequential execution."""
-    amap = scenario.address_map()
+    amap = scenario.address_map
     memories = {t.niu_id: bytearray(t.memory_size) for t in scenario.targets}
 
     for spec in sorted(scenario.masters, key=lambda m: m.master_id):

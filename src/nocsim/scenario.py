@@ -130,11 +130,10 @@ class Scenario:
     topology: Topology
     targets: tuple[TargetConfig, ...]
     masters: tuple[MasterSpec, ...]
+    # the targets' regions, checked once; callers must not change it
+    address_map: AddressMap = field(init=False, repr=False, compare=False)
 
     # -- derived views ---------------------------------------------------------
-
-    def address_map(self) -> AddressMap:
-        return AddressMap([(t.region_base, t.region_size, t.niu_id) for t in self.targets])
 
     def max_payload(self) -> int:
         return max((m.niu.max_payload for m in self.masters), default=32)
@@ -161,16 +160,11 @@ class Scenario:
                 f"declared {sorted(declared)}"
             )
 
-        amap = self.address_map()
+        amap = AddressMap([(t.region_base, t.region_size, t.niu_id) for t in self.targets])
+        object.__setattr__(self, "address_map", amap)
         self._check_buffer_depths()
         for t in self.targets:
             t.validate()
-            # offsets stay below region_size, so bytes past it are never addressed
-            if t.memory_size > t.region_size:
-                raise ScenarioError(
-                    f"target NIU {t.niu_id} memory size {t.memory_size} exceeds "
-                    f"its region size {t.region_size}"
-                )
         for m in self.masters:
             m.niu.validate()
             self._check_program(m, amap)
@@ -269,8 +263,8 @@ class Scenario:
             widest = COUNTER_BYTES
         elif isinstance(program, ScriptProgram):
             variant = FAMILY_VARIANT[niu.family]
-            # (address, step) of the READEX whose lock is held, walked as
-            # InitiatorNiu._check_lock_protocol sees the steps at run time
+            # (address, step) of the READEX whose lock is held: the one check
+            # of lock pairing, which the NIU does not repeat at run time
             held = None
             for i, (request, wait) in enumerate(program.steps):
                 problems = validate_request(request)

@@ -102,9 +102,7 @@ class TraceRecorder:
     """
 
     def __init__(self, level: str = "packet"):
-        if level not in TRACE_LEVELS:
-            raise ValueError(f"unknown trace level {level!r}")
-        rank = TRACE_LEVELS[level]
+        rank = TRACE_LEVELS[level]  # a level RunSpec accepted
         self.record_packets = rank >= TRACE_LEVELS["packet"]
         self.record_hops = rank >= TRACE_LEVELS["full"]
         self.trace = Trace(level=level)

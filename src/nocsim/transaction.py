@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import lru_cache
+from typing import NamedTuple
 
 # Simulated address space width. A single constant so desk-scale scenarios
 # stay readable; nothing else in the package assumes a particular width.
@@ -127,9 +128,8 @@ class SocketOrderKey:
         return (OrderVariant.TXN_ID, self.txn_id, self.channel)
 
 
-@dataclass(slots=True)
-class TransactionRequest:
-    """A master-issued request, before any packetization.
+class TransactionRequest(NamedTuple):
+    """A master-issued request, before any packetization; immutable.
 
     data is the full store payload in socket byte order; loads carry an
     empty payload and describe their size via burst_len and beat_size.
@@ -165,8 +165,8 @@ def _is_pow2(n: int) -> bool:
 def validate_request(req: TransactionRequest) -> list[str]:
     """Return the list of invariant violations (empty means the request is ok).
 
-    Violations are data for the caller to act on, not exceptions: scenario
-    loaders report them, NIUs refuse to pack invalid requests.
+    Violations are data for the caller to act on, not exceptions: a scenario
+    reports them for each script step when it is built.
     """
     violations: list[str] = []
     if req.burst_len < 1:

@@ -121,14 +121,15 @@ def generate_random_steps(
     ``_randbelow``'s loop inline (``getrandbits(n.bit_length())`` until below
     n, so n = 1 draws too), store data is ``getrandbits(8 * n)`` little
     endian. So the steps are the ones those wrappers drew, without a Python
-    frame per draw; each request is built by slot stores, without its
-    generated ``__init__`` (tests/test_field_order.py pins the fields).
+    frame per draw; each request is built with ``tuple.__new__``, in field
+    order, without its generated ``__new__`` (tests/test_field_order.py pins
+    the fields).
     """
     op_mix = dict(op_mix)
     opcodes = sorted(op_mix, key=lambda o: o.name)
     cum_weights = list(accumulate(op_mix[o] for o in opcodes))
     total, last = cum_weights[-1] + 0.0, len(opcodes) - 1
-    random, getrandbits, new = rng.random, rng.getrandbits, object.__new__
+    random, getrandbits, new = rng.random, rng.getrandbits, tuple.__new__
 
     # per beat size: the beat, and the bursts that fit it under max_bytes; if
     # none does, one beat, picked by getrandbits(0), which draws nothing
@@ -165,13 +166,7 @@ def generate_random_steps(
         k = slots.bit_length()
         while (r := getrandbits(k)) >= slots:
             pass
-        request = new(TransactionRequest)
-        request.master_id = master_id
-        request.opcode = opcode
-        request.address = base + r * beat
-        request.burst_len = burst
-        request.beat_size = beat
-        key = single
+        address, key = base + r * beat, single
         if streams:
             while (i := getrandbits(k_streams)) >= streams:
                 pass
@@ -180,9 +175,8 @@ def generate_random_steps(
             if key is None:
                 key = keys[i] = SocketOrderKey.thread(i) if threaded else SocketOrderKey.txn(
                     i, Channel.READ if opcode is load else Channel.WRITE)
-        request.order_key = key
-        request.data = (getrandbits(8 * nbytes).to_bytes(nbytes, "little")
-                        if opcode.is_store else b"")
+        data = getrandbits(8 * nbytes).to_bytes(nbytes, "little") if opcode.is_store else b""
+        request = new(TransactionRequest, (master_id, opcode, address, burst, beat, key, data))
         steps.append((request, False))
     return steps
 
@@ -211,15 +205,8 @@ class _AtomicLoopMaster(Master):
         data = b""
         if value is not None:
             data = value.to_bytes(COUNTER_BYTES, "little")
-        return TransactionRequest(
-            master_id=self.master_id,
-            opcode=opcode,
-            address=self.counter_address,
-            burst_len=1,
-            beat_size=COUNTER_BYTES,
-            order_key=SocketOrderKey.single(),
-            data=data,
-        )
+        return TransactionRequest(self.master_id, opcode, self.counter_address, 1,
+                                  COUNTER_BYTES, SocketOrderKey.single(), data)
 
     def next_request(self):
         if self.completed_iterations >= self.iterations:

@@ -182,6 +182,23 @@ def test_run_memory_beyond_region_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("region, counter, where", [
+    ("[0xFFFFFF00, 0x1000]", 0xFFFFFF40, "[0xffffff00,0x100000f00)"),
+    ("[-4096, 8192]", 64, "[-0x1000,0x1000)"),
+])
+def test_run_region_outside_the_address_space_exit_one(tmp_path, capsys, region, counter, where):
+    doc = yaml.safe_load((SCENARIO_DIR / "lock_loop.yaml").read_text())
+    doc["nius"][2]["region"] = yaml.safe_load(region)
+    for entry in doc["workload"]:
+        entry["program"]["counter"] = counter
+    path = tmp_path / "outside.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"target NIU 100 region {where} leaves the 32-bit address space" in err
+    assert "Traceback" not in err
+
+
 def test_compare_links_zero_width_exit_one(capsys):
     assert main(["compare-links", BASIC, "--widths", "0"]) == 1
     err = capsys.readouterr().err

@@ -2,13 +2,14 @@
 
 The NIUs build ``Packet`` positionally and ``PacketDest`` with
 ``tuple.__new__``; the trace recorder builds ``TraceEvent`` and the switch
-builds ``Candidate`` the same way, and ``generate_random_steps`` builds each
-``TransactionRequest`` by slot stores. Nothing checks the order of positional
-values at run time, and two fields of one type (``priority`` and
-``user_bits``, ``frag_index`` and ``payload_len``) can trade places
-silently. Each test here compares what a hot path built with the same
-record built by keyword, field by field and type by type (``True == 1``,
-so equality alone would miss a bool trading places with an int).
+builds ``Candidate`` the same way, as ``generate_random_steps`` builds each
+``TransactionRequest``; the loop masters build theirs positionally. Nothing
+checks the order of positional values at run time, and two fields of one
+type (``priority`` and ``user_bits``, ``frag_index`` and ``payload_len``,
+``burst_len`` and ``beat_size``) can trade places silently. Each test
+here compares what a hot path built with the same record built by keyword,
+field by field and type by type (``True == 1``, so equality alone would
+miss a bool trading places with an int).
 """
 
 import random
@@ -35,8 +36,9 @@ from nocsim.packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_E
 from nocsim.trace import TRACE_LEVELS, TraceEvent, TraceRecorder
 from nocsim.transaction import (
     Channel, Opcode, OrderVariant, SocketOrderKey, Status, TransactionRequest,
+    TransactionResponse,
 )
-from nocsim.workload import generate_random_steps
+from nocsim.workload import ExclusiveLoopMaster, LockLoopMaster, generate_random_steps
 
 INITIATOR, TARGET, REGION_BASE, THREAD = 3, 7, 0x1000, 2
 PRIORITY = 5
@@ -260,3 +262,20 @@ def test_expanded_requests_equal_keyword_built(family):
         )
         _assert_same(request, expected)
         assert wait is False
+
+
+# -- loop requests: _AtomicLoopMaster._request ---------------------------------------------
+
+@pytest.mark.parametrize("master_cls", [ExclusiveLoopMaster, LockLoopMaster])
+def test_loop_requests_equal_keyword_built(master_cls):
+    master = master_cls(INITIATOR, 0x40, 1)
+    load, _ = master.next_request()
+    master.on_response(load, TransactionResponse(
+        INITIATOR, SocketOrderKey.single(), Status.OKAY, (41).to_bytes(4, "little")))
+    store, _ = master.next_request()
+    for built, opcode, data in ((load, master.load_op, b""),
+                                (store, master.store_op, (42).to_bytes(4, "little"))):
+        _assert_same(built, TransactionRequest(
+            master_id=INITIATOR, opcode=opcode, address=0x40, burst_len=1, beat_size=4,
+            order_key=SocketOrderKey.single(), data=data,
+        ))

@@ -1,17 +1,16 @@
 """NIU units: decode, tag policies, chopping, byte lanes, monitors, packing."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import interleavings, run_exclusive_reference
 
-from nocsim.errors import (
-    LockProtocolError,
-    OrphanResponseError,
-    RaggedBeatError,
-    ScenarioError,
-)
+from nocsim.errors import OrphanResponseError, RaggedBeatError, ScenarioError
+from nocsim.engine import run
 from nocsim.niu import (
+    FAMILY_VARIANT,
     AddressMap,
     Endianness,
     ExclusiveMonitorSet,
@@ -29,17 +28,21 @@ from nocsim.niu import (
     endianness_convert,
     stream_tag,
 )
-from nocsim.fabric import ChannelStream
+from nocsim.fabric import ChannelStream, TransportMode
 from nocsim.link import LinkParams, serialize
 from nocsim.packet import Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
+from nocsim.scenario import atomic_loop_scenario, load_scenario, random_scenario
 from nocsim.transaction import (
     Channel,
     Opcode,
     SocketOrderKey,
     Status,
     TransactionRequest,
+    validate_request,
 )
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+LOCKED_RELEASE = Opcode.STORE_LOCKED_RELEASE
 TWO_REGIONS = AddressMap([(0x0000, 0x1000, 0), (0x1000, 0x1000, 1)])
 
 
@@ -348,55 +351,53 @@ def test_ingress_tag_stall():
     assert niu.try_accept(_load(addr=0x200), cycle=1) is None  # stall, retry later
 
 
-def test_ingress_rejects_invalid_request():
-    niu = _initiator()
-    bad = _load()
-    bad.data = b"\x01"
-    with pytest.raises(ScenarioError, match="invalid request"):
-        niu.try_accept(bad, cycle=0)
+# The initiator NIU does not re-check what a built scenario checked once: each
+# request is valid, on its NIU's order-key variant and, under the per-stream
+# policy, on a stream with a tag; a lock release follows its READEX at the same
+# address; and an exclusive or locking burst fits one packet. Seen here at the
+# NIU, over every kind of program the scenarios in use build.
+OFFERING = {
+    **{f"corpus{seed}_{mode.name.lower()}": (lambda seed=seed, mode=mode:
+                                             random_scenario(seed).with_mode(mode))
+       for seed in range(10) for mode in TransportMode},
+    **{f"atomic_{kind}": (lambda kind=kind: atomic_loop_scenario(kind))
+       for kind in ("exclusive", "lock")},
+    **{path.name: (lambda path=path: load_scenario(path))
+       for path in sorted(SCENARIO_DIR.glob("*.yaml"))},
+}
 
 
-def test_ingress_family_mismatch():
-    niu = _initiator(family=SocketFamily.THREADED)
-    with pytest.raises(ScenarioError, match="THREADED"):
-        niu.try_accept(_load(), cycle=0)
+@pytest.mark.parametrize("name", sorted(OFFERING))
+def test_offered_requests_meet_the_load_time_checks(monkeypatch, name):
+    accepted: dict[InitiatorNiu, list] = {}
+    real = InitiatorNiu.try_accept
 
+    def checking(niu, req, cycle):
+        config = niu.config
+        assert validate_request(req) == []
+        assert req.order_key.variant is FAMILY_VARIANT[config.family]
+        if config.tag_policy.kind is TagPolicyKind.PER_STREAM:
+            assert stream_tag(req.order_key) < config.tag_policy.streams
+        if req.opcode.is_exclusive or req.opcode in (Opcode.READEX, LOCKED_RELEASE):
+            assert req.byte_length <= config.max_payload
+        entry = real(niu, req, cycle)
+        if entry is not None:
+            accepted.setdefault(niu, []).append((req, entry.target_id >= 0))
+        return entry
 
-def test_lock_pairing_enforced():
-    niu = _initiator()
-    readex = TransactionRequest(
-        master_id=0, opcode=Opcode.READEX, address=0x100, burst_len=1,
-        beat_size=4, order_key=SocketOrderKey.single(),
-    )
-    assert niu.try_accept(readex, cycle=0) is not None
-    with pytest.raises(LockProtocolError, match="outstanding"):
-        niu.try_accept(readex, cycle=1)
-    bad_release = TransactionRequest(
-        master_id=0, opcode=Opcode.STORE_LOCKED_RELEASE, address=0x200, burst_len=1,
-        beat_size=4, order_key=SocketOrderKey.single(), data=bytes(4),
-    )
-    with pytest.raises(LockProtocolError, match="does not match"):
-        niu.try_accept(bad_release, cycle=2)
-
-
-def test_release_without_lock_faults():
-    niu = _initiator()
-    release = TransactionRequest(
-        master_id=0, opcode=Opcode.STORE_LOCKED_RELEASE, address=0x100, burst_len=1,
-        beat_size=4, order_key=SocketOrderKey.single(), data=bytes(4),
-    )
-    with pytest.raises(LockProtocolError, match="does not hold"):
-        niu.try_accept(release, cycle=0)
-
-
-def test_exclusive_burst_must_fit_one_packet():
-    niu = _initiator(max_payload=16)
-    request = TransactionRequest(
-        master_id=0, opcode=Opcode.LOAD_EXCLUSIVE, address=0x100, burst_len=8,
-        beat_size=4, order_key=SocketOrderKey.single(),
-    )
-    with pytest.raises(ScenarioError, match="does not fit"):
-        niu.try_accept(request, cycle=0)
+    monkeypatch.setattr(InitiatorNiu, "try_accept", checking)
+    run(OFFERING[name]())
+    assert accepted
+    for issued in accepted.values():
+        held = None  # the address of the READEX whose lock is held
+        for req, decoded in issued:
+            if req.opcode is Opcode.READEX:
+                assert held is None
+                if decoded:  # a decode miss takes no lock
+                    held = req.address
+            elif req.opcode is LOCKED_RELEASE:
+                assert held == req.address
+                held = None
 
 
 def _response_packet(niu, entry, frag_index=0, frag_last=True, status=Status.OKAY,

@@ -297,6 +297,11 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     # a READEX that does not decode gets an error response and takes no lock
     ({}, _script({**_READEX, "addr": 0x2000}, {**_RELEASE, "addr": 0x2000}), {},
      "master 0 script step 1: STORE_LOCKED_RELEASE with no lock held"),
+    # a request outside the address space stopped the run at the NIU
+    ({}, {**_LOOP, "counter": 0xFFFFFF40}, {"region": [0xFFFFFF00, 0x1000]},
+     "target NIU 100 region [0xffffff00,0x100000f00) leaves the 32-bit address space"),
+    ({}, {"address_ranges": [[-4096, 256]]}, {"region": [-4096, 8192]},
+     "target NIU 100 region [-0x1000,0x1000) leaves the 32-bit address space"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
@@ -320,10 +325,21 @@ def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, 
      {"kind": "script", "steps": [{"op": "load_exclusive", "addr": 0x40, "beats": 4}]}, {}),
     ({}, {}, {"memory": 4096}),
     ({}, _script({**_READEX, "addr": 0x2000}, _READEX, _RELEASE, _READEX), {}),
+    ({}, {**_LOOP, "counter": 0xFFFFF040}, {"region": [0xFFFFF000, 0x1000]}),
 ])
 def test_pairing_at_its_limit_runs(initiator, program, target):
     result = run(scenario_from_dict(_paired(initiator, program, target)))
     assert result.ok and result.stats.completed_transactions > 0
+
+
+def test_script_load_below_the_lowest_region_gets_a_decode_error():
+    steps = _script({"op": "load", "addr": 0x40, "wait": True},
+                    {"op": "load", "addr": 0x1040, "wait": True})
+    result = run(scenario_from_dict(_paired({}, steps, {"region": [0x1000, 4096]})))
+    assert result.ok
+    assert [(ev.address, ev.op) for ev in result.trace if ev.kind == "RESP_EMITTED"] == [
+        (0x40, "ERROR_DECODE"), (0x1040, "OKAY"),
+    ]
 
 
 def _second_initiator(doc: dict, niu_id: int) -> None:
@@ -369,6 +385,15 @@ def _loaded(edit):
     (_hand_built(lambda s: replace(s, masters=(replace(s.masters[0], program=ScriptProgram(
         [(req(0, Opcode.LOAD, 0x40, key=SocketOrderKey.thread(3)), False)])),))),
      "master 0 script step 0: NIU speaks FULLY_ORDERED, got THREAD order key"),
+    (_hand_built(lambda s: replace(s, topology=replace(
+        s.topology, attachments=s.topology.attachments[:1]))),
+     "attachment/NIU mismatch: attached [0], declared [0, 100]"),
+    (_loaded(lambda d: d["workload"][0].update(program=_script(
+        {"op": "load", "addr": 0x40, "beats": 0}))),
+     "master 0 script step 0: ['burst length must be at least 1']"),
+    (_loaded(lambda d: d["workload"][0].update(program=_script(
+        {"op": "load", "addr": 0x40, "data": "01"}))),
+     "master 0 script step 0: ['loads must carry no data']"),
 ])
 def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
     with pytest.raises(ScenarioError) as err:
@@ -718,6 +743,32 @@ def test_engine_rejects_script_step_edited_after_load():
         scenario.masters[0].program.steps[1] = bad
     with pytest.raises(ScenarioError, match="master 0 script step 1: .*not aligned"):
         line_scenario(programs=[[ok, bad]])
+
+
+def test_engine_run_checks_no_request(monkeypatch):
+    # every request was checked when its scenario was built; the NIUs issue
+    # them without a second check
+    scenarios = [random_scenario(5), atomic_loop_scenario("lock"), line_scenario(programs=[[
+        (req(0, Opcode.READEX, 0x40), True), (req(0, Opcode.STORE_LOCKED_RELEASE, 0x40), True),
+    ]])]
+    calls = _count_validate_request(monkeypatch)
+    for scenario in scenarios:
+        assert Engine(scenario).run().stats.completed_transactions > 0
+    assert calls == []
+
+
+def test_built_request_cannot_be_edited():
+    # moving the release away from its READEX's address once reached the NIU
+    # and stopped the run mid-way; a built request refuses the edit
+    readex, release = req(0, Opcode.READEX, 0x40), req(0, Opcode.STORE_LOCKED_RELEASE, 0x40)
+    scripted = line_scenario(programs=[[(readex, True), (release, True)]])
+    drawn = random_scenario(5)
+    for request in (scripted.masters[0].program.steps[1][0],
+                    scripted_steps_for(drawn.masters[0], drawn.run.seed)[0][0]):
+        address = request.address
+        with pytest.raises(AttributeError):
+            request.address = 0x80
+        assert request.address == address
 
 
 def test_random_scenario_is_deterministic():
