@@ -65,7 +65,6 @@ from .scenario import (
     ExclusiveLoopProgram,
     LockLoopProgram,
     MasterSpec,
-    RandomProgram,
     Scenario,
     ScriptProgram,
 )
@@ -78,7 +77,6 @@ from .trace import (
     MasterStats,
     Stats,
     Trace,
-    TraceRecorder,
 )
 from .workload import (
     ExclusiveLoopMaster,
@@ -99,17 +97,13 @@ class RunResult:
     timed_out: bool
     stuck: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.timed_out
-
 
 def derive_rng(seed: int, master_id: int) -> random.Random:
     return random.Random(seed * 1_000_003 + master_id * 7_919 + 11)
 
 
 def scripted_steps_for(spec: MasterSpec, seed: int):
-    """Expand a master's program into explicit steps, if it is list-shaped.
+    """Expand a script or random program into explicit steps.
 
     Kept separate from the engine so reference models can replay the exact
     same workload without running the fabric. A spec is immutable, so a
@@ -121,19 +115,17 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
     program = spec.program
     if isinstance(program, ScriptProgram):
         return program.steps
-    if isinstance(program, RandomProgram):
-        kept = spec.expansion
-        if kept is not None and kept[0] == seed:
-            return kept[1]
-        niu = spec.niu
-        steps = generate_random_steps(
-            niu.niu_id, niu.family, derive_rng(seed, niu.niu_id), program.transactions,
-            program.op_mix, program.address_ranges, program.burst_lens, program.beat_sizes,
-            program.threads, program.txn_ids, program.max_bytes,
-        )
-        object.__setattr__(spec, "expansion", (seed, steps))
-        return steps
-    return None
+    kept = spec.expansion
+    if kept is not None and kept[0] == seed:
+        return kept[1]
+    niu = spec.niu
+    steps = generate_random_steps(
+        niu.niu_id, niu.family, derive_rng(seed, niu.niu_id), program.transactions,
+        program.op_mix, program.address_ranges, program.burst_lens, program.beat_sizes,
+        program.threads, program.txn_ids, program.max_bytes,
+    )
+    object.__setattr__(spec, "expansion", (seed, steps))
+    return steps
 
 
 @dataclass(slots=True)
@@ -179,7 +171,7 @@ class Engine:
         self.table = scenario.topology.table
         self.scenario = scenario
         self.mode = scenario.run.mode
-        self.recorder = TraceRecorder(scenario.run.trace_level)
+        self.recorder = Trace(level=scenario.run.trace_level)
         self.channels: dict[str, ChannelStream] = {}
 
         # two planes per switch, in the order phase 3 steps them: switch id,
@@ -318,7 +310,7 @@ class Engine:
                 slot.stats.issued += 1
                 rec.event(
                     cycle, slot.site, REQ_ISSUED,
-                    master=mid, key=entry.order_key.stream, tag=entry.tag,
+                    master=mid, key=entry.request.order_key.stream, tag=entry.tag,
                     op=request.opcode.label, address=request.address,
                 )
                 if slot.finished():
@@ -359,7 +351,7 @@ class Engine:
                         ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
                             cycle, slot.site, RESP_EMITTED,
-                            master=mid, key=entry.order_key.stream, tag=entry.tag,
+                            master=mid, key=entry.request.order_key.stream, tag=entry.tag,
                             op=response.status.label, address=entry.request.address,
                         )
                     master.deliver(entry, response)
@@ -381,7 +373,7 @@ class Engine:
         stats = self._collect_stats(cycle, timed_out)
         return RunResult(
             memories={tid: bytes(t.memory) for tid, t in sorted(self.targets.items())},
-            trace=rec.trace,
+            trace=rec,
             stats=stats,
             timed_out=timed_out,
             stuck=stuck,

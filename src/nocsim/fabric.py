@@ -117,10 +117,6 @@ class Topology:
             out.sort()
         return adjacent
 
-    def neighbors(self, switch_id: int) -> list[tuple[int, int, int]]:
-        """Adjacent switches as (other_switch, my_port, other_port), sorted."""
-        return self.adjacency().get(switch_id, [])
-
     def validate(self) -> None:
         ports = {s.switch_id: s.ports for s in self.switches}  # switch id -> port count
         if len(ports) != len(self.switches):
@@ -393,14 +389,11 @@ class ChannelStream:
         self.release(count)
         return flit.packet
 
-    def pop_complete_packet(self) -> Optional[Packet]:
-        """Consume the oldest packet whole, as an NIU receive side does.
-
-        Returns it, or None while it is not whole. The packet leaves the
-        fabric here, so its slicing into flits is dropped with it.
+    def pop_complete_packet(self) -> Packet:
+        """Consume the oldest packet, which is whole (``tails > 0``), as an NIU
+        receive side does. The packet leaves the fabric here, so its slicing
+        into flits is dropped with it.
         """
-        if not self.tails:
-            return None
         packet = self.pop_packet()
         packet.sliced = None
         return packet

@@ -159,7 +159,6 @@ class PendingEntry:
 
     seq: int
     request: TransactionRequest
-    order_key: SocketOrderKey
     issue_cycle: int
     target_id: int
     tag: int
@@ -214,13 +213,15 @@ def assign_tag(
 ) -> Optional[int]:
     """Pick a tag for a new transaction, or None to stall this cycle.
 
-    A stall is ordinary flow control; the NIU retries on a later cycle.
+    A stall is ordinary flow control; the NIU retries on a later cycle. The
+    table holds at most ``policy.max_outstanding()`` entries, so room in it
+    decides a single tag, and a pool, one entry per tag, has a free one.
     """
     if pending.count >= pending.capacity:
         return None
     kind = policy.kind
     if kind is SINGLE_OUTSTANDING:
-        return 0 if pending.count == 0 else None
+        return 0
     if kind is PER_STREAM:
         tag = stream_tag(key)  # below policy.streams: Scenario counts the streams
         q = pending.entries.get(tag)
@@ -232,7 +233,6 @@ def assign_tag(
     for tag in range(policy.capacity):
         if tag not in pending.entries:
             return tag
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +346,6 @@ class ReleaseGate:
             s = q.popleft()
             out.append((s, self._done.pop(s)))
         return out
-
-    def held(self) -> int:
-        return len(self._done)
 
 
 def response_release_order(
@@ -489,7 +486,7 @@ class InitiatorNiu(PacketPort):
             spans = [(0, nbytes)]  # what chop_spans gives for a burst that fits
         else:
             spans = chop_spans(nbytes, req.beat_size, max_payload)
-        entry = PendingEntry(self.next_seq, req, key, cycle, target_id, tag, len(spans))
+        entry = PendingEntry(self.next_seq, req, cycle, target_id, tag, len(spans))
         self.next_seq += 1
         pending.insert(tag, entry)
         if opcode is not POSTED:
@@ -518,7 +515,7 @@ class InitiatorNiu(PacketPort):
 
     def _local_error(self, req: TransactionRequest, cycle: int, status: Status) -> PendingEntry:
         # no target, no tag, no fragments
-        entry = PendingEntry(self.next_seq, req, req.order_key, cycle, -1, -1, 0)
+        entry = PendingEntry(self.next_seq, req, cycle, -1, -1, 0)
         self.next_seq += 1
         if needs_response(req.opcode):
             self.gate.register(entry.seq, req.order_key)
@@ -579,7 +576,7 @@ class InitiatorNiu(PacketPort):
             if entry.request.opcode is POSTED:
                 emissions.append((entry, response, False))
             else:
-                for _, (e, r) in self.gate.complete(entry.seq, entry.order_key, done):
+                for _, (e, r) in self.gate.complete(entry.seq, entry.request.order_key, done):
                     emissions.append((e, r, True))
         if self.emit_buffer:
             emissions.extend((e, r, True) for e, r in self.emit_buffer)
@@ -588,13 +585,9 @@ class InitiatorNiu(PacketPort):
         return emissions
 
     def idle(self) -> bool:
-        return (
-            self.pending.count == 0
-            and not self.inject_queue
-            and self.flits is None
-            and not self.emit_buffer
-            and self.gate.held() == 0
-        )
+        # a request packet still to be sent belongs to a pending entry, and
+        # the release gate holds a response only behind an older pending one
+        return self.pending.count == 0 and not self.emit_buffer
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,7 @@ def sequential_oracle(scenario: Scenario) -> dict[int, bytes]:
     for spec in sorted(scenario.masters, key=lambda m: m.master_id):
         program = spec.program
         if isinstance(program, (ExclusiveLoopProgram, LockLoopProgram)):
-            decoded = amap.decode(program.counter_address)
-            if decoded is None:
-                continue
-            tid, off = decoded
+            tid, off = amap.decode(program.counter_address)  # a miss is refused at load
             mem = memories[tid]
             value = int.from_bytes(mem[off : off + COUNTER_BYTES], "little")
             value += program.iterations

@@ -646,6 +646,15 @@ def _mk_topology(rng: random.Random, n_switches: int):
     return ports, links
 
 
+# per socket family: the tag policy a random master draws against a pool,
+# and the pool sizes it draws from; the pool size is drawn first
+_random_tag_policies = {
+    SocketFamily.FULLY_ORDERED: (TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING), (2, 4, 8)),
+    SocketFamily.THREADED: (TagPolicy(TagPolicyKind.PER_STREAM, streams=4), (4, 8)),
+    SocketFamily.ID_BASED: (TagPolicy(TagPolicyKind.PER_STREAM, streams=8), (4, 8)),
+}
+
+
 def random_scenario(
     seed: int,
     n_masters: Optional[int] = None,
@@ -688,27 +697,9 @@ def random_scenario(
         sw = rng.randrange(n_sw)
         attachments.append((i, sw, ports.take(sw)))
         family = rng.choice(list(SocketFamily))
-        if family is SocketFamily.FULLY_ORDERED:
-            policy = rng.choice(
-                [
-                    TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING),
-                    TagPolicy(TagPolicyKind.POOLED, capacity=rng.choice([2, 4, 8])),
-                ]
-            )
-        elif family is SocketFamily.THREADED:
-            policy = rng.choice(
-                [
-                    TagPolicy(TagPolicyKind.PER_STREAM, streams=4),
-                    TagPolicy(TagPolicyKind.POOLED, capacity=rng.choice([4, 8])),
-                ]
-            )
-        else:
-            policy = rng.choice(
-                [
-                    TagPolicy(TagPolicyKind.PER_STREAM, streams=8),
-                    TagPolicy(TagPolicyKind.POOLED, capacity=rng.choice([4, 8])),
-                ]
-            )
+        other, pool_sizes = _random_tag_policies[family]
+        pooled = TagPolicy(TagPolicyKind.POOLED, capacity=rng.choice(pool_sizes))
+        policy = rng.choice([other, pooled])
         ranges = [
             (t.region_base + i * slice_size, slice_size) for t in targets
         ]

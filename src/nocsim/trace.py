@@ -42,7 +42,7 @@ new_tuple = tuple.__new__  # builds a TraceEvent without its generated Python __
 class TraceEvent(NamedTuple):
     """One trace event, its fields in the column order of the CSV export.
 
-    ``TraceRecorder`` builds it with ``tuple.__new__``, in field order;
+    ``Trace`` builds it with ``tuple.__new__``, in field order;
     tests/test_field_order.py pins that order.
     """
 
@@ -73,13 +73,20 @@ class TraceEvent(NamedTuple):
 class Trace:
     """Ordered event log of one run, recorded at detail level ``level``.
 
-    A hand-built trace is taken to be at "full" level, so the audit assumes
-    it may hold packet events.
+    The run appends to it with ``event`` and ``packet_marker``. Callers
+    consult ``record_packets`` (packet level and up) and ``record_hops``
+    (full level) before they record a packet event, so a level that drops an
+    event costs no call and builds nothing for it. A hand-built trace is
+    taken to be at "full" level, so the audit assumes it may hold packet
+    events.
     """
 
     def __init__(self, events: Optional[list[TraceEvent]] = None, level: str = "full"):
         self.events: list[TraceEvent] = events if events is not None else []
         self.level = level
+        rank = TRACE_LEVELS[level]  # a level RunSpec accepted
+        self.record_packets = rank >= TRACE_LEVELS["packet"]
+        self.record_hops = rank >= TRACE_LEVELS["full"]
 
     def __iter__(self):
         return iter(self.events)
@@ -87,36 +94,21 @@ class Trace:
     def __len__(self):
         return len(self.events)
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(ev.csv_line() for ev in self.events)
-        return "\n".join(lines) + "\n"
-
-
-class TraceRecorder:
-    """Append-only event sink for one detail level.
-
-    Callers consult ``record_packets`` (packet level and up) and
-    ``record_hops`` (full level) before they record a packet event, so a
-    level that drops an event costs no call and builds nothing for it.
-    """
-
-    def __init__(self, level: str = "packet"):
-        rank = TRACE_LEVELS[level]  # a level RunSpec accepted
-        self.record_packets = rank >= TRACE_LEVELS["packet"]
-        self.record_hops = rank >= TRACE_LEVELS["full"]
-        self.trace = Trace(level=level)
-
     def event(self, cycle, site, kind, master=-1, key="", tag=-1, op="", address=-1) -> None:
-        self.trace.events.append(
+        self.events.append(
             new_tuple(TraceEvent, (cycle, site, kind, master, key, tag, op, address))
         )
 
     def packet_marker(self, cycle, site, kind, packet) -> None:
         """Record an event about one packet, read from its header fields."""
-        self.trace.events.append(new_tuple(TraceEvent, (
+        self.events.append(new_tuple(TraceEvent, (
             cycle, site, kind, packet.src, "", packet.tag, packet.op.label, packet.dest.offset,
         )))
+
+    def to_csv(self) -> str:
+        lines = [CSV_HEADER]
+        lines.extend(ev.csv_line() for ev in self.events)
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import line_scenario, mixed_widths, per_stream, req
+from helpers import line_scenario, mixed_widths, per_stream, pooled, req
 from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
@@ -155,6 +155,39 @@ def test_scripted_memory_matches_sequential_oracle():
     assert result.memories == sequential_oracle(scenario)
     # last writer wins on the overlap
     assert result.memories[100][0x10:0x14] == b"\xff\xee\xdd\xcc"
+
+
+def test_stores_that_reach_no_memory_match_sequential_oracle():
+    # a store that decodes nowhere gets a local error response, and one past
+    # the target's memory an ERROR_SLAVE: neither writes, in the engine or in
+    # the oracle
+    steps = [
+        (req(0, Opcode.STORE, 0x10), False),
+        (req(0, Opcode.STORE, 0x2000), False),  # past the 4096-byte region
+        (req(0, Opcode.STORE, 0x80), True),  # inside the region, past the memory
+    ]
+    scenario = line_scenario(programs=[steps], memory_size=64)
+    result = run(scenario)
+    assert [e.op for e in result.trace if e.kind == RESP_EMITTED] == [
+        "OKAY", "ERROR_DECODE", "ERROR_SLAVE",
+    ]
+    assert result.memories == sequential_oracle(scenario)
+    assert result.memories[100] == bytes(0x10) + b"\x01\x02\x03\x04" + bytes(44)
+
+
+def test_script_master_woken_while_it_waits_keeps_waiting():
+    # the response to step 0 wakes the master while it waits for step 1's,
+    # and it offers step 2 only once that response is back
+    steps = [
+        (req(0, Opcode.LOAD, 0x40), False),
+        (req(0, Opcode.LOAD, 0x44), True),
+        (req(0, Opcode.LOAD, 0x48), False),
+    ]
+    result = run(line_scenario(programs=[steps], policies=[pooled(2)]))
+    assert [(e.kind, e.address) for e in result.trace if e.kind in (REQ_ISSUED, RESP_EMITTED)] == [
+        (REQ_ISSUED, 0x40), (REQ_ISSUED, 0x44), (RESP_EMITTED, 0x40),
+        (RESP_EMITTED, 0x44), (REQ_ISSUED, 0x48), (RESP_EMITTED, 0x48),
+    ]
 
 
 def test_random_disjoint_masters_match_oracle():

@@ -50,10 +50,20 @@ def test_route_depends_only_on_destination():
     assert results == {1}
 
 
+def test_route_lookup_miss_refused():
+    table = RoutingTable({0: {100: 1}})
+    for switch_id, target_id in ((0, 101), (1, 100)):
+        with pytest.raises(ScenarioError) as err:
+            route(table, switch_id, target_id)
+        assert str(err.value) == (
+            f"unroutable packet: switch {switch_id} has no route to NIU {target_id}"
+        )
+
+
 def test_ring_auto_routes_follow_bfs_distance():
     topo = _ring4()
     table = build_routing(topo)
-    adjacency = {s.switch_id: [o for o, _, _ in topo.neighbors(s.switch_id)] for s in topo.switches}
+    adjacency = {sw: [o for o, _, _ in adjacent] for sw, adjacent in topo.adjacency().items()}
     port_to_neighbor = {}
     for ln in topo.links:
         port_to_neighbor[(ln.a_switch, ln.a_port)] = ln.b_switch
@@ -116,6 +126,12 @@ def test_disconnected_topology_rejected():
             links=[],
             attachments=[AttachmentSpec(100, 0, 0), AttachmentSpec(101, 1, 0)],
         )
+
+
+def test_empty_topology_rejected():
+    with pytest.raises(ScenarioError) as err:
+        Topology([], [], [])
+    assert str(err.value) == "topology has no switches"
 
 
 def test_port_double_use_rejected():

@@ -33,7 +33,7 @@ from nocsim.niu import (
     TargetNiu,
 )
 from nocsim.packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
-from nocsim.trace import TRACE_LEVELS, TraceEvent, TraceRecorder
+from nocsim.trace import TRACE_LEVELS, Trace, TraceEvent
 from nocsim.transaction import (
     Channel, Opcode, OrderVariant, SocketOrderKey, Status, TransactionRequest,
     TransactionResponse,
@@ -170,11 +170,11 @@ def test_response_packets_equal_keyword_built(case):
     _assert_same(_target().handle_request(pkt, cycle=9), expected)
 
 
-# -- trace events: TraceRecorder.event and packet_marker -----------------------------
+# -- trace events: Trace.event and packet_marker -------------------------------------
 
 @pytest.mark.parametrize("level", sorted(TRACE_LEVELS))
 def test_trace_events_equal_keyword_built(level):
-    rec = TraceRecorder(level)
+    rec = Trace(level=level)
     rec.event(11, "niu3", "REQ_ISSUED", master=3, key="thread:2", tag=2, op="LOAD",
               address=0x40)
     rec.event(12, "niu4", "STALL")
@@ -190,10 +190,10 @@ def test_trace_events_equal_keyword_built(level):
         TraceEvent(cycle=14, site="sw1p2", kind="PKT_DELIVERED", master=INITIATOR, key="",
                    tag=THREAD, op="STORE", address=0x20),
     ]
-    assert len(rec.trace.events) == len(expected)
-    for ev, want in zip(rec.trace.events, expected):
+    assert len(rec.events) == len(expected)
+    for ev, want in zip(rec.events, expected):
         _assert_same(ev, want)
-    assert rec.trace.events[0].csv_line() == "11,niu3,REQ_ISSUED,3,thread:2,2,LOAD,64"
+    assert rec.events[0].csv_line() == "11,niu3,REQ_ISSUED,3,thread:2,2,LOAD,64"
 
 
 # -- arbitration candidates: Switch._try_grant -----------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import interleavings, run_exclusive_reference
 
+import nocsim.niu
 from nocsim.errors import OrphanResponseError, RaggedBeatError, ScenarioError
 from nocsim.engine import run
 from nocsim.niu import (
@@ -76,11 +77,10 @@ def _pending(capacity=16) -> PendingTable:
     return PendingTable(capacity)
 
 
-def _entry(seq, tag, target=0, key=None) -> PendingEntry:
+def _entry(seq, tag, target=0) -> PendingEntry:
     return PendingEntry(
         seq=seq,
         request=None,
-        order_key=key or SocketOrderKey.single(),
         issue_cycle=0,
         target_id=target,
         tag=tag,
@@ -90,7 +90,7 @@ def _entry(seq, tag, target=0, key=None) -> PendingEntry:
 
 def test_single_outstanding_tag_zero_then_stall():
     policy = TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
-    pending = _pending()
+    pending = _pending(policy.max_outstanding())  # as InitiatorNiu sizes it
     key = SocketOrderKey.single()
     assert assign_tag(policy, key, pending, 0) == 0
     pending.insert(0, _entry(0, 0))
@@ -122,7 +122,7 @@ def test_per_stream_same_target_pipelines_else_stalls():
     policy = TagPolicy(TagPolicyKind.PER_STREAM, streams=4)
     key = SocketOrderKey.thread(2)
     pending = _pending()
-    pending.insert(2, _entry(0, 2, target=7, key=key))
+    pending.insert(2, _entry(0, 2, target=7))
     # same target: the stream's tag is handed out again
     assert assign_tag(policy, key, pending, 7) == 2
     # different target: stall until the stream drains
@@ -400,6 +400,35 @@ def test_offered_requests_meet_the_load_time_checks(monkeypatch, name):
                 held = None
 
 
+# The initiator NIU reads whether it is idle from its pending table and its
+# emit buffer alone, and its pooled tag search has no way to fail: a request
+# packet still to be sent, or a response the release gate holds, exists only
+# while a pending entry does, and a pool with room in its table has a free
+# tag. Seen here over the same scenarios.
+@pytest.mark.parametrize("name", sorted(OFFERING))
+def test_pending_table_decides_idle_and_pooled_tags(monkeypatch, name):
+    idle_calls = []
+    real_idle, real_assign = InitiatorNiu.idle, nocsim.niu.assign_tag
+
+    def idle(niu):
+        five = (niu.pending.count == 0 and not niu.inject_queue and niu.flits is None
+                and not niu.emit_buffer and not niu.gate._done)
+        assert real_idle(niu) == five == (niu.pending.count == 0 and not niu.emit_buffer)
+        idle_calls.append(niu)
+        return five
+
+    def assign_tag(policy, key, pending, target_id):
+        tag = real_assign(policy, key, pending, target_id)
+        if policy.kind is TagPolicyKind.POOLED and pending.count < pending.capacity:
+            assert tag is not None and tag not in pending.entries
+        return tag
+
+    monkeypatch.setattr(InitiatorNiu, "idle", idle)
+    monkeypatch.setattr(nocsim.niu, "assign_tag", assign_tag)
+    result = run(OFFERING[name]())
+    assert idle_calls or result.timed_out  # a master still working asks no NIU
+
+
 def _response_packet(niu, entry, frag_index=0, frag_last=True, status=Status.OKAY,
                      payload=b""):
     return Packet(
@@ -436,7 +465,7 @@ def test_egress_partial_fragments_incomplete():
 
 def test_egress_orphan_response_faults():
     niu = _initiator()
-    fake = PendingEntry(0, _load(), SocketOrderKey.single(), 0, 0, tag=9, frags_expected=1)
+    fake = PendingEntry(0, _load(), 0, 0, tag=9, frags_expected=1)
     with pytest.raises(OrphanResponseError, match="orphan"):
         niu.egress_unpack(_response_packet(niu, fake))
 

@@ -302,6 +302,12 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
      "target NIU 100 region [0xffffff00,0x100000f00) leaves the 32-bit address space"),
     ({}, {"address_ranges": [[-4096, 256]]}, {"region": [-4096, 8192]},
      "target NIU 100 region [-0x1000,0x1000) leaves the 32-bit address space"),
+    # refused before any pairing is looked at
+    ({}, {"burst_lens": []}, {}, "master 0 burst_lens must list positive integers"),
+    ({}, {"burst_lens": [1, 0]}, {}, "master 0 burst_lens must list positive integers"),
+    ({}, {"threads": 0}, {}, "master 0 threads and txn_ids must be positive"),
+    ({}, {"address_ranges": []}, {}, "master 0 random program has no address range"),
+    ({}, _script({"op": "bogus", "addr": 0x40}), {}, "unknown opcode 'bogus'"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
@@ -329,14 +335,14 @@ def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, 
 ])
 def test_pairing_at_its_limit_runs(initiator, program, target):
     result = run(scenario_from_dict(_paired(initiator, program, target)))
-    assert result.ok and result.stats.completed_transactions > 0
+    assert not result.timed_out and result.stats.completed_transactions > 0
 
 
 def test_script_load_below_the_lowest_region_gets_a_decode_error():
     steps = _script({"op": "load", "addr": 0x40, "wait": True},
                     {"op": "load", "addr": 0x1040, "wait": True})
     result = run(scenario_from_dict(_paired({}, steps, {"region": [0x1000, 4096]})))
-    assert result.ok
+    assert not result.timed_out
     assert [(ev.address, ev.op) for ev in result.trace if ev.kind == "RESP_EMITTED"] == [
         (0x40, "ERROR_DECODE"), (0x1040, "OKAY"),
     ]
@@ -394,6 +400,10 @@ def _loaded(edit):
     (_loaded(lambda d: d["workload"][0].update(program=_script(
         {"op": "load", "addr": 0x40, "data": "01"}))),
      "master 0 script step 0: ['loads must carry no data']"),
+    # library input that no YAML document gives; these name no switch or NIU
+    (_hand_built(lambda s: replace(s, masters=(replace(s.masters[0], program="bogus"),))),
+     "unknown program type str"),
+    (lambda tmp_path: atomic_loop_scenario("bogus"), "loop kind must be 'exclusive' or 'lock'"),
 ])
 def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
     with pytest.raises(ScenarioError) as err:
@@ -566,6 +576,7 @@ def test_basic_line_auto_table_loads_when_explicit(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     ({99: {100: 7}}, "routing names switch 99, which the topology does not have"),
     ({0: {555: 2}}, "routing at switch 0 names unattached NIU 555"),
+    ({0: {100: 3}}, "route for NIU 100 at switch 0 uses unconnected port 3"),
 ])
 def test_explicit_routing_entry_for_what_the_topology_lacks_refused(tmp_path, extra, message):
     routing = {sw: dict(routes) for sw, routes in BASIC_AUTO.items()}
