@@ -218,10 +218,11 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     the NIU has already freed and reused its tag. Telling these apart from
     real double use needs a trace event at tag release.
     """
-    # per (master, stream): [unmatched events of the side that is ahead,
-    # pairs made, first mismatch, issued, (master, tag) and window of each
-    # tagged request awaiting its response]; a stream's non-posted requests
-    # and its responses pair by position, whichever of the two comes first
+    # per (master, stream): [first mismatch, issued, (master, tag) and window
+    # of each tagged request awaiting its response, index of the oldest
+    # unmatched event, then each event in the pairing]; a stream's non-posted
+    # requests and its responses pair by position, whichever comes first. No
+    # deque per stream: an audit then builds few objects the collector counts.
     streams: dict[tuple[int, str], list] = {}
     track = trace.level != "transaction"  # such a trace holds no packet events
     open_windows: dict[tuple[int, int], int] = {}  # (master, tag) -> open windows
@@ -244,9 +245,9 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
         if kind == REQ_ISSUED or kind == RESP_EMITTED:
             state = streams.get((ev.master, ev.key))
             if state is None:
-                state = streams[(ev.master, ev.key)] = [deque(), 0, "", False, deque()]
+                state = streams[(ev.master, ev.key)] = ["", False, deque() if track else None, 4]
             if kind == REQ_ISSUED:
-                state[3] = True
+                state[1] = True
                 if track and ev.tag >= 0:
                     mt = (ev.master, ev.tag)
                     window = newest.get(mt)
@@ -258,27 +259,27 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
                     window = newest[mt] = [ev.key, True]
                     open_windows[mt] = open_windows.get(mt, 0) + 1
                     if ev.op != _POSTED_NAME:
-                        state[4].append((mt, window))
+                        state[2].append((mt, window))
                 if ev.op == _POSTED_NAME:
                     continue
-            elif track and ev.tag >= 0 and state[4]:
-                mt, window = state[4].popleft()
+            elif track and ev.tag >= 0 and state[2]:
+                mt, window = state[2].popleft()
                 window[1] = False
                 open_windows[mt] -= 1
-            ahead = state[0]
-            if not ahead or ahead[0].kind == kind:
-                ahead.append(ev)
+            head = state[3]
+            if head == len(state) or state[head].kind == kind:
+                state.append(ev)
                 continue
-            other = ahead.popleft()
-            if not state[2] and (other.address != ev.address or other.tag != ev.tag):
+            other = state[head]
+            state[3] = head + 1
+            if not state[0] and (other.address != ev.address or other.tag != ev.tag):
                 req, resp = (ev, other) if kind == REQ_ISSUED else (other, ev)
-                state[2] = (
+                state[0] = (
                     f"stream order violation: master {ev.master} stream {ev.key} "
-                    f"position {state[1]}: issued {req.op}@{req.address} tag {req.tag} "
+                    f"position {head - 4}: issued {req.op}@{req.address} tag {req.tag} "
                     f"at cycle {req.cycle}, emitted {resp.op}@{resp.address} tag "
                     f"{resp.tag} at cycle {resp.cycle}"
                 )
-            state[1] += 1
         elif kind == PKT_DELIVERED or kind == PKT_INJECTED:
             packets = True
             if not open_windows.get((ev.master, ev.tag)) and ev.master >= 0 and ev.tag >= 0:
@@ -316,10 +317,11 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     ordered = sorted(streams)
     violations = [
         f"conservation violation: response without request for master {m} stream {k}"
-        for m, k in ordered if not streams[(m, k)][3]
+        for m, k in ordered if not streams[(m, k)][1]
     ]
     for m, k in ordered:
-        ahead, _, mismatch, issued, _ = streams[(m, k)]
+        mismatch, issued, _, head, *paired = streams[(m, k)]
+        ahead = paired[head - 4:]
         if not issued:
             continue
         if mismatch:

@@ -1,9 +1,11 @@
 """Post-run audits: each flags a poisoned trace, by exact message text, the
 one-walk audit agrees with the per-check references on poisoned real traces
 and, for tag liveness, on generated event lists, and it walks a trace once
-at every trace level."""
+at every trace level and sets off no garbage collection."""
 
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,30 @@ def test_trace_is_walked_once_at_every_level(level):
     kinds = {e.kind for e in result.trace.events}
     assert (PKT_INJECTED in kinds) == (level != "transaction")
     assert _walks(result.trace) == 1
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's collector counts")
+def test_audit_sets_off_no_collection():
+    """A garbage collection that an audit sets off walks every live object of
+    its caller, such as a corpus of engines and traces, and a full one takes
+    far longer than the audit. So a stream's state, its queue included, is
+    one list: once a first audit has stocked the interpreter's free lists, a
+    second one of a trace with dozens of streams allocates fewer than 50
+    objects that count towards the next collection.
+    """
+    result = run(random_scenario(0, trace_level="transaction"))
+    streams = {(ev.master, ev.key) for ev in result.trace if ev.kind == REQ_ISSUED}
+    assert len(streams) > 30
+    check_invariants(result.trace, None, result.stats)
+    threshold = gc.get_threshold()
+    gc.collect(0)
+    collections = sum(gen["collections"] for gen in gc.get_stats())
+    gc.set_threshold(50, *threshold[1:])
+    try:
+        check_invariants(result.trace, None, result.stats)
+    finally:
+        gc.set_threshold(*threshold)
+    assert sum(gen["collections"] for gen in gc.get_stats()) == collections
 
 
 def test_foreign_packet_inside_lock_window():
