@@ -8,13 +8,15 @@ acquire admits only its owner's packets until the matching release passes.
 A packet reaches the fabric by reference inside its flits (see link.py);
 a switch reads just these four fields of it and passes the rest on unread.
 
-A channel's receive side is a flit buffer, as in hardware: each delivered
-flit holds one credit until the switch has forwarded all of its bytes.
-Payload bytes are counted, not copied: the buffer records how many bytes of
-its newest packet have arrived, and a switch sends the packet's flits for
-its output link's width (sliced once per width, see link.serialize) as the
-bytes they stand for arrive, so wormhole and store-and-forward timing stay
-flit-exact without a byte being moved.
+A channel is one flit FIFO with one credit per slot, as in hardware: a flit
+holds a credit from its send, in flight and then in the receive buffer at
+the FIFO's front, until the switch has forwarded all of its bytes, so
+``credits + len(buf) == depth``. Payload bytes are counted, not copied: the
+channel records how many bytes of its newest delivered packet have arrived,
+and a switch sends the packet's flits for its output link's width (sliced
+once per width, see link.serialize) as the bytes they stand for arrive, so
+wormhole and store-and-forward timing stay flit-exact without a byte being
+moved.
 
 Requests and responses travel on physically separate channel planes so a
 backed-up request path can never block responses (and vice versa), which
@@ -277,15 +279,17 @@ class ChannelStream:
     """One directed flit pipe: credits, latency/rate pipeline, flit buffer.
 
     ``credits`` starts at the receiver's buffer ``depth``; ``min_seen`` is
-    the fewest it has fallen to. ``rx`` is the receive side's buffer: the
-    delivered flits that still hold a credit, oldest first, so ``credits +
-    len(in_flight) + len(rx)`` is always ``depth``. ``tails`` counts the
-    tail flits in it, so the oldest packet in the buffer is whole iff
-    ``tails > 0``; ``received`` is the payload bytes of the newest packet
-    delivered so far, and ``open`` is set between a packet's head and its
-    tail, for the framing checks. A switch reading the channel sets
-    ``waiting`` to the output port that the head at the front of ``rx`` is
-    routed to while it waits for a grant.
+    the fewest it has fallen to. ``buf`` is one FIFO of ``(arrival, flit)``
+    pairs, oldest first, one for every flit that holds a credit, so
+    ``credits + len(buf)`` is always ``depth``. Its first ``arrived`` flits
+    are delivered, the receive side's buffer; the rest are in flight.
+    ``tails`` counts the tail flits delivered, so the oldest packet in the
+    buffer is whole iff ``tails > 0``; ``received`` is the payload bytes of
+    the newest packet delivered so far, and ``open`` is set between a
+    packet's head and its tail, for the framing checks. A switch reading the
+    channel sets ``waiting`` to the output port that the head at the front
+    of ``buf`` is routed to while it waits for a grant. ``rx`` and
+    ``in_flight`` are copies of the two parts, for tests and inspection.
 
     ``sink`` is the switch plane or NIU that reads the channel. The engine
     steps it only from its ``wake_cycle`` on, and a send lowers that cycle
@@ -298,8 +302,8 @@ class ChannelStream:
     """
 
     __slots__ = (
-        "name", "params", "credits", "depth", "min_seen", "in_flight",
-        "next_send", "flits_sent", "rx", "tails", "received", "open", "waiting",
+        "name", "params", "credits", "depth", "min_seen", "buf", "arrived",
+        "next_send", "flits_sent", "tails", "received", "open", "waiting",
         "sink", "sink_switch", "delay",
     )
 
@@ -307,10 +311,10 @@ class ChannelStream:
         self.name = name
         self.params = params
         self.credits = self.depth = self.min_seen = depth
-        self.in_flight: deque[tuple[int, Flit]] = deque()
+        self.buf: list[tuple[int, Flit]] = []
+        self.arrived = 0
         self.next_send = 0
         self.flits_sent = 0
-        self.rx: deque[Flit] = deque()
         self.tails = 0
         self.received = 0
         self.open = False
@@ -318,6 +322,16 @@ class ChannelStream:
         self.sink = None
         self.sink_switch: Optional[Switch] = None
         self.delay = 1 + params.latency  # send to arrival, in cycles
+
+    @property
+    def rx(self) -> list[Flit]:
+        """The delivered flits, oldest first."""
+        return [flit for _, flit in self.buf[:self.arrived]]
+
+    @property
+    def in_flight(self) -> list[tuple[int, Flit]]:
+        """The (arrival, flit) pairs not yet delivered, oldest first."""
+        return self.buf[self.arrived:]
 
     def can_send(self, cycle: int) -> bool:
         return cycle >= self.next_send and self.credits > 0
@@ -330,10 +344,10 @@ class ChannelStream:
         if credits < self.min_seen:
             self.min_seen = credits
         arrival = cycle + self.delay
-        q = self.in_flight
-        if not q and self.sink_switch is not None:
+        buf = self.buf
+        if self.arrived == len(buf) and self.sink_switch is not None:
             self.sink_switch.arrivals.append(self)
-        q.append((arrival, flit))
+        buf.append((arrival, flit))
         self.next_send = cycle + self.params.rate_ratio
         self.flits_sent += 1
         sink = self.sink
@@ -342,15 +356,15 @@ class ChannelStream:
 
     def next_arrival(self) -> int:
         """Arrival cycle of the oldest flit in flight, or NEVER."""
-        q = self.in_flight
-        return q[0][0] if q else NEVER
+        buf = self.buf
+        return buf[self.arrived][0] if self.arrived < len(buf) else NEVER
 
     def deliver(self, cycle: int) -> None:
-        """Move flits whose arrival cycle has come into the flit buffer."""
-        q = self.in_flight
-        rx = self.rx
-        while q and q[0][0] <= cycle:
-            flit = q.popleft()[1]
+        """Deliver the flits whose arrival cycle has come, checking their framing."""
+        buf = self.buf
+        i = self.arrived
+        while i < len(buf) and buf[i][0] <= cycle:
+            flit = buf[i][1]
             if flit.is_head:
                 if self.open:
                     raise FramingError(
@@ -368,26 +382,28 @@ class ChannelStream:
                 self.open = False
             else:
                 self.open = True
-            rx.append(flit)
+            i += 1
+        self.arrived = i
 
     def release(self, count: int) -> None:
-        """Return the credits of ``count`` flits popped from the buffer."""
+        """Drop the ``count`` oldest delivered flits, returning their credits."""
         credits = self.credits + count
         if credits > self.depth:
             raise CreditError("credit accounting: return beyond buffer depth")
         self.credits = credits
+        self.arrived -= count
+        del self.buf[:count]
 
     def pop_packet(self) -> Packet:
         """Pop the oldest packet's flits, through its tail, freeing their credits."""
-        rx = self.rx
-        count = 1
-        flit = rx.popleft()
-        while not flit.is_tail:
-            flit = rx.popleft()
+        buf = self.buf
+        count = 0
+        while not buf[count][1].is_tail:
             count += 1
         self.tails -= 1
-        self.release(count)
-        return flit.packet
+        packet = buf[count][1].packet
+        self.release(count + 1)
+        return packet
 
     def pop_complete_packet(self) -> Packet:
         """Consume the oldest packet, which is whole (``tails > 0``), as an NIU
@@ -529,10 +545,10 @@ class Switch:
     ``streaming`` (the outputs with an active stream) is non-empty.
     Delivery only bumps head counts, so the order of the inputs is free.
 
-    Each input is a flit buffer (see ChannelStream). A head is routed once,
+    Each input is a flit FIFO (see ChannelStream). A head is routed once,
     when it becomes ready; a stream sends the packet's flits for its
-    output's width and pops the inbound flits whose bytes have all gone
-    out, returning their credits.
+    output's width and drops the inbound flits whose bytes have all gone
+    out from the FIFO's front, returning their credits.
     """
 
     def __init__(self, switch_id: int, nports: int, table: RoutingTable, kind: PacketKind):
@@ -580,19 +596,20 @@ class Switch:
         if self.arrivals:
             in_flight = []
             for ch in self.arrivals:
-                q = ch.in_flight
-                if q[0][0] <= cycle:
-                    rx = ch.rx
-                    no_head = not rx or (saf and not ch.tails)
+                buf = ch.buf
+                arrival = buf[ch.arrived][0]
+                if arrival <= cycle:
+                    no_head = not ch.arrived or (saf and not ch.tails)
                     ch.deliver(cycle)
-                    # rx[0] is no head when the delivery continues a stream
-                    if no_head and rx[0].is_head and (not saf or ch.tails):
+                    # buf[0] is no head when the delivery continues a stream
+                    if no_head and buf[0][1].is_head and (not saf or ch.tails):
                         self._head_ready(ch)
-                    if not q:
+                    if ch.arrived == len(buf):
                         continue
+                    arrival = buf[ch.arrived][0]
                 in_flight.append(ch)
-                if q[0][0] < wake:
-                    wake = q[0][0]
+                if arrival < wake:
+                    wake = arrival
             self.arrivals = in_flight
         if self.ready or self.streaming:
             for port, out in self.outputs:
@@ -614,7 +631,7 @@ class Switch:
     # -- grant ---------------------------------------------------------------
 
     def _head_ready(self, ch: ChannelStream) -> None:
-        ch.waiting = port = self.routes[ch.rx[0].packet.dest.target_id]
+        ch.waiting = port = self.routes[ch.buf[0][1].packet.dest.target_id]
         self.out_by_port[port].ready += 1
         self.ready += 1
 
@@ -626,7 +643,7 @@ class Switch:
             for winner, in_ch in self.inputs:
                 if in_ch.waiting == port:
                     break
-            pkt = in_ch.rx[0].packet
+            pkt = in_ch.buf[0][1].packet
             if arbiter.lock_owner is not None and pkt.src != arbiter.lock_owner:
                 out.lock_stall_cycles += 1
                 return
@@ -635,14 +652,14 @@ class Switch:
             candidates = []
             for in_port, ch in self.inputs:
                 if ch.waiting == port:
-                    head = ch.rx[0].packet
+                    head = ch.buf[0][1].packet
                     candidates.append(new_tuple(Candidate, (in_port, head.priority, head.src)))
             winner = arbitrate(candidates, arbiter)
             if winner is None:
                 out.lock_stall_cycles += 1
                 return
             in_ch = self.in_by_port[winner]
-            pkt = in_ch.rx[0].packet
+            pkt = in_ch.buf[0][1].packet
         in_ch.waiting = None
         out.ready -= 1
         self.ready -= 1
@@ -685,12 +702,11 @@ class Switch:
             in_ch.pop_packet()
             self._finish_stream(cycle, port, out, in_ch, saf, recorder, record_hops)
             return
-        # pop the inbound flits forwarded in full; the tail stays until the end
-        rx = in_ch.rx
+        # drop the inbound flits forwarded in full; the tail stays until the end
+        buf = in_ch.buf
         end = flit.end
         count = 0
-        while rx and rx[0].end <= end:
-            rx.popleft()
+        while count < in_ch.arrived and buf[count][1].end <= end:
             count += 1
         if count:
             in_ch.release(count)
@@ -699,7 +715,7 @@ class Switch:
                        saf: bool, recorder, record_hops: bool) -> None:
         pkt = out.active_pkt
         # the next packet's head is exposed to later ports in this same step
-        if in_ch.rx and (not saf or in_ch.tails):
+        if in_ch.arrived and (not saf or in_ch.tails):
             self._head_ready(in_ch)
         out.active_ch = None
         out.active_pkt = None

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional
@@ -177,13 +177,13 @@ class PendingTable:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: dict[int, deque[PendingEntry]] = {}
+        self.entries: defaultdict[int, list[PendingEntry]] = defaultdict(list)  # oldest first
         self.count = 0
 
     def insert(self, tag: int, entry: PendingEntry) -> None:
         if self.count >= self.capacity:
             raise ScenarioError("pending table overflow")
-        self.entries.setdefault(tag, deque()).append(entry)
+        self.entries[tag].append(entry)
         self.count += 1
 
     def head(self, tag: int) -> Optional[PendingEntry]:
@@ -192,7 +192,7 @@ class PendingTable:
 
     def pop(self, tag: int) -> PendingEntry:
         q = self.entries[tag]
-        entry = q.popleft()
+        entry = q.pop(0)
         if not q:
             del self.entries[tag]
         self.count -= 1
@@ -331,11 +331,11 @@ class ReleaseGate:
     """
 
     def __init__(self):
-        self._streams: dict[str, deque[int]] = {}  # by SocketOrderKey.stream
+        self._streams: defaultdict[str, list[int]] = defaultdict(list)  # by SocketOrderKey.stream
         self._done: dict[int, object] = {}
 
     def register(self, seq: int, key: SocketOrderKey) -> None:
-        self._streams.setdefault(key.stream, deque()).append(seq)
+        self._streams[key.stream].append(seq)
 
     def complete(self, seq: int, key: SocketOrderKey, payload) -> list[tuple[int, object]]:
         """Mark seq complete; return every (seq, payload) now free to emit."""
@@ -343,7 +343,7 @@ class ReleaseGate:
         out = []
         q = self._streams[key.stream]
         while q and q[0] in self._done:
-            s = q.popleft()
+            s = q.pop(0)
             out.append((s, self._done.pop(s)))
         return out
 
@@ -381,7 +381,7 @@ class PacketPort:
     """
 
     def __init__(self):
-        self.inject_queue: deque[Packet] = deque()
+        self.inject_queue: list[Packet] = []  # oldest first
         self.flits: Optional[list[Flit]] = None  # of the packet being sent; None between
         self.next_flit = 0  # index into flits of the next to send
         # wired by the engine
@@ -396,7 +396,7 @@ class PacketPort:
         if flits is None:
             if not self.inject_queue:
                 return None
-            self.flits = flits = serialize(self.inject_queue.popleft(), self.tx.params)
+            self.flits = flits = serialize(self.inject_queue.pop(0), self.tx.params)
             self.next_flit = 0
         if not self.tx.can_send(cycle):
             return None

@@ -11,7 +11,7 @@ from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
 from nocsim.engine import Engine, run
-from nocsim.fabric import Switch, TransportMode
+from nocsim.fabric import ChannelStream, Switch, TransportMode
 from nocsim.link import LinkParams
 from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
@@ -457,6 +457,27 @@ def test_every_credit_is_on_a_link_in_a_buffer_or_free(monkeypatch, mode):
         assert not engine.run().timed_out
         assert all(not ch.rx and not ch.in_flight for ch in channels)
     assert checks[0] > 10_000
+
+
+def test_no_step_reads_the_channel_views(monkeypatch):
+    # rx and in_flight copy a channel's buffer for tests and inspection; a
+    # run reads the buffer itself, so with the views refused it is unchanged
+    scenarios = [random_scenario(seed).with_mode(mode)
+                 for seed in range(6) for mode in TransportMode]
+    scenarios.append(atomic_loop_scenario("lock"))
+
+    def outputs():
+        return [(result.trace.to_csv(), result.stats.to_text())
+                for result in map(run, scenarios)]
+
+    expected = outputs()
+
+    def refused(self):
+        raise AssertionError("a channel view was read")
+
+    for name in ("rx", "in_flight"):
+        monkeypatch.setattr(ChannelStream, name, property(refused))
+    assert outputs() == expected
 
 
 @pytest.mark.parametrize("kind", ["lock", "exclusive"])

@@ -1,6 +1,7 @@
 """Transport layer units: routing tables, arbitration, credit flow."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -408,6 +409,19 @@ def test_credit_random_schedule_stays_in_bounds():
 )
 def test_credit_property_model(depth, ops):
     _check_against_model(depth, ops)
+
+
+def test_a_fresh_channel_costs_a_few_hundred_bytes():
+    # an engine builds one channel per link direction and plane, and a batch
+    # of engines lives at once, so a channel's empty buffer must stay small
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        channels = [ChannelStream("c", LinkParams(), 16) for _ in range(1000)]
+        per_channel = (tracemalloc.get_traced_memory()[0] - before) / len(channels)
+    finally:
+        tracemalloc.stop()
+    assert per_channel < 400
 
 
 # -- re-slicing -------------------------------------------------------------------
