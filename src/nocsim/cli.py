@@ -117,8 +117,6 @@ def cmd_compare_modes(args) -> int:
             _write_outputs(leg, args.out, prefix=f"{name}-")
     pa = transaction_projection(results["wormhole"].trace)
     pb = transaction_projection(results["store_and_forward"].trace)
-    if args.corrupt_leg:  # test hook for the comparator path
-        pb.setdefault(0, {}).setdefault("single", []).append(("single", "LOAD", 0, "OKAY"))
     divergence = compare_projections(pa, pb)
     if divergence:
         print(f"transport modes disagree: {divergence}")
@@ -208,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed-b", type=int, default=None, help=argparse.SUPPRESS)
     p_cmp.add_argument("--max-cycles", type=int, default=None)
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--corrupt-leg", action="store_true", help=argparse.SUPPRESS)
     p_cmp.set_defaults(func=cmd_compare_modes)
 
     p_links = sub.add_parser(

@@ -20,9 +20,9 @@ stall counters it would have bumped are added in bulk (see below):
 
   1. a master sleeps while its offer cannot change until something
      happens at its NIU: after issuing a request it waits for, after
-     offering nothing (it waits for a response or has no work left) and
-     after a tag stall. Phase 5 wakes it when its NIU delivers a response
-     or its pending table shrinks;
+     offering nothing (it has no work left) and after a tag stall. Phase 5
+     wakes it when its NIU delivers a response (the one it waits for, if
+     it waits) or its pending table shrinks;
   2. an initiator NIU is visited while it has request flits to send and
      its channel can take one;
   3. each switch is two planes, a request and a response Switch that
@@ -130,11 +130,13 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
 
 @dataclass(slots=True)
 class _MasterSlot:
-    """A master with its NIU and stats, and whether phase 1 skips it.
+    """A master with its NIU and stats, and the engine's scheduling facts.
 
     The module docstring says when a master sleeps and wakes. A tag stall
     counts once per cycle, so the cycles slept through after one are added
-    on waking; nothing frees a tag but a pending entry completing.
+    on waking; nothing frees a tag but a pending entry completing. The
+    awaited entry stays pending, or queued to emit, until its response is
+    emitted, so ``finished`` needs no separate test of it.
     """
 
     mid: int
@@ -143,6 +145,8 @@ class _MasterSlot:
     niu: InitiatorNiu
     stats: MasterStats
     asleep: bool = False
+    awaited: int | None = None  # seq of the response the master waits for
+    stall_traced: bool = False  # the current offer's STALL event is recorded
     stall_pending: int = -1  # pending entries at a tag stall; -1 if not stalled
     stall_from: int = 0  # first cycle slept through after a tag stall
 
@@ -253,7 +257,7 @@ class Engine:
             elif isinstance(program, LockLoopProgram):
                 master = LockLoopMaster(mid, program.counter_address, program.iterations)
             else:
-                master = ScriptedMaster(mid, scripted_steps_for(spec, seed))
+                master = ScriptedMaster(scripted_steps_for(spec, seed))
             self.masters[mid] = master
             self.master_stats[mid] = MasterStats()
         self._master_order = sorted(self.masters)
@@ -297,16 +301,19 @@ class Engine:
                 entry = niu.try_accept(request, cycle)
                 if entry is None:
                     slot.stall(cycle)
-                    if not master.stall_flagged:
-                        master.stall_flagged = True
+                    if not slot.stall_traced:
+                        slot.stall_traced = True
                         rec.event(
                             cycle, slot.site, STALL,
                             master=mid, key=request.order_key.stream,
                             op=request.opcode.label, address=request.address,
                         )
                     continue
-                master.accepted(entry, wait)
-                slot.asleep = wait  # a waiting master offers nothing until delivery
+                master.accepted()
+                slot.stall_traced = False
+                if wait:  # offered nothing until this response is emitted
+                    slot.asleep = True
+                    slot.awaited = entry.seq
                 slot.stats.issued += 1
                 rec.event(
                     cycle, slot.site, REQ_ISSUED,
@@ -354,8 +361,12 @@ class Engine:
                             master=mid, key=entry.request.order_key.stream, tag=entry.tag,
                             op=response.status.label, address=entry.request.address,
                         )
+                    if entry.seq == slot.awaited:
+                        slot.awaited = None
                     master.deliver(entry, response)
-                if slot.asleep and (emissions or niu.pending.count < slot.stall_pending):
+                if slot.asleep and slot.awaited is None and (
+                    emissions or niu.pending.count < slot.stall_pending
+                ):
                     slot.wake(cycle + 1)
                 if emissions and slot.finished():
                     unfinished.discard(mid)
@@ -369,7 +380,7 @@ class Engine:
         timed_out = bool(unfinished)
         stuck: list[str] = []
         if timed_out:
-            stuck = self._stuck_report()
+            stuck = _stuck_report(slots)
         stats = self._collect_stats(cycle, timed_out)
         return RunResult(
             memories={tid: bytes(t.memory) for tid, t in sorted(self.targets.items())},
@@ -378,24 +389,6 @@ class Engine:
             timed_out=timed_out,
             stuck=stuck,
         )
-
-    def _stuck_report(self) -> list[str]:
-        stuck = []
-        for mid in self._master_order:
-            for entry in self.initiators[mid].pending.all_entries():
-                stuck.append(
-                    f"master {mid} tag {entry.tag} {entry.request.opcode.name}"
-                    f"@{entry.request.address:#x} issued at cycle {entry.issue_cycle}"
-                )
-            master = self.masters[mid]
-            if not master.done() and master.waiting_seq is None:
-                offer = master.offer()
-                if offer is not None:
-                    req = offer[0]
-                    stuck.append(
-                        f"master {mid} blocked issuing {req.opcode.name}@{req.address:#x}"
-                    )
-        return stuck
 
     def _collect_stats(self, cycles: int, timed_out: bool) -> Stats:
         stats = Stats(
@@ -422,6 +415,22 @@ class Engine:
                         "credit": out.credit_stall_cycles,
                     }
         return stats
+
+
+def _stuck_report(slots: list[_MasterSlot]) -> list[str]:
+    """Each master's pending entries, then the offer it could not issue."""
+    stuck = []
+    for slot in slots:
+        for entry in slot.niu.pending.all_entries():
+            stuck.append(
+                f"master {slot.mid} tag {entry.tag} {entry.request.opcode.name}"
+                f"@{entry.request.address:#x} issued at cycle {entry.issue_cycle}"
+            )
+        offer = slot.master.offer() if slot.awaited is None else None
+        if offer is not None:
+            req = offer[0]
+            stuck.append(f"master {slot.mid} blocked issuing {req.opcode.name}@{req.address:#x}")
+    return stuck
 
 
 def run(scenario: Scenario) -> RunResult:

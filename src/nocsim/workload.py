@@ -1,10 +1,19 @@
 """Master workload models.
 
-A master owns a stream of transactions and presents them to its NIU
-strictly in program order, one attempt per cycle; a tag stall simply means
-the same transaction is offered again next cycle. Loop masters react to
-response data, which is how the retry semantics of exclusive accesses and
-the read-modify-write of locked sequences are exercised.
+A master holds its program and nothing else. Every kind has four methods:
+``offer()`` peeks at the next (request, wait_for_response) step, or None
+once the program is exhausted, and changes nothing; ``accepted()`` says the
+NIU took that step; ``deliver(entry, response)`` hands over a response that
+reached the socket; ``done()`` says the program is exhausted. The offer may
+change only after ``accepted`` or ``deliver``.
+
+The engine offers the steps strictly in program order, one attempt per
+cycle; a tag stall simply means the same step is offered again later. It
+keeps the scheduling facts itself (``engine._MasterSlot``): which response
+a master waits for, during which it is offered nothing, and whether its
+stall was traced. Loop masters react to response data, which is how the
+retry semantics of exclusive accesses and the read-modify-write of locked
+sequences are exercised.
 """
 
 from __future__ import annotations
@@ -27,72 +36,27 @@ from .transaction import (
 COUNTER_BYTES = 4  # atomic loop counters are 4-byte little-endian words
 
 
-class Master:
-    """Common issue machinery; subclasses supply the transaction stream."""
-
-    def __init__(self, master_id: int):
-        self.master_id = master_id
-        self.waiting_seq: Optional[int] = None
-        self.stall_flagged = False
-
-    # subclass interface ------------------------------------------------------
-
-    def next_request(self) -> Optional[tuple[TransactionRequest, bool]]:
-        """The transaction to offer now (request, wait_for_response), or None.
-
-        The answer may change only after ``consume`` or ``on_response``; the
-        engine stops asking a master that said None until a response comes.
-        """
-        raise NotImplementedError
-
-    def consume(self) -> None:
-        """Called when the offered transaction was accepted by the NIU."""
-        raise NotImplementedError
-
-    def on_response(self, request: TransactionRequest, response: TransactionResponse) -> None:
-        pass
-
-    def done(self) -> bool:
-        raise NotImplementedError
-
-    # engine-facing -------------------------------------------------------------
-
-    def offer(self) -> Optional[tuple[TransactionRequest, bool]]:
-        """The transaction the engine should try to issue this cycle."""
-        if self.waiting_seq is not None:
-            return None
-        return self.next_request()
-
-    def accepted(self, entry: PendingEntry, wait: bool) -> None:
-        self.stall_flagged = False
-        if wait:
-            self.waiting_seq = entry.seq
-        self.consume()
-
-    def deliver(self, entry: PendingEntry, response: TransactionResponse) -> None:
-        if self.waiting_seq == entry.seq:
-            self.waiting_seq = None
-        self.on_response(entry.request, response)
-
-
-class ScriptedMaster(Master):
+class ScriptedMaster:
     """Plays back a fixed list of (request, wait) steps, checked before it is built."""
 
-    def __init__(self, master_id: int, steps: list[tuple[TransactionRequest, bool]]):
-        super().__init__(master_id)
+    def __init__(self, steps: list[tuple[TransactionRequest, bool]]):
         self.steps = steps
         self.index = 0
 
-    def next_request(self):
-        if self.index >= len(self.steps):
-            return None
-        return self.steps[self.index]
+    def offer(self) -> Optional[tuple[TransactionRequest, bool]]:
+        """The next step, or None once every step was accepted."""
+        if self.index < len(self.steps):
+            return self.steps[self.index]
+        return None
 
-    def consume(self) -> None:
+    def accepted(self) -> None:
         self.index += 1
 
+    def deliver(self, entry: PendingEntry, response: TransactionResponse) -> None:
+        pass
+
     def done(self) -> bool:
-        return self.index >= len(self.steps) and self.waiting_seq is None
+        return self.index >= len(self.steps)
 
 
 def generate_random_steps(
@@ -181,12 +145,13 @@ def generate_random_steps(
     return steps
 
 
-class _AtomicLoopMaster(Master):
+class _AtomicLoopMaster:
     """Shared machinery for the two read-modify-write loop flavors.
 
     An iteration loads the counter with ``load_op`` and stores it plus one
     with ``store_op``. The store completes it if its status is ``store_ok``
-    (any status when that is None), and else counts as a failure.
+    (any status when that is None), and else the iteration starts again.
+    Every request waits for its response.
     """
 
     load_op: Opcode
@@ -194,12 +159,11 @@ class _AtomicLoopMaster(Master):
     store_ok: Optional[Status]
 
     def __init__(self, master_id: int, counter_address: int, iterations: int):
-        super().__init__(master_id)
+        self.master_id = master_id
         self.counter_address = counter_address
         self.iterations = iterations
         self.completed_iterations = 0
         self.loaded_value: Optional[int] = None
-        self.failures = 0
 
     def _request(self, opcode: Opcode, value: Optional[int] = None) -> TransactionRequest:
         data = b""
@@ -208,28 +172,28 @@ class _AtomicLoopMaster(Master):
         return TransactionRequest(self.master_id, opcode, self.counter_address, 1,
                                   COUNTER_BYTES, SocketOrderKey.single(), data)
 
-    def next_request(self):
+    def offer(self) -> Optional[tuple[TransactionRequest, bool]]:
+        """The load, or the store once the load's value is back; None when done."""
         if self.completed_iterations >= self.iterations:
             return None
         if self.loaded_value is None:
             return self._request(self.load_op), True
         return self._request(self.store_op, self.loaded_value + 1), True
 
-    def on_response(self, request, response) -> None:
-        if request.opcode is self.load_op:
+    def accepted(self) -> None:
+        pass
+
+    def deliver(self, entry: PendingEntry, response: TransactionResponse) -> None:
+        opcode = entry.request.opcode
+        if opcode is self.load_op:
             self.loaded_value = int.from_bytes(response.data, "little")
-        elif request.opcode is self.store_op:
+        elif opcode is self.store_op:
             if self.store_ok is None or response.status is self.store_ok:
                 self.completed_iterations += 1
-            else:
-                self.failures += 1
             self.loaded_value = None
 
     def done(self) -> bool:
-        return self.completed_iterations >= self.iterations and self.waiting_seq is None
-
-    def consume(self) -> None:
-        pass
+        return self.completed_iterations >= self.iterations
 
 
 class ExclusiveLoopMaster(_AtomicLoopMaster):
@@ -242,3 +206,6 @@ class LockLoopMaster(_AtomicLoopMaster):
     """Increment a shared counter under a READEX .. locked-release sequence."""
 
     load_op, store_op, store_ok = Opcode.READEX, Opcode.STORE_LOCKED_RELEASE, None
+
+
+Master = ScriptedMaster | ExclusiveLoopMaster | LockLoopMaster

@@ -33,12 +33,6 @@ SRC = ROOT / "src" / "nocsim"
 ALLOWED = (
     ("niu.py", "PendingTable.insert", 'raise ScenarioError("pending table overflow")',
      "guards an internal bug: assign_tag gives no tag while the table is full"),
-    ("workload.py", "Master.next_request", "raise NotImplementedError",
-     "abstract: every master class defines it"),
-    ("workload.py", "Master.consume", "raise NotImplementedError",
-     "abstract: every master class defines it"),
-    ("workload.py", "Master.done", "raise NotImplementedError",
-     "abstract: every master class defines it"),
 )
 
 

@@ -99,12 +99,6 @@ def test_compare_modes_refuses_mismatched_seeds(capsys):
     assert "refusing" in capsys.readouterr().out
 
 
-def test_compare_modes_corruption_hook_exit_four(capsys):
-    rc = main(["compare-modes", BASIC, "--corrupt-leg"])
-    assert rc == 4
-    assert "diverge" in capsys.readouterr().out
-
-
 def test_verify_directory(tmp_path, capsys):
     # the deliberately deadlocking scenario is reported as a timeout, so give
     # verify a directory of the clean ones
@@ -282,12 +276,22 @@ def _second_leg_edited(monkeypatch, name, edit):
     monkeypatch.setattr(cli, name, edited)
 
 
-def test_compare_links_projection_mismatch_exit_four(monkeypatch, capsys):
-    def extra_row(projection):
-        projection[0]["single"].append(("single", "LOAD", 0, "OKAY"))
-        return projection
+def _extra_row(projection):
+    projection[0]["single"].append(("single", "LOAD", 0, "OKAY"))
+    return projection
 
-    _second_leg_edited(monkeypatch, "transaction_projection", extra_row)
+
+def test_compare_modes_projection_mismatch_exit_four(monkeypatch, capsys):
+    _second_leg_edited(monkeypatch, "transaction_projection", _extra_row)
+    assert main(["compare-modes", BASIC]) == 4
+    assert capsys.readouterr().out == (
+        "transport modes disagree: projections diverge at row 120: "
+        "'1,thread:0,0,LOAD,2702,OKAY' vs '0,single,120,LOAD,0,OKAY'\n"
+    )
+
+
+def test_compare_links_projection_mismatch_exit_four(monkeypatch, capsys):
+    _second_leg_edited(monkeypatch, "transaction_projection", _extra_row)
     assert main(["compare-links", BASIC, "--widths", "4,8", "--latencies", "1",
                  "--ratios", "1"]) == 4
     assert capsys.readouterr().out == (

@@ -13,7 +13,7 @@ import nocsim
 from nocsim.engine import Engine, run
 from nocsim.fabric import ChannelStream, Switch, TransportMode
 from nocsim.link import LinkParams
-from nocsim.niu import InitiatorNiu, SocketFamily, TargetNiu
+from nocsim.niu import InitiatorNiu, PendingEntry, SocketFamily, TargetNiu
 from nocsim.oracle import sequential_oracle
 from nocsim.packet import PacketKind
 from nocsim.scenario import atomic_loop_scenario, load_scenario, random_scenario
@@ -32,7 +32,8 @@ from nocsim.trace import (
     projection_text,
     transaction_projection,
 )
-from nocsim.transaction import Opcode, SocketOrderKey, Status
+from nocsim.transaction import Opcode, SocketOrderKey, Status, TransactionResponse
+from nocsim.workload import ExclusiveLoopMaster, LockLoopMaster
 
 
 def test_empty_workload_is_vacuous():
@@ -187,6 +188,54 @@ def test_script_master_woken_while_it_waits_keeps_waiting():
     assert [(e.kind, e.address) for e in result.trace if e.kind in (REQ_ISSUED, RESP_EMITTED)] == [
         (REQ_ISSUED, 0x40), (REQ_ISSUED, 0x44), (RESP_EMITTED, 0x40),
         (RESP_EMITTED, 0x44), (REQ_ISSUED, 0x48), (RESP_EMITTED, 0x48),
+    ]
+
+
+def _script_master_mid_program():
+    # single outstanding: step 1 is refused while step 0 is in flight
+    steps = [(req(0, Opcode.LOAD, 0x40 + 4 * i), False) for i in range(3)]
+    engine = Engine(line_scenario(programs=[steps], max_cycles=3))
+    engine.run()
+    return engine.masters[0]
+
+
+def _loop_master_mid_iteration(master_cls):
+    master = master_cls(0, 0x40, 2)
+    load, _ = master.offer()
+    master.deliver(PendingEntry(0, load, 0, 100, 0, 1), TransactionResponse(
+        0, SocketOrderKey.single(), Status.OKAY, (7).to_bytes(4, "little")))
+    return master
+
+
+@pytest.mark.parametrize("build", [
+    _script_master_mid_program,
+    lambda: _loop_master_mid_iteration(ExclusiveLoopMaster),
+    lambda: _loop_master_mid_iteration(LockLoopMaster),
+], ids=["script", "exclusive_loop", "lock_loop"])
+def test_offer_is_a_pure_peek(build):
+    # phase 1 and the stuck report both ask for the offer without taking it
+    master = build()
+    done = master.done()
+    first = master.offer()
+    assert first is not None and not done
+    assert master.offer() == first
+    assert master.done() == done
+
+
+def test_stuck_report_of_a_waiting_master_lists_only_its_pending_entry():
+    steps = [(req(0, Opcode.LOAD, 0x40), True), (req(0, Opcode.LOAD, 0x44), False)]
+    result = run(line_scenario(programs=[steps], max_cycles=3))
+    assert result.timed_out
+    assert result.stuck == ["master 0 tag 0 LOAD@0x40 issued at cycle 0"]
+
+
+def test_stuck_report_of_a_tag_stall_names_the_blocked_offer():
+    steps = [(req(0, Opcode.LOAD, 0x40), False), (req(0, Opcode.LOAD, 0x44), False)]
+    result = run(line_scenario(programs=[steps], max_cycles=3))
+    assert result.timed_out
+    assert result.stuck == [
+        "master 0 tag 0 LOAD@0x40 issued at cycle 0",
+        "master 0 blocked issuing LOAD@0x44",
     ]
 
 

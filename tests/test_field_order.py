@@ -26,6 +26,7 @@ from nocsim.niu import (
     Endianness,
     InitiatorConfig,
     InitiatorNiu,
+    PendingEntry,
     SocketFamily,
     TagPolicy,
     TagPolicyKind,
@@ -269,10 +270,11 @@ def test_expanded_requests_equal_keyword_built(family):
 @pytest.mark.parametrize("master_cls", [ExclusiveLoopMaster, LockLoopMaster])
 def test_loop_requests_equal_keyword_built(master_cls):
     master = master_cls(INITIATOR, 0x40, 1)
-    load, _ = master.next_request()
-    master.on_response(load, TransactionResponse(
+    load, _ = master.offer()
+    master.accepted()
+    master.deliver(PendingEntry(0, load, 0, TARGET, 0, 1), TransactionResponse(
         INITIATOR, SocketOrderKey.single(), Status.OKAY, (41).to_bytes(4, "little")))
-    store, _ = master.next_request()
+    store, _ = master.offer()
     for built, opcode, data in ((load, master.load_op, b""),
                                 (store, master.store_op, (42).to_bytes(4, "little"))):
         _assert_same(built, TransactionRequest(
