@@ -99,12 +99,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare_modes(args) -> int:
-    seed_a = args.seed_a if args.seed_a is not None else args.seed
-    seed_b = args.seed_b if args.seed_b is not None else args.seed
-    if seed_a != seed_b:
-        print(f"refusing to compare across seeds ({seed_a} vs {seed_b}); legs must share one seed")
-        return EXIT_CONFIG
-    args.seed = seed_a
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     results = {}
     for name, mode in _MODES.items():
@@ -202,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("scenario")
     p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--seed-a", type=int, default=None, help=argparse.SUPPRESS)
-    p_cmp.add_argument("--seed-b", type=int, default=None, help=argparse.SUPPRESS)
     p_cmp.add_argument("--max-cycles", type=int, default=None)
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare_modes)

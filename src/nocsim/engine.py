@@ -51,6 +51,14 @@ through are added at the plane's next step and at the end of the run, and
 a master's tag stall cycles slept through when it wakes. The run ends when
 every master is done and every initiator NIU idle, which is checked only
 for masters that issued or received something.
+
+Each runtime object gets the run facts it reads when it is built, so a
+step takes only the cycle: a switch plane the transport mode and the run's
+Trace, a target NIU the Trace. Each records its own events: a plane its
+lock events and, at full level, its hops; a target its monitor events and,
+at packet level, the requests it handled. The engine records the socket
+events, stalls and packet injections. Nothing the engine builds refers
+back to it, so a dropped engine is freed at once.
 """
 
 from __future__ import annotations
@@ -69,7 +77,6 @@ from .scenario import (
     ScriptProgram,
 )
 from .trace import (
-    PKT_DELIVERED,
     PKT_INJECTED,
     REQ_ISSUED,
     RESP_EMITTED,
@@ -181,7 +188,9 @@ class Engine:
         # two planes per switch, in the order phase 3 steps them: switch id,
         # request before response
         self.switches: dict[tuple[int, PacketKind], Switch] = {
-            (s.switch_id, kind): Switch(s.switch_id, s.ports, self.table, kind)
+            (s.switch_id, kind): Switch(
+                s.switch_id, s.ports, self.table, kind, self.mode, self.recorder
+            )
             for s in sorted(scenario.topology.switches, key=lambda s: s.switch_id)
             for kind in (REQUEST, RESPONSE)
         }
@@ -200,14 +209,7 @@ class Engine:
         for spec in self.scenario.masters:
             self.initiators[spec.niu.niu_id] = InitiatorNiu(spec.niu, self.scenario.address_map)
         for cfg in self.scenario.targets:
-            site = f"niu{cfg.niu_id}"
-
-            def monitor_event(cycle, kind, owner, actor, opcode, granule, _site=site):
-                self.recorder.event(
-                    cycle, _site, kind, master=owner, tag=actor, op=opcode.label, address=granule,
-                )
-
-            self.targets[cfg.niu_id] = TargetNiu(cfg, monitor_event)
+            self.targets[cfg.niu_id] = TargetNiu(cfg, self.recorder)
 
     def _channel(self, name: str, params, depth: int) -> ChannelStream:
         ch = ChannelStream(name, params, depth)
@@ -269,8 +271,6 @@ class Engine:
         # read here, so a wrapper installed on the recorder before run() is called
         packet_marker = rec.packet_marker
         record_packets = rec.record_packets
-        record_hops = rec.record_hops
-        mode = self.mode
         slots = [
             _MasterSlot(
                 mid, f"niu{mid}", self.masters[mid], self.initiators[mid],
@@ -279,7 +279,7 @@ class Engine:
             for mid in self._master_order
         ]
         switches = list(self.switches.values())
-        targets = [(f"niu{tid}", self.targets[tid]) for tid in sorted(self.targets)]
+        targets = [self.targets[tid] for tid in sorted(self.targets)]
         # masters whose program or NIU still has work; shrinks only in
         # phases 1 and 5, the only places a master or its NIU can finish
         unfinished = {s.mid for s in slots if not s.finished()}
@@ -334,15 +334,12 @@ class Engine:
             # phase 3: switch planes move flits
             for sw in switches:
                 if sw.wake_cycle <= cycle:
-                    sw.step(cycle, mode, packet_marker, record_hops)
+                    sw.step(cycle)
 
             # phase 4: target NIUs execute requests and send response flits
-            for site, tgt in targets:
+            for tgt in targets:
                 if tgt.wake_cycle <= cycle:
-                    handled = tgt.step(cycle)
-                    if record_packets:
-                        for pkt in handled:
-                            packet_marker(cycle, site, PKT_DELIVERED, pkt)
+                    tgt.step(cycle)
 
             # phase 5: response path back to the sockets
             for slot in slots:

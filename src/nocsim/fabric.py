@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CreditError, FramingError, LockProtocolError, ScenarioError
 from .link import Flit, LinkParams, serialize
@@ -139,14 +139,12 @@ class Topology:
         for ln in self.links:
             take("link", ln.a_switch, ln.a_port)
             take("link", ln.b_switch, ln.b_port)
-            ln.params.validate()
         niu_ids = [a.niu_id for a in self.attachments]
         if len(niu_ids) != len(set(niu_ids)):
             twice = next(nid for i, nid in enumerate(niu_ids) if nid in niu_ids[:i])
             raise ScenarioError(f"NIU {twice} attaches to more than one switch port")
         for at in self.attachments:
             take("attachment", at.switch_id, at.port)
-            at.params.validate()
         if not self.switches:
             raise ScenarioError("topology has no switches")
         adjacent = self.adjacency()
@@ -525,11 +523,14 @@ class Switch:
     A switch of the topology is two of these, one per PacketKind, that share
     no channel; the engine steps each in the cycles it can act in. Inputs
     and outputs are ChannelStream objects by port; a port with no connection
-    simply has no channel. Event reporting goes through a recorder callback
-    supplied by the engine, called as ``recorder(cycle, site, kind,
-    packet)``: lock events always, and a packet's delivery at each output
-    port only when ``record_hops`` is set. Only request packets carry a lock
-    marker, so only a request plane captures and releases ports.
+    simply has no channel. The run's transport ``mode`` and ``trace`` are
+    given once, when the plane is built. The plane records its events
+    through ``trace.packet_marker(cycle, site, kind, packet)``: lock events
+    always, and a packet's delivery at each output port only when the
+    trace's ``record_hops`` is set. It reads both attributes at event time,
+    so a wrapper put on the trace before the run sees every event. Only
+    request packets carry a lock marker, so only a request plane captures
+    and releases ports.
 
     ``wake_cycle`` is the first cycle in which a step can change anything:
     the next cycle while a ready head waits for a grant (see OutPort), else
@@ -551,10 +552,13 @@ class Switch:
     out from the FIFO's front, returning their credits.
     """
 
-    def __init__(self, switch_id: int, nports: int, table: RoutingTable, kind: PacketKind):
+    def __init__(self, switch_id: int, nports: int, table: RoutingTable, kind: PacketKind,
+                 mode: TransportMode, trace):
         self.switch_id = switch_id
         self.nports = nports
         self.kind = kind
+        self.saf = mode is STORE_AND_FORWARD
+        self.trace = trace
         self.routes = table.ports.get(switch_id, {})  # target NIU id -> output port
         self.in_by_port: dict[int, ChannelStream] = {}
         self.out_by_port: dict[int, OutPort] = {}
@@ -586,9 +590,8 @@ class Switch:
                 out.credit_stall_cycles += skipped
         self.counted_to = cycle - 1
 
-    def step(self, cycle: int, mode: TransportMode, recorder: Optional[Callable] = None,
-             record_hops: bool = False) -> None:
-        saf = mode is STORE_AND_FORWARD
+    def step(self, cycle: int) -> None:
+        saf = self.saf
         if cycle - 1 > self.counted_to:
             self.catch_up(cycle)
         self.counted_to = cycle
@@ -614,9 +617,9 @@ class Switch:
         if self.ready or self.streaming:
             for port, out in self.outputs:
                 if out.active_pkt is not None:
-                    self._continue_stream(cycle, port, out, saf, recorder, record_hops)
+                    self._continue_stream(cycle, port, out)
                 elif out.ready:
-                    self._try_grant(cycle, port, out, saf, recorder, record_hops)
+                    self._try_grant(cycle, port, out)
                 if out.active_pkt is not None:
                     resume = out.channel.next_send
                     if resume <= cycle:
@@ -635,8 +638,7 @@ class Switch:
         self.out_by_port[port].ready += 1
         self.ready += 1
 
-    def _try_grant(self, cycle, port, out: OutPort, saf: bool, recorder,
-                   record_hops: bool) -> None:
+    def _try_grant(self, cycle, port, out: OutPort) -> None:
         arbiter = out.arbiter
         if out.ready == 1:
             # the lone ready head wins unless a lock owner filters it out
@@ -671,14 +673,12 @@ class Switch:
         out.grants_by_input[winner] = out.grants_by_input.get(winner, 0) + 1
         if pkt.lock_marker is LOCK_ACQUIRE:
             lock_capture(arbiter, pkt.src)
-            if recorder is not None:
-                recorder(cycle, out.site, "LOCK_SET", pkt)
-        self._continue_stream(cycle, port, out, saf, recorder, record_hops)
+            self.trace.packet_marker(cycle, out.site, "LOCK_SET", pkt)
+        self._continue_stream(cycle, port, out)
 
     # -- streaming -----------------------------------------------------------
 
-    def _continue_stream(self, cycle, port, out: OutPort, saf: bool, recorder,
-                         record_hops: bool) -> None:
+    def _continue_stream(self, cycle, port, out: OutPort) -> None:
         """Forward the active packet's next flit for the output link.
 
         The head goes out at once, a body flit once all of its bytes have
@@ -700,7 +700,7 @@ class Switch:
         ch.send(cycle, flit)
         if flit.is_tail:
             in_ch.pop_packet()
-            self._finish_stream(cycle, port, out, in_ch, saf, recorder, record_hops)
+            self._finish_stream(cycle, port, out, in_ch)
             return
         # drop the inbound flits forwarded in full; the tail stays until the end
         buf = in_ch.buf
@@ -711,18 +711,17 @@ class Switch:
         if count:
             in_ch.release(count)
 
-    def _finish_stream(self, cycle, port, out: OutPort, in_ch: ChannelStream,
-                       saf: bool, recorder, record_hops: bool) -> None:
+    def _finish_stream(self, cycle, port, out: OutPort, in_ch: ChannelStream) -> None:
         pkt = out.active_pkt
         # the next packet's head is exposed to later ports in this same step
-        if in_ch.arrived and (not saf or in_ch.tails):
+        if in_ch.arrived and (not self.saf or in_ch.tails):
             self._head_ready(in_ch)
         out.active_ch = None
         out.active_pkt = None
         self.streaming.remove(out)
+        trace = self.trace
         if pkt.lock_marker is LOCK_RELEASE:
             lock_release(out.arbiter, pkt.src, f" at sw{self.switch_id} port {port}")
-            if recorder is not None:
-                recorder(cycle, out.site, "LOCK_CLEARED", pkt)
-        if record_hops:
-            recorder(cycle, out.site, "PKT_DELIVERED", pkt)
+            trace.packet_marker(cycle, out.site, "LOCK_CLEARED", pkt)
+        if trace.record_hops:
+            trace.packet_marker(cycle, out.site, "PKT_DELIVERED", pkt)

@@ -50,7 +50,7 @@ class LinkParams:
     latency: int = 1
     rate_ratio: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.flit_payload_width < 1 or self.latency < 1 or self.rate_ratio < 1:
             raise ScenarioError(f"link parameters must all be >= 1: {self}")
 

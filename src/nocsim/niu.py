@@ -24,12 +24,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import OrphanResponseError, RaggedBeatError, ScenarioError
 from .fabric import ChannelStream
 from .link import Flit, serialize
 from .packet import LockMarker, Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
+from .trace import MONITOR_ARMED, MONITOR_CLEARED, PKT_DELIVERED, Trace
 from .transaction import (
     ADDRESS_BITS,
     ADDRESS_LIMIT,
@@ -289,7 +290,7 @@ class ExclusiveMonitorSet:
     """
 
     def __init__(self, granule: int = 8):
-        self.granule = granule  # a power of two (TargetConfig.validate)
+        self.granule = granule  # a power of two (checked by TargetConfig)
         self.monitors: dict[int, int] = {}
 
     def _base(self, offset: int) -> int:
@@ -426,7 +427,7 @@ class InitiatorConfig:
     endianness: Endianness = Endianness.LITTLE
     priority: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         who = f"initiator NIU {self.niu_id}"
         policy = self.tag_policy
         if policy.kind is TagPolicyKind.PER_STREAM and not 1 <= policy.streams <= MAX_TAGS:
@@ -605,8 +606,6 @@ class TargetConfig:
     def __post_init__(self) -> None:
         if self.memory_size is None:
             object.__setattr__(self, "memory_size", self.region_size)
-
-    def validate(self) -> None:
         who = f"target NIU {self.niu_id}"
         if self.region_size < 1:
             raise ScenarioError(f"{who} region size {self.region_size} is not positive")
@@ -628,12 +627,20 @@ class TargetConfig:
 
 
 class TargetNiu(PacketPort):
-    """Memory-backed slave with exclusive monitors; requests in, responses out."""
+    """Memory-backed slave with exclusive monitors; requests in, responses out.
 
-    def __init__(self, config: TargetConfig, monitor_event: Optional[Callable] = None):
+    It records its own events in the run's ``trace`` at site ``niu<id>``:
+    monitor activity always, and at packet level and up each request it
+    handled. It reads the trace's attributes at event time, so a wrapper
+    put on the trace before the run sees every event.
+    """
+
+    def __init__(self, config: TargetConfig, trace: Trace):
         super().__init__()
         self.config = config
         self.niu_id = config.niu_id
+        self.site = f"niu{config.niu_id}"
+        self.trace = trace
         try:
             self.memory = bytearray(config.memory_size)
         except MemoryError:
@@ -641,8 +648,6 @@ class TargetNiu(PacketPort):
                 f"cannot allocate {config.memory_size} bytes of memory for target NIU {self.niu_id}"
             ) from None
         self.monitors = ExclusiveMonitorSet(config.monitor_granule)
-        # monitor_event(cycle, kind, owner, actor, opcode, granule)
-        self.monitor_event = monitor_event
 
     def handle_request(self, pkt: Packet, cycle: int = 0) -> Packet:
         """Execute one request packet against memory and the monitors."""
@@ -661,7 +666,7 @@ class TargetNiu(PacketPort):
             data = bytes(self.memory[off : off + length])
             if opcode.is_exclusive:
                 monitors.arm(pkt.src, off)
-                self._emit_monitor(cycle, "MONITOR_ARMED", pkt.src, pkt.src, opcode, off)
+                self._emit_monitor(cycle, MONITOR_ARMED, pkt.src, pkt.src, opcode, off)
                 status = Status.EXOKAY
                 user_bits = USER_BIT_EXCLUSIVE
         elif opcode.is_exclusive:  # STORE_EXCLUSIVE
@@ -669,14 +674,14 @@ class TargetNiu(PacketPort):
             if monitors.is_armed(pkt.src, off):
                 self.memory[off : off + length] = pkt.payload
                 for m in monitors.observe_store(pkt.src, off, length, exclusive=True):
-                    self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, off)
+                    self._emit_monitor(cycle, MONITOR_CLEARED, m, pkt.src, opcode, off)
                 status = Status.EXOKAY
             else:
                 status = Status.EXFAIL
         else:  # STORE, STORE_POSTED, STORE_LOCKED_RELEASE
             self.memory[off : off + length] = pkt.payload
             for m in monitors.observe_store(pkt.src, off, length, exclusive=False):
-                self._emit_monitor(cycle, "MONITOR_CLEARED", m, pkt.src, opcode, off)
+                self._emit_monitor(cycle, MONITOR_CLEARED, m, pkt.src, opcode, off)
 
         return Packet(
             new_tuple(PacketDest, (pkt.src, 0)), pkt.src, pkt.tag, RESPONSE, status, pkt.priority,
@@ -684,14 +689,13 @@ class TargetNiu(PacketPort):
         )
 
     def _emit_monitor(self, cycle, kind, owner, actor, opcode, offset) -> None:
-        if self.monitor_event is not None:
-            granule = self.monitors._base(offset)
-            self.monitor_event(cycle, kind, owner, actor, opcode, granule)
+        self.trace.event(cycle, self.site, kind, master=owner, tag=actor, op=opcode.label,
+                         address=self.monitors._base(offset))
 
     def step(self, cycle: int) -> list[Packet]:
         """Consume arrived request packets, then push at most one response flit.
 
-        Returns the request packets handled this cycle (for tracing).
+        Returns the request packets handled this cycle.
         """
         rx = self.rx
         rx.deliver(cycle)
@@ -700,6 +704,10 @@ class TargetNiu(PacketPort):
             packet = rx.pop_complete_packet()
             handled.append(packet)
             self.inject_queue.append(self.handle_request(packet, cycle))
+        trace = self.trace
+        if trace.record_packets:
+            for packet in handled:
+                trace.packet_marker(cycle, self.site, PKT_DELIVERED, packet)
         if self.flits is not None or self.inject_queue:
             self.step_inject(cycle)
         wake = rx.next_arrival()

@@ -122,9 +122,10 @@ class RunSpec:
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """One simulation run, immutable and checked once, when built: the run and
-    the topology check themselves, then the scenario its NIUs, programs and
-    buffer depths, in time linear in it."""
+    """One simulation run, immutable and checked once, when built: each part
+    (the run, the topology with its links, each NIU config) checks itself,
+    then the scenario checks how they fit: NIU ids, attachments, buffer
+    depths and programs, in time linear in it."""
 
     run: RunSpec
     topology: Topology
@@ -163,10 +164,7 @@ class Scenario:
         amap = AddressMap([(t.region_base, t.region_size, t.niu_id) for t in self.targets])
         object.__setattr__(self, "address_map", amap)
         self._check_buffer_depths()
-        for t in self.targets:
-            t.validate()
         for m in self.masters:
-            m.niu.validate()
             self._check_program(m, amap)
 
     def _check_buffer_depths(self) -> None:

@@ -221,8 +221,9 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     # per (master, stream): [first mismatch, issued, (master, tag) and window
     # of each tagged request awaiting its response, index of the oldest
     # unmatched event, then each event in the pairing]; a stream's non-posted
-    # requests and its responses pair by position, whichever comes first. No
-    # deque per stream: an audit then builds few objects the collector counts.
+    # requests and its responses pair by position, whichever comes first. The
+    # deque of awaited requests is built only when ``track`` is set, so a
+    # transaction-level audit builds few objects the collector counts.
     streams: dict[tuple[int, str], list] = {}
     track = trace.level != "transaction"  # such a trace holds no packet events
     open_windows: dict[tuple[int, int], int] = {}  # (master, tag) -> open windows

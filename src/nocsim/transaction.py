@@ -84,9 +84,11 @@ class SocketOrderKey:
     THREAD by threaded sockets (one stream per thread id), TXN_ID by
     ID-based sockets (one stream per (transaction id, channel) pair).
 
-    ``stream``, set at construction, is equal for two keys of one variant
-    exactly when their ``stream_id()`` is; traces print it and the release
-    gate keys on it. The constructors return one shared key per stream.
+    ``stream``, set at construction, names the stream: it differs between
+    two keys exactly when their variants do, or the fields their variant
+    names a stream by (none, ``thread_id``, or ``txn_id`` and ``channel``).
+    Traces print it and the release gate keys on it. The constructors
+    return one shared key per stream.
     """
 
     variant: OrderVariant
@@ -118,14 +120,6 @@ class SocketOrderKey:
     @lru_cache(maxsize=None, typed=True)
     def txn(cls, txn_id: int, channel: Channel) -> "SocketOrderKey":
         return cls(OrderVariant.TXN_ID, txn_id=txn_id, channel=channel)
-
-    def stream_id(self) -> tuple:
-        """Canonical identity of the ordering stream this key belongs to."""
-        if self.variant is OrderVariant.SINGLE:
-            return (OrderVariant.SINGLE,)
-        if self.variant is OrderVariant.THREAD:
-            return (OrderVariant.THREAD, self.thread_id)
-        return (OrderVariant.TXN_ID, self.txn_id, self.channel)
 
 
 class TransactionRequest(NamedTuple):

@@ -9,8 +9,10 @@ subprocess with only its own ``src`` and ``tests`` on the import path. For
 each case whose output differs it prints the first differing line of
 ``trace.csv`` and of the ``check_invariants`` output, with the line number
 and both sides, the ``stats.txt`` keys whose values differ, and whether the
-stuck lists differ. Exit status is 0 when no case differs, 1 when one does
-and 2 when REV cannot be exported.
+stuck lists differ. Then it prints the line total of ``src/nocsim`` on
+each side, and each file's count where the sides differ. Exit status is 0
+when no case differs, 1 when one does and 2 when REV cannot be exported;
+the line counts do not change it.
 """
 
 from __future__ import annotations
@@ -84,6 +86,22 @@ def compare(case: str, rev_dir: Path, this_dir: Path, rev: str) -> list[str]:
     return [f"{case}:"] + lines if lines else []
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """The number of lines of each file in ``tree``'s ``src/nocsim``."""
+    return {path.name: len(path.read_text(encoding="utf-8").splitlines())
+            for path in (tree / "src" / "nocsim").glob("*.py")}
+
+
+def line_report(rev: str, theirs: dict[str, int], ours: dict[str, int]) -> list[str]:
+    """Both sides' ``src/nocsim`` line totals, then each file whose count differs."""
+    lines = [f"src/nocsim lines: {sum(theirs.values())} at {rev}, "
+             f"{sum(ours.values())} in this checkout"]
+    for name in sorted({**theirs, **ours}):
+        if theirs.get(name) != ours.get(name):
+            lines.append(f"  {name}: {theirs.get(name, 0)} -> {ours.get(name, 0)}")
+    return lines
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="commit to compare this checkout with")
@@ -115,7 +133,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         report = [line for case in cases
                   for line in compare(case, out / "rev" / case, out / "this" / case, args.rev)]
-    differing = sum(not line.startswith(" ") for line in report)
+        differing = sum(not line.startswith(" ") for line in report)
+        report += line_report(args.rev, line_counts(tree), line_counts(ROOT))
     print("\n".join(report + [f"{differing} of {len(cases)} cases differ from {args.rev}"]))
     return 1 if differing else 0
 

@@ -215,9 +215,9 @@ def test_criterion_3_ordering_model_conformance(corpus):
             rng.shuffle(completions)
             emitted = response_release_order(issued, completions)
             assert sorted(emitted) == list(range(n))
-            for stream in {k.stream_id() for k in keys}:
-                in_issue = [s for s, k in issued if k.stream_id() == stream]
-                in_emit = [s for s in emitted if keys[s].stream_id() == stream]
+            for stream in {k.stream for k in keys}:
+                in_issue = [s for s, k in issued if k.stream == stream]
+                in_emit = [s for s in emitted if keys[s].stream == stream]
                 assert in_issue == in_emit, (family, stream)
             if family is SocketFamily.FULLY_ORDERED:
                 assert emitted == list(range(n))

@@ -93,12 +93,6 @@ def test_compare_modes_agree(capsys):
     assert "agree" in capsys.readouterr().out
 
 
-def test_compare_modes_refuses_mismatched_seeds(capsys):
-    rc = main(["compare-modes", BASIC, "--seed-a", "1", "--seed-b", "2"])
-    assert rc == 1
-    assert "refusing" in capsys.readouterr().out
-
-
 def test_verify_directory(tmp_path, capsys):
     # the deliberately deadlocking scenario is reported as a timeout, so give
     # verify a directory of the clean ones

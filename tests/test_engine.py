@@ -1,6 +1,8 @@
 """End-to-end engine behavior on small scripted scenarios."""
 
 import copy
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -367,13 +369,13 @@ def test_per_stream_multi_target_stall_preserves_order():
 
 def test_engine_rejects_invalid_scenario():
     # a built scenario is checked and immutable: the bad NIU setting can only
-    # come in a new scenario, which refuses it before any engine sees it
+    # come in a new NIU config, which refuses it before any scenario or
+    # engine sees it
     base = line_scenario(programs=[[]])
     with pytest.raises(AttributeError):
         base.masters[0].niu.priority = 12
-    master = replace(base.masters[0], niu=replace(base.masters[0].niu, priority=12))
     with pytest.raises(nocsim.ScenarioError, match="priority 12 is not in 0..7"):
-        replace(base, masters=[master])
+        replace(base.masters[0].niu, priority=12)
 
 
 def test_posted_decode_miss_as_last_step_ends_run():
@@ -448,7 +450,8 @@ def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
     scans = []
     grant = Switch._try_grant
 
-    def checked(self, cycle, port, out, saf, *rest):
+    def checked(self, cycle, port, out):
+        saf = self.saf
         streamed = {o.active_ch for _, o in self.outputs}
         competing = [
             ch for _, ch in self.inputs
@@ -460,7 +463,7 @@ def test_ready_count_equals_candidates_at_every_grant_scan(monkeypatch, mode):
         waiting = [ch for _, ch in self.inputs if ch.waiting == port]
         assert waiting == competing, (self.switch_id, port, cycle)
         scans.append(heads)
-        return grant(self, cycle, port, out, saf, *rest)
+        return grant(self, cycle, port, out)
 
     monkeypatch.setattr(Switch, "_try_grant", checked)
     scenarios = [random_scenario(seed, total_transactions=120) for seed in range(6)]
@@ -531,9 +534,9 @@ def test_no_step_reads_the_channel_views(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["lock", "exclusive"])
 def test_transaction_level_makes_no_packet_event_calls(kind):
-    # Below packet level the engine and the switches make no recorder call
-    # for a packet event at all; lock and monitor events are recorded at
-    # every level.
+    # Below packet level the engine, the switches and the target NIUs make
+    # no recorder call for a packet event at all; lock and monitor events
+    # are recorded at every level.
     scenario = atomic_loop_scenario(kind, n_masters=3, iterations=6)
     engine = Engine(scenario.with_trace_level("transaction"))
     rec = engine.recorder
@@ -555,3 +558,23 @@ def test_transaction_level_makes_no_packet_event_calls(kind):
     assert [ev for ev in full.trace if ev.kind not in (PKT_INJECTED, PKT_DELIVERED)] == list(
         result.trace
     )
+
+
+def test_a_dropped_engine_is_freed_without_the_collector():
+    # Nothing an engine builds refers back to it, so dropping the last
+    # reference frees it at once, not at the cyclic collector's next pass.
+    scenarios = [random_scenario(seed) for seed in range(5)]
+    scenarios += [atomic_loop_scenario(kind, n_masters=2, iterations=5)
+                  for kind in ("exclusive", "lock")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, scenario in enumerate(scenarios):
+            engine = Engine(scenario)
+            assert not engine.run().timed_out
+            freed = weakref.ref(engine)
+            del engine
+            assert freed() is None, i
+    finally:
+        if enabled:
+            gc.enable()

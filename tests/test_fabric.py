@@ -203,12 +203,13 @@ from nocsim.errors import FramingError, LockProtocolError
 from nocsim.fabric import ChannelStream, Switch, TransportMode
 from nocsim.link import deserialize, serialize
 from nocsim.packet import LockMarker, Packet, PacketDest, PacketKind
+from nocsim.trace import Trace
 from nocsim.transaction import Opcode
 
 
-def _mini_switch(nports=3):
+def _mini_switch(nports=3, mode=TransportMode.WORMHOLE):
     table = RoutingTable({0: {100: 2}})
-    sw = Switch(0, nports, table, PacketKind.REQUEST)
+    sw = Switch(0, nports, table, PacketKind.REQUEST, mode, Trace())
     outs = ChannelStream("out", LinkParams(), 16)
     sw.attach_output(2, outs)
     ins = []
@@ -233,7 +234,7 @@ def test_lock_release_with_mismatched_owner_faults():
         cin.send(i, flit)
     with pytest.raises(LockProtocolError, match="lock protocol violation"):
         for cycle in range(10):
-            sw.step(cycle, TransportMode.WORMHOLE)
+            sw.step(cycle)
 
 
 def test_wormhole_grants_never_interleave_packets():
@@ -243,7 +244,7 @@ def test_wormhole_grants_never_interleave_packets():
     for i, flit in enumerate(serialize(_packet(2, bytes(12)), in_b.params)):
         in_b.send(i, flit)
     for cycle in range(40):
-        sw.step(cycle, TransportMode.WORMHOLE)
+        sw.step(cycle)
     # drain the output link into a sink; its framing guard faults on any
     # interleaving, and two whole packets must come out
     outs.deliver(10_000)
@@ -268,7 +269,7 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
     for in_port in range(3):
         for cursor in range(nports):
             table = RoutingTable({0: {100: 3}})
-            sw = Switch(0, nports, table, PacketKind.REQUEST)
+            sw = Switch(0, nports, table, PacketKind.REQUEST, mode, Trace())
             sw.attach_output(3, ChannelStream("out", LinkParams(), 16))
             ins = [ChannelStream(f"in{p}", LinkParams(), 16) for p in range(3)]
             for p, ch in enumerate(ins):
@@ -285,7 +286,7 @@ def test_lone_head_grant_matches_arbitrate(monkeypatch, mode, owner):
             cycle = 0
             while not (out.grants_by_input or out.lock_stall_cycles):  # the first scan
                 assert cycle < 50
-                sw.step(cycle, mode)
+                sw.step(cycle)
                 cycle += 1
             if expected is None:
                 assert out.lock_stall_cycles == 1 and out.active_pkt is None
@@ -366,14 +367,14 @@ def test_credit_faults_on_misuse():
 
 @pytest.mark.parametrize("mode", list(TransportMode))
 def test_switch_forward_returning_credit_beyond_depth_faults(mode):
-    sw, (cin, _), _ = _mini_switch()
+    sw, (cin, _), _ = _mini_switch(mode=mode)
     for i, flit in enumerate(serialize(_packet(1, bytes(8)), cin.params)):
         cin.send(i, flit)
-    sw.step(10, mode)  # all three flits buffered; the head is forwarded
+    sw.step(10)  # all three flits buffered; the head is forwarded
     assert len(cin.rx) == 2 and _conserved(cin)
     cin.credits = cin.depth  # an accounting bug, as above
     with pytest.raises(CreditError) as err:
-        sw.step(11, mode)
+        sw.step(11)
     assert str(err.value) == BEYOND_DEPTH
 
 
@@ -437,12 +438,12 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     # another; the output carries exactly the framing serialize would give
     # the packet for that link, and the target NIU stores the bytes sent
     in_params, out_params = LinkParams(in_width), LinkParams(out_width)
-    sw = Switch(0, 2, RoutingTable({0: {100: 1}}), PacketKind.REQUEST)
+    sw = Switch(0, 2, RoutingTable({0: {100: 1}}), PacketKind.REQUEST, mode, Trace())
     cin = ChannelStream("in", in_params, 64)
     out = ChannelStream("out", out_params, 64)
     sw.attach_input(0, cin)
     sw.attach_output(1, out)
-    tgt = TargetNiu(TargetConfig(100, 0, 64))
+    tgt = TargetNiu(TargetConfig(100, 0, 64), Trace())
     tgt.rx = out
     tgt.tx = ChannelStream("rsp", out_params, 64)
     payload = bytes(range(1, size + 1))
@@ -452,7 +453,7 @@ def test_switch_reslices_for_the_output_link(mode, in_width, out_width, size):
     for i, flit in enumerate(serialize(pkt, in_params)):
         cin.send(i, flit)
     for cycle in range(60):
-        sw.step(cycle, mode)
+        sw.step(cycle)
     sent = [flit for _, flit in out.in_flight]
     assert [(f.is_head, f.is_tail, f.start, f.end) for f in sent] == [
         (f.is_head, f.is_tail, f.start, f.end) for f in serialize(pkt, out_params)

@@ -142,7 +142,8 @@ def _request_packet(opcode, offset, payload=b"", payload_len=4):
 
 
 def _target():
-    tgt = TargetNiu(TargetConfig(niu_id=TARGET, region_base=REGION_BASE, region_size=0x100))
+    tgt = TargetNiu(TargetConfig(niu_id=TARGET, region_base=REGION_BASE, region_size=0x100),
+                    Trace())
     tgt.memory[0x20:0x24] = b"\xaa\xbb\xcc\xdd"
     return tgt
 
@@ -209,7 +210,7 @@ def test_grant_candidates_equal_keyword_built(monkeypatch, mode):
         return real(candidates, state)
 
     monkeypatch.setattr(nocsim.fabric, "arbitrate", recording)
-    sw = Switch(0, 4, RoutingTable({0: {TARGET: 3}}), PacketKind.REQUEST)
+    sw = Switch(0, 4, RoutingTable({0: {TARGET: 3}}), PacketKind.REQUEST, mode, Trace())
     sw.attach_output(3, ChannelStream("out", LinkParams(), 16))
     heads = {0: (6, 9), 1: (1, 11), 2: (4, 13)}  # input port: (priority, src)
     for port, (priority, src) in heads.items():
@@ -222,7 +223,7 @@ def test_grant_candidates_equal_keyword_built(monkeypatch, mode):
     cycle = 0
     while not seen:
         assert cycle < 50
-        sw.step(cycle, mode)
+        sw.step(cycle)
         cycle += 1
     expected = [
         Candidate(input_port=port, priority=priority, src=src)

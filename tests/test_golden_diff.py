@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from golden_diff import compare
+from golden_diff import compare, line_counts, line_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tests" / "golden_diff.py"
@@ -17,12 +17,40 @@ def _in_git_checkout() -> bool:
 
 
 @pytest.mark.skipif(not _in_git_checkout(), reason="golden_diff.py exports REV with git")
-def test_head_reports_no_difference():
+def test_head_reports_no_difference(tmp_path):
     cases = ["file-basic_line", "file-lock_deadlock", "random-0-saf", "mixed-0-cut"]
     proc = subprocess.run([sys.executable, str(SCRIPT), "HEAD", *cases],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "0 of 4 cases differ from HEAD\n"
+    # the line counts of HEAD's src/nocsim, which this checkout may have edited
+    archive = subprocess.run(["git", "archive", "HEAD", "src/nocsim"], cwd=ROOT,
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(tmp_path)], input=archive.stdout, check=True)
+    counts = line_report("HEAD", line_counts(tmp_path), line_counts(ROOT))
+    assert proc.stdout == "\n".join(counts + ["0 of 4 cases differ from HEAD\n"])
+
+
+def test_line_report_gives_totals_then_each_file_that_differs():
+    theirs = {"engine.py": 438, "fabric.py": 728, "gone.py": 5}
+    ours = {"engine.py": 430, "fabric.py": 728, "new.py": 9}
+    assert line_report("abc123", theirs, ours) == [
+        "src/nocsim lines: 1171 at abc123, 1167 in this checkout",
+        "  engine.py: 438 -> 430",
+        "  gone.py: 5 -> 0",
+        "  new.py: 0 -> 9",
+    ]
+    assert line_report("abc123", ours, ours) == [
+        "src/nocsim lines: 1167 at abc123, 1167 in this checkout"
+    ]
+
+
+def test_line_counts_count_the_lines_of_each_source_file(tmp_path):
+    src = tmp_path / "src" / "nocsim"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (src / "b.py").write_text("")
+    (src / "notes.txt").write_text("not code\n")
+    assert line_counts(tmp_path) == {"a.py": 2, "b.py": 0}
 
 
 def _write(folder: Path, trace: str, stats: str, stuck: str = "", audit: str = "") -> Path:

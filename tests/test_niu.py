@@ -33,6 +33,7 @@ from nocsim.fabric import ChannelStream, TransportMode
 from nocsim.link import LinkParams, serialize
 from nocsim.packet import Packet, PacketDest, PacketKind, USER_BIT_EXCLUSIVE
 from nocsim.scenario import atomic_loop_scenario, load_scenario, random_scenario
+from nocsim.trace import Trace, TraceEvent
 from nocsim.transaction import (
     Channel,
     Opcode,
@@ -597,7 +598,8 @@ def test_egress_orphan_and_duplicate_messages_on_both_paths(n_frags):
 def _target(memory=4096, granule=8) -> TargetNiu:
     return TargetNiu(
         TargetConfig(niu_id=100, region_base=0, region_size=4096,
-                     memory_size=memory, monitor_granule=granule)
+                     memory_size=memory, monitor_granule=granule),
+        Trace(),
     )
 
 
@@ -661,11 +663,15 @@ def test_target_out_of_bounds_error_slave():
 
 
 def test_target_memory_that_cannot_be_allocated_is_a_scenario_error():
-    # 2**62 bytes passes the load-time size check but no address space can
-    # hold it, so the allocation fails at once without touching memory
+    # a checked config backs at most its region, which a small host may still
+    # fail to allocate; 2**62 bytes, set past the config's own check, is more
+    # than any address space holds, so the allocation fails at once without
+    # touching memory
+    config = TargetConfig(niu_id=100, region_base=0, region_size=4096)
+    object.__setattr__(config, "memory_size", 2**62)
     with pytest.raises(ScenarioError, match="cannot allocate 4611686018427387904 bytes of "
                                             "memory for target NIU 100"):
-        _target(memory=2**62)
+        TargetNiu(config, Trace())
 
 
 def test_target_boundary_is_the_end_of_its_memory():
@@ -683,16 +689,15 @@ def test_target_boundary_is_the_end_of_its_memory():
 
 
 def test_store_emits_monitor_events_only_for_armed_monitors():
-    events = []
-    tgt = TargetNiu(TargetConfig(niu_id=100, region_base=0, region_size=4096),
-                    lambda *event: events.append(event))
+    tgt = _target()
+    events = tgt.trace.events
     # no monitor armed: the store clears nothing and emits nothing
     tgt.handle_request(_request_packet(Opcode.STORE, 64, payload=bytes(4), src=2), cycle=5)
     assert events == [] and tgt.monitors.monitors == {}
     assert ExclusiveMonitorSet().observe_store(0, 64, 4, exclusive=True) == []
     tgt.handle_request(_request_packet(Opcode.LOAD_EXCLUSIVE, 68, payload_len=4, src=1), cycle=6)
-    assert events == [(6, "MONITOR_ARMED", 1, 1, Opcode.LOAD_EXCLUSIVE, 64)]
+    assert events == [TraceEvent(6, "niu100", "MONITOR_ARMED", 1, "", 1, "LOAD_EXCLUSIVE", 64)]
     # another master's monitor armed on the granule: the store clears it
     tgt.handle_request(_request_packet(Opcode.STORE, 64, payload=bytes(4), src=2), cycle=7)
-    assert events[1:] == [(7, "MONITOR_CLEARED", 1, 2, Opcode.STORE, 64)]
+    assert events[1:] == [TraceEvent(7, "niu100", "MONITOR_CLEARED", 1, "", 2, "STORE", 64)]
     assert not tgt.monitors.is_armed(1, 64)

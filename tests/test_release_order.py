@@ -44,19 +44,19 @@ def _exhaustive_check(issued):
     """Every completion order: compare against the reference and check the
     per-stream ordering property."""
     seqs = [seq for seq, _ in issued]
-    stream_of = {seq: key.stream_id() for seq, key in issued}
+    stream_of = {seq: key.stream for seq, key in issued}
     reorder_seen = False
     for completions in itertools.permutations(seqs):
         emitted = _emit(issued, list(completions))
         reference = emission_reference(
-            [(seq, key.stream_id()) for seq, key in issued], list(completions)
+            [(seq, key.stream) for seq, key in issued], list(completions)
         )
         assert emitted == reference
         assert sorted(emitted) == sorted(seqs)  # everything emits exactly once
         # within each stream, emission order equals issue order
         for stream in {s for s in stream_of.values()}:
             in_stream = [s for s in emitted if stream_of[s] == stream]
-            issued_in_stream = [s for s, k in issued if k.stream_id() == stream]
+            issued_in_stream = [s for s, k in issued if k.stream == stream]
             assert in_stream == issued_in_stream
         if emitted != list(completions):
             pass
@@ -129,7 +129,7 @@ def test_release_order_property(data):
     completions = data.draw(st.permutations(range(n)))
     emitted = _emit(issued, list(completions))
     assert sorted(emitted) == list(range(n))
-    for stream in {k.stream_id() for k in keys}:
-        issued_in_stream = [s for s, k in issued if k.stream_id() == stream]
-        emitted_in_stream = [s for s in emitted if keys[s].stream_id() == stream]
+    for stream in {k.stream for k in keys}:
+        issued_in_stream = [s for s, k in issued if k.stream == stream]
+        emitted_in_stream = [s for s in emitted if keys[s].stream == stream]
         assert issued_in_stream == emitted_in_stream

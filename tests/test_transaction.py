@@ -127,12 +127,22 @@ def _key_grid():
     return keys
 
 
-def test_stream_text_matches_exactly_when_stream_id_does():
+# the fields that name a stream within each variant; the others are ignored
+STREAM_FIELDS = {
+    OrderVariant.SINGLE: (),
+    OrderVariant.THREAD: ("thread_id",),
+    OrderVariant.TXN_ID: ("txn_id", "channel"),
+}
+
+
+def test_stream_text_differs_exactly_when_stream_fields_do():
     keys = _key_grid()
     for a in keys:
         for b in keys:
-            same = a.stream_id() == b.stream_id()
-            assert (a.stream == b.stream) is same, (a, b)
+            differ = a.variant is not b.variant or any(
+                getattr(a, name) != getattr(b, name) for name in STREAM_FIELDS[a.variant]
+            )
+            assert (a.stream != b.stream) is differ, (a, b)
 
 
 def test_stream_text_is_the_trace_form():
@@ -162,8 +172,8 @@ def test_random_steps_share_one_key_per_stream(family):
         address_ranges=[(0, 4096)], burst_lens=[1, 2, 4], beat_sizes=[4],
         threads=3, txn_ids=4,
     )
-    objects: dict[tuple, set[int]] = {}
+    objects: dict[str, set[int]] = {}
     for request, _ in steps:
-        objects.setdefault(request.order_key.stream_id(), set()).add(id(request.order_key))
+        objects.setdefault(request.order_key.stream, set()).add(id(request.order_key))
     assert len(objects) > 1 or family is SocketFamily.FULLY_ORDERED
     assert all(len(ids) == 1 for ids in objects.values())
