@@ -53,12 +53,14 @@ every master is done and every initiator NIU idle, which is checked only
 for masters that issued or received something.
 
 Each runtime object gets the run facts it reads when it is built, so a
-step takes only the cycle: a switch plane the transport mode and the run's
-Trace, a target NIU the Trace. Each records its own events: a plane its
-lock events and, at full level, its hops; a target its monitor events and,
-at packet level, the requests it handled. The engine records the socket
-events, stalls and packet injections. Nothing the engine builds refers
-back to it, so a dropped engine is freed at once.
+step takes only the cycle: a switch plane the transport mode and the
+engine's ``recorder``, a target NIU the recorder. Each records its own
+events: a plane its lock events and, at full level, its hops; a target its
+monitor events and, at packet level, the requests it handled. The engine
+records the socket events, stalls and packet injections. When the run
+ends, the events move to the result's own Trace and the channels drop
+their back-references to their readers, so the engine keeps no event and
+no reference cycle: it and its result are each freed as soon as dropped.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .errors import NocSimError
 from .fabric import ChannelStream, Switch
 from .niu import InitiatorNiu, TargetNiu
 from .packet import PacketKind
@@ -98,6 +101,8 @@ REQUEST, RESPONSE = PacketKind.REQUEST, PacketKind.RESPONSE
 
 @dataclass(slots=True)
 class RunResult:
+    """What one run made. It alone owns ``trace``, the run's events."""
+
     memories: dict[int, bytes]
     trace: Trace
     stats: Stats
@@ -184,6 +189,7 @@ class Engine:
         self.mode = scenario.run.mode
         self.recorder = Trace(level=scenario.run.trace_level)
         self.channels: dict[str, ChannelStream] = {}
+        self.spent = False  # run() was called
 
         # two planes per switch, in the order phase 3 steps them: switch id,
         # request before response
@@ -267,6 +273,11 @@ class Engine:
     # -- run loop -----------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run the scenario; an engine runs once. The result alone owns the
+        trace: the engine keeps its runtime state, but no event and no cycle."""
+        if self.spent:
+            raise NocSimError("an Engine runs once; build a new one to run again")
+        self.spent = True
         rec = self.recorder
         # read here, so a wrapper installed on the recorder before run() is called
         packet_marker = rec.packet_marker
@@ -379,9 +390,12 @@ class Engine:
         if timed_out:
             stuck = _stuck_report(slots)
         stats = self._collect_stats(cycle, timed_out)
+        for ch in self.channels.values():
+            ch.sink = ch.sink_switch = None
+        trace, rec.events = Trace(rec.events, rec.level), []
         return RunResult(
             memories={tid: bytes(t.memory) for tid, t in sorted(self.targets.items())},
-            trace=rec,
+            trace=trace,
             stats=stats,
             timed_out=timed_out,
             stuck=stuck,

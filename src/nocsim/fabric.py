@@ -290,13 +290,13 @@ class ChannelStream:
     ``in_flight`` are copies of the two parts, for tests and inspection.
 
     ``sink`` is the switch plane or NIU that reads the channel. The engine
-    steps it only from its ``wake_cycle`` on, and a send lowers that cycle
-    to the flit's arrival. A send into an empty pipe also puts the channel
-    on the ``arrivals`` list of its reading Switch (``sink_switch``; None
-    when an NIU reads it), so a switch step visits only inputs with flits
-    in flight. Credits are taken and returned inline on the hot path; misuse
-    raises CreditError, which fires only on internal accounting bugs, never
-    on legitimate backpressure.
+    steps it only from its ``wake_cycle`` on, and a send lowers that cycle to
+    the flit's arrival. A send into an empty pipe also puts the channel on the
+    ``arrivals`` list of its reading Switch (``sink_switch``; None when an NIU
+    reads it), so a switch step visits only inputs with flits in flight. The
+    engine clears both when its run ends. Credits are taken and returned
+    inline on the hot path; misuse raises CreditError, which fires only on
+    internal accounting bugs, never on legitimate backpressure.
     """
 
     __slots__ = (

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from helpers import line_scenario, mixed_widths, per_stream, pooled, req
 from oracles import pipeline_times, round_trip_emission_cycle
 
 import nocsim
-from nocsim.engine import Engine, run
+from nocsim.engine import Engine, run, scripted_steps_for
 from nocsim.fabric import ChannelStream, Switch, TransportMode
 from nocsim.link import LinkParams
 from nocsim.niu import InitiatorNiu, PendingEntry, SocketFamily, TargetNiu
@@ -560,21 +561,68 @@ def test_transaction_level_makes_no_packet_event_calls(kind):
     )
 
 
-def test_a_dropped_engine_is_freed_without_the_collector():
-    # Nothing an engine builds refers back to it, so dropping the last
-    # reference frees it at once, not at the cyclic collector's next pass.
-    scenarios = [random_scenario(seed) for seed in range(5)]
-    scenarios += [atomic_loop_scenario(kind, n_masters=2, iterations=5)
-                  for kind in ("exclusive", "lock")]
+@pytest.fixture
+def collector_off():
     enabled = gc.isenabled()
     gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_a_finished_run_needs_no_collector(collector_off):
+    # Nothing an engine builds refers back to it, and run() clears the
+    # back-references it set, so dropping an engine and its result frees
+    # both at once, not at the cyclic collector's next pass.
+    scenarios = [random_scenario(seed) for seed in range(10)]
+    scenarios += [atomic_loop_scenario(kind, n_masters=2, iterations=5)
+                  for kind in ("exclusive", "lock")]
+    gc.collect()
+    for i, scenario in enumerate(scenarios):
+        engine = Engine(scenario)
+        result = engine.run()
+        assert not result.timed_out
+        freed = weakref.ref(engine)
+        del engine, result
+        assert freed() is None, i
+        assert gc.collect() == 0, i
+
+
+def test_a_kept_engine_does_not_keep_its_trace(collector_off):
+    engine = Engine(random_scenario(1))
+    result = engine.run()
+    trace = weakref.ref(result.trace)
+    assert len(result.trace) > 0
+    del result
+    assert trace() is None
+    assert len(engine.recorder) == 0
+
+
+def test_a_run_sweep_holds_one_trace_at_a_time(collector_off):
+    scenarios = [random_scenario(seed, trace_level="full") for seed in range(20)]
+    for sc in scenarios:  # expand the programs first: the expansions are kept
+        for spec in sc.masters:
+            scripted_steps_for(spec, sc.run.seed)
+    tracemalloc.start()
     try:
-        for i, scenario in enumerate(scenarios):
-            engine = Engine(scenario)
-            assert not engine.run().timed_out
-            freed = weakref.ref(engine)
-            del engine
-            assert freed() is None, i
+        start = tracemalloc.get_traced_memory()[0]
+        single = sweep = 0
+        for sc in scenarios:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+            single = max(single, peak - before)
+            sweep = max(sweep, peak - start)
     finally:
-        if enabled:
-            gc.enable()
+        tracemalloc.stop()
+    assert sweep < 2 * single
+
+
+def test_a_spent_engine_refuses_to_run_again():
+    # a second run would start from the first one's end state
+    engine = Engine(random_scenario(1))
+    engine.run()
+    with pytest.raises(nocsim.NocSimError,
+                       match="^an Engine runs once; build a new one to run again$"):
+        engine.run()
