@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nocsim", description="layered network-on-chip simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
-        p.add_argument("scenario", help="scenario YAML file")
+    def common(p, with_mode=True, scenario_help="scenario YAML file"):
+        p.add_argument("scenario", help=scenario_help)
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--max-cycles", type=int, default=None)
         if with_mode:
@@ -186,17 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run invariant checks over scenario file(s)")
-    p_verify.add_argument("scenario", help="scenario YAML file or directory")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--max-cycles", type=int, default=None)
+    common(p_verify, with_mode=False, scenario_help="scenario YAML file or directory")
     p_verify.set_defaults(func=cmd_verify, mode=None)
 
     p_cmp = sub.add_parser(
         "compare-modes", help="check wormhole and store-and-forward agree"
     )
-    p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--max-cycles", type=int, default=None)
+    common(p_cmp, with_mode=False)
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare_modes)
 

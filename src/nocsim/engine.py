@@ -57,10 +57,10 @@ step takes only the cycle: a switch plane the transport mode and the
 engine's ``recorder``, a target NIU the recorder. Each records its own
 events: a plane its lock events and, at full level, its hops; a target its
 monitor events and, at packet level, the requests it handled. The engine
-records the socket events, stalls and packet injections. When the run
-ends, the events move to the result's own Trace and the channels drop
-their back-references to their readers, so the engine keeps no event and
-no reference cycle: it and its result are each freed as soon as dropped.
+records the socket events, stalls and packet injections. A run moves the
+events to the result's own Trace, and ``Engine.__del__`` clears the
+channels' back-references to their readers, so an engine, run or not, and
+a result are each freed as soon as dropped, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ class Engine:
     """Builds the runtime objects for one scenario and runs it to completion."""
 
     def __init__(self, scenario: Scenario):
+        self.channels: dict[str, ChannelStream] = {}  # first: ``__del__`` reads it
         self.table = scenario.topology.table
         self.scenario = scenario
         self.mode = scenario.run.mode
         self.recorder = Trace(level=scenario.run.trace_level)
-        self.channels: dict[str, ChannelStream] = {}
         self.spent = False  # run() was called
 
         # two planes per switch, in the order phase 3 steps them: switch id,
@@ -208,6 +208,11 @@ class Engine:
         self._build_nius()
         self._build_channels()
         self._build_masters()
+
+    def __del__(self):
+        # each channel refers back to the switch plane or NIU that reads it
+        for ch in self.channels.values():
+            ch.sink = ch.sink_switch = None
 
     # -- construction ------------------------------------------------------------
 
@@ -274,7 +279,7 @@ class Engine:
 
     def run(self) -> RunResult:
         """Run the scenario; an engine runs once. The result alone owns the
-        trace: the engine keeps its runtime state, but no event and no cycle."""
+        trace: the engine keeps its runtime state, but no event."""
         if self.spent:
             raise NocSimError("an Engine runs once; build a new one to run again")
         self.spent = True
@@ -390,8 +395,6 @@ class Engine:
         if timed_out:
             stuck = _stuck_report(slots)
         stats = self._collect_stats(cycle, timed_out)
-        for ch in self.channels.values():
-            ch.sink = ch.sink_switch = None
         trace, rec.events = Trace(rec.events, rec.level), []
         return RunResult(
             memories={tid: bytes(t.memory) for tid, t in sorted(self.targets.items())},

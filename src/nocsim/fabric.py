@@ -294,7 +294,7 @@ class ChannelStream:
     the flit's arrival. A send into an empty pipe also puts the channel on the
     ``arrivals`` list of its reading Switch (``sink_switch``; None when an NIU
     reads it), so a switch step visits only inputs with flits in flight. The
-    engine clears both when its run ends. Credits are taken and returned
+    engine clears both when it is dropped. Credits are taken and returned
     inline on the hot path; misuse raises CreditError, which fires only on
     internal accounting bugs, never on legitimate backpressure.
     """

@@ -246,6 +246,8 @@ class Scenario:
                 writes = any(op.is_store and w > 0 for op, w in program.op_mix)
                 streams = 2 * program.txn_ids - (not writes)
         elif isinstance(program, (ExclusiveLoopProgram, LockLoopProgram)):
+            if program.iterations < 0:
+                raise ScenarioError(f"{who} iteration count {program.iterations} is negative")
             if niu.family is not SocketFamily.FULLY_ORDERED:
                 raise ScenarioError(
                     f"{who} loop program needs a fully_ordered NIU, got {niu.family.name.lower()}"
@@ -653,6 +655,13 @@ _random_tag_policies = {
 }
 
 
+def _check_count(name: str, value: Optional[int], low: int, high: Optional[int] = None) -> None:
+    """Refuse a generator's count outside ``low..high``; None means drawn."""
+    if value is not None and (value < low or high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ScenarioError(f"{name} must be {bound}, got {value}")
+
+
 def random_scenario(
     seed: int,
     n_masters: Optional[int] = None,
@@ -667,6 +676,9 @@ def random_scenario(
     transport timing. That property is what the transport-equivalence and
     physical-independence suites lean on.
     """
+    _check_count("n_masters", n_masters, 1, 64)  # a 64-byte slice each of 4096 bytes
+    _check_count("n_switches", n_switches, 1)
+    _check_count("total_transactions", total_transactions, 0)
     rng = random.Random(seed * 0x9E3779B1 + 0x5EED)
     n_sw = n_switches if n_switches is not None else rng.randint(2, 6)
     n_m = n_masters if n_masters is not None else rng.randint(2, 8)
@@ -760,6 +772,7 @@ def atomic_loop_scenario(
     """
     if kind not in ("exclusive", "lock"):
         raise ScenarioError("loop kind must be 'exclusive' or 'lock'")
+    _check_count("n_masters", n_masters, 1, 100)  # NIU 100 is the target
     ports = _Ports()
     link = LinkSpec(0, ports.take(0), 1, ports.take(1))
     attachments = [AttachmentSpec(100, 1, ports.take(1))]

@@ -1,8 +1,11 @@
 """Trace recording, projection, and post-run invariant checking.
 
-A trace is a flat list of timestamped events. The export format is one
-event per line, comma separated, in the field order of TraceEvent, with a
-header line; empty cells stand for fields that do not apply to the event.
+A trace is a flat list of timestamped events, each a plain tuple in the
+field order of TraceEvent, which the cyclic collector untracks the first
+time it sees it: a kept trace adds nothing to later collections.
+Iterating a Trace yields named TraceEvent views. The export format is one
+event per line, comma separated, in the same field order, with a header
+line; empty cells stand for fields that do not apply to the event.
 
 Detail levels nest: "transaction" records socket-level events plus lock and
 monitor activity, "packet" adds packet injection/delivery at NIUs, "full"
@@ -36,14 +39,12 @@ STALL = "STALL"
 TRACE_LEVELS = {"transaction": 0, "packet": 1, "full": 2}
 
 CSV_HEADER = "cycle,site,kind,master,order_key,tag,op,address"
-new_tuple = tuple.__new__  # builds a TraceEvent without its generated Python __new__
 
 
 class TraceEvent(NamedTuple):
-    """One trace event, its fields in the column order of the CSV export.
-
-    ``Trace`` builds it with ``tuple.__new__``, in field order;
-    tests/test_field_order.py pins that order.
+    """The names of a trace event's fields, in the column order of the CSV
+    export. ``Trace`` stores each event as a plain tuple in this order;
+    tests/test_field_order.py pins it.
     """
 
     cycle: int
@@ -54,20 +55,6 @@ class TraceEvent(NamedTuple):
     tag: int = -1
     op: str = ""
     address: int = -1
-
-    def csv_line(self) -> str:
-        return ",".join(
-            (
-                str(self.cycle),
-                self.site,
-                self.kind,
-                "" if self.master < 0 else str(self.master),
-                self.key,
-                "" if self.tag < 0 else str(self.tag),
-                self.op,
-                "" if self.address < 0 else str(self.address),
-            )
-        )
 
 
 class Trace:
@@ -81,33 +68,34 @@ class Trace:
     events.
     """
 
-    def __init__(self, events: Optional[list[TraceEvent]] = None, level: str = "full"):
-        self.events: list[TraceEvent] = events if events is not None else []
+    def __init__(self, events: Optional[list[tuple]] = None, level: str = "full"):
+        self.events: list[tuple] = events if events is not None else []
         self.level = level
         rank = TRACE_LEVELS[level]  # a level RunSpec accepted
         self.record_packets = rank >= TRACE_LEVELS["packet"]
         self.record_hops = rank >= TRACE_LEVELS["full"]
 
     def __iter__(self):
-        return iter(self.events)
+        return map(TraceEvent._make, self.events)
 
     def __len__(self):
         return len(self.events)
 
     def event(self, cycle, site, kind, master=-1, key="", tag=-1, op="", address=-1) -> None:
-        self.events.append(
-            new_tuple(TraceEvent, (cycle, site, kind, master, key, tag, op, address))
-        )
+        self.events.append((cycle, site, kind, master, key, tag, op, address))
 
     def packet_marker(self, cycle, site, kind, packet) -> None:
         """Record an event about one packet, read from its header fields."""
-        self.events.append(new_tuple(TraceEvent, (
-            cycle, site, kind, packet.src, "", packet.tag, packet.op.label, packet.dest.offset,
-        )))
+        self.events.append((cycle, site, kind, packet.src, "", packet.tag, packet.op.label,
+                            packet.dest.offset))
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        lines.extend(ev.csv_line() for ev in self.events)
+        lines.extend(
+            f"{cycle},{site},{kind},{'' if master < 0 else master},{key},"
+            f"{'' if tag < 0 else tag},{op},{'' if address < 0 else address}"
+            for cycle, site, kind, master, key, tag, op, address in self.events
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -132,13 +120,11 @@ def transaction_projection(trace: Trace) -> dict[int, dict[str, list[tuple]]]:
     """
     issues: dict[int, dict[str, list]] = {}
     resp_status: dict[int, dict[str, list[str]]] = {}
-    for ev in trace.events:
-        if ev.kind == REQ_ISSUED:
-            issues.setdefault(ev.master, {}).setdefault(ev.key, []).append(
-                (ev.op, ev.address)
-            )
-        elif ev.kind == RESP_EMITTED:
-            resp_status.setdefault(ev.master, {}).setdefault(ev.key, []).append(ev.op)
+    for _, _, kind, master, key, _, op, address in trace.events:
+        if kind == REQ_ISSUED:
+            issues.setdefault(master, {}).setdefault(key, []).append((op, address))
+        elif kind == RESP_EMITTED:
+            resp_status.setdefault(master, {}).setdefault(key, []).append(op)
     projection: dict[int, dict[str, list[tuple]]] = {}
     for master in sorted(issues):
         projection[master] = {}
@@ -223,7 +209,8 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     # unmatched event, then each event in the pairing]; a stream's non-posted
     # requests and its responses pair by position, whichever comes first. The
     # deque of awaited requests is built only when ``track`` is set, so a
-    # transaction-level audit builds few objects the collector counts.
+    # transaction-level audit builds few objects the collector counts. A
+    # paired event is read by position: [2] kind, [5] tag, [7] address.
     streams: dict[tuple[int, str], list] = {}
     track = trace.level != "transaction"  # such a trace holds no packet events
     open_windows: dict[tuple[int, int], int] = {}  # (master, tag) -> open windows
@@ -240,81 +227,82 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
     exclusive: dict[tuple[str, int], list[str]] = {}
     packets = False
     for ev in trace.events:
-        kind = ev.kind
+        cycle, site, kind, master, key, tag, op, address = ev
         if kind == STALL:
             continue
         if kind == REQ_ISSUED or kind == RESP_EMITTED:
-            state = streams.get((ev.master, ev.key))
+            state = streams.get((master, key))
             if state is None:
-                state = streams[(ev.master, ev.key)] = ["", False, deque() if track else None, 4]
+                state = streams[(master, key)] = ["", False, deque() if track else None, 4]
             if kind == REQ_ISSUED:
                 state[1] = True
-                if track and ev.tag >= 0:
-                    mt = (ev.master, ev.tag)
+                if track and tag >= 0:
+                    mt = (master, tag)
                     window = newest.get(mt)
-                    if window is not None and window[1] and window[0] != ev.key:
+                    if window is not None and window[1] and window[0] != key:
                         twice.setdefault(mt, []).append(
-                            f"tag liveness violation: master {mt[0]} tag {mt[1]} live "
-                            f"twice (streams {window[0]} and {ev.key})"
+                            f"tag liveness violation: master {master} tag {tag} live "
+                            f"twice (streams {window[0]} and {key})"
                         )
-                    window = newest[mt] = [ev.key, True]
+                    window = newest[mt] = [key, True]
                     open_windows[mt] = open_windows.get(mt, 0) + 1
-                    if ev.op != _POSTED_NAME:
+                    if op != _POSTED_NAME:
                         state[2].append((mt, window))
-                if ev.op == _POSTED_NAME:
+                if op == _POSTED_NAME:
                     continue
-            elif track and ev.tag >= 0 and state[2]:
+            elif track and tag >= 0 and state[2]:
                 mt, window = state[2].popleft()
                 window[1] = False
                 open_windows[mt] -= 1
             head = state[3]
-            if head == len(state) or state[head].kind == kind:
+            if head == len(state) or state[head][2] == kind:
                 state.append(ev)
                 continue
             other = state[head]
             state[3] = head + 1
-            if not state[0] and (other.address != ev.address or other.tag != ev.tag):
-                req, resp = (ev, other) if kind == REQ_ISSUED else (other, ev)
+            if not state[0] and (other[7] != address or other[5] != tag):
+                pair = (ev, other) if kind == REQ_ISSUED else (other, ev)
+                req, resp = map(TraceEvent._make, pair)
                 state[0] = (
-                    f"stream order violation: master {ev.master} stream {ev.key} "
+                    f"stream order violation: master {master} stream {key} "
                     f"position {head - 4}: issued {req.op}@{req.address} tag {req.tag} "
                     f"at cycle {req.cycle}, emitted {resp.op}@{resp.address} tag "
                     f"{resp.tag} at cycle {resp.cycle}"
                 )
         elif kind == PKT_DELIVERED or kind == PKT_INJECTED:
             packets = True
-            if not open_windows.get((ev.master, ev.tag)) and ev.master >= 0 and ev.tag >= 0:
+            if not open_windows.get((master, tag)) and master >= 0 and tag >= 0:
                 dead.append(
-                    f"tag liveness violation: packet event at cycle {ev.cycle} "
-                    f"site {ev.site} carries dead tag {ev.tag} of master {ev.master}"
+                    f"tag liveness violation: packet event at cycle {cycle} "
+                    f"site {site} carries dead tag {tag} of master {master}"
                 )
             if locked and kind == PKT_DELIVERED:
-                held = locked.get(ev.site)
-                if held is not None and ev.master != held[0]:
+                held = locked.get(site)
+                if held is not None and master != held[0]:
                     locks.append(
-                        f"lock violation: packet of master {ev.master} crossed "
-                        f"{ev.site} at cycle {ev.cycle} while locked by {held[0]} "
+                        f"lock violation: packet of master {master} crossed "
+                        f"{site} at cycle {cycle} while locked by {held[0]} "
                         f"since cycle {held[1]}"
                     )
         elif kind == LOCK_SET:
-            locked[ev.site] = (ev.master, ev.cycle)
+            locked[site] = (master, cycle)
         elif kind == LOCK_CLEARED:
-            locked.pop(ev.site, None)
+            locked.pop(site, None)
         elif kind == MONITOR_ARMED:
             monitor_events += 1
-            last_arm[(ev.site, ev.address, ev.master)] = monitor_events
-        elif kind == MONITOR_CLEARED and ev.master == ev.tag:
+            last_arm[(site, address, master)] = monitor_events
+        elif kind == MONITOR_CLEARED and master == tag:
             # a win: the acting master owns the monitor; between two wins on
             # a granule the second winner must have armed after the first
             monitor_events += 1
-            granule = (ev.site, ev.address)
+            granule = (site, address)
             prev = last_win.get(granule)
-            if prev is not None and last_arm.get((ev.site, ev.address, ev.master), -1) < prev[0]:
+            if prev is not None and last_arm.get((site, address, master), -1) < prev[0]:
                 exclusive.setdefault(granule, []).append(
-                    f"exclusive safety violation at {ev.site} granule {ev.address:#x}: "
-                    f"master {ev.master} won without re-arming after master {prev[1]}'s win"
+                    f"exclusive safety violation at {site} granule {address:#x}: "
+                    f"master {master} won without re-arming after master {prev[1]}'s win"
                 )
-            last_win[granule] = (monitor_events, ev.master)
+            last_win[granule] = (monitor_events, master)
     ordered = sorted(streams)
     violations = [
         f"conservation violation: response without request for master {m} stream {k}"
@@ -327,7 +315,7 @@ def check_invariants(trace: Trace, scenario=None, stats: Optional["Stats"] = Non
             continue
         if mismatch:
             violations.append(mismatch)
-        if ahead and ahead[0].kind == RESP_EMITTED:
+        if ahead and ahead[0][2] == RESP_EMITTED:
             violations.append(
                 f"conservation violation: {len(ahead)} extra "
                 f"response(s) for master {m} stream {k}"

@@ -57,7 +57,7 @@ def test_exclusive_monitor_trace_events():
 
 def test_exclusive_safety_check_catches_missing_rearm():
     result = run(atomic_loop_scenario("exclusive", n_masters=2, iterations=5))
-    events = result.trace.events
+    events = list(result.trace)
     # drop one master's re-arm between two of its wins to poison the trace
     wins = [
         i for i, e in enumerate(events)

@@ -41,7 +41,7 @@ def _of(violations, prefix):
 
 def test_dead_tag_after_request_removed():
     result = run(atomic_loop_scenario("lock", n_masters=2, iterations=3))
-    events = result.trace.events
+    events = list(result.trace)
     assert _of(check_invariants(result.trace), "tag liveness") == []
     # each master of the loop has one request outstanding at a time, so the
     # removed request's packets are covered by no other window of its tag
@@ -172,7 +172,7 @@ def test_transaction_level_trace_is_walked_once():
 @pytest.mark.parametrize("level", ["transaction", "packet", "full"])
 def test_trace_is_walked_once_at_every_level(level):
     result = run(atomic_loop_scenario("lock", n_masters=2, iterations=3).with_trace_level(level))
-    kinds = {e.kind for e in result.trace.events}
+    kinds = {e.kind for e in result.trace}
     assert (PKT_INJECTED in kinds) == (level != "transaction")
     assert _walks(result.trace) == 1
 
@@ -203,7 +203,7 @@ def test_audit_sets_off_no_collection():
 
 def test_foreign_packet_inside_lock_window():
     result = run(atomic_loop_scenario("lock", n_masters=2, iterations=2))
-    events = result.trace.events
+    events = list(result.trace)
     assert _of(check_invariants(result.trace), "lock violation") == []
     i = next(k for k, e in enumerate(events) if e.kind == LOCK_SET)
     held = events[i]
@@ -277,7 +277,7 @@ def test_one_pass_audits_match_definitions_on_poisoned_traces():
     flagged = {}
     for scenario in scenarios:
         result = run(scenario)
-        events, stats = result.trace.events, result.stats
+        events, stats = list(result.trace), result.stats
         for copy in [events] + [_poisoned(events, rng) for _ in range(8)]:
             if rng.random() < 0.3:
                 stats.channels[rng.choice(sorted(stats.channels))]["min_credits"] = -1

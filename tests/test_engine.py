@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -29,6 +30,7 @@ from nocsim.trace import (
     PKT_INJECTED,
     REQ_ISSUED,
     RESP_EMITTED,
+    TRACE_LEVELS,
     TraceEvent,
     check_invariants,
     compare_projections,
@@ -285,7 +287,7 @@ def test_check_invariants_clean_run():
 
 
 def _swap_same_stream_responses(trace):
-    events = list(trace.events)
+    events = list(trace)
     idxs = [
         i for i, e in enumerate(events)
         if e.kind == RESP_EMITTED and e.master == 0 and e.key == "single"
@@ -317,9 +319,7 @@ def test_check_invariants_detects_conservation_break():
     assert any("response without request" in v for v in violations)
     # and a request that never got its response
     result2 = run(line_scenario(programs=[[(req(0, Opcode.LOAD, 0x10), True)]]))
-    result2.trace.events = [
-        e for e in result2.trace.events if e.kind != RESP_EMITTED
-    ]
+    result2.trace.events = [e for e in result2.trace if e.kind != RESP_EMITTED]
     violations2 = check_invariants(result2.trace)
     assert any("without response" in v for v in violations2)
 
@@ -570,22 +570,73 @@ def collector_off():
         gc.enable()
 
 
-def test_a_finished_run_needs_no_collector(collector_off):
-    # Nothing an engine builds refers back to it, and run() clears the
-    # back-references it set, so dropping an engine and its result frees
-    # both at once, not at the cyclic collector's next pass.
+def _drop_engines(run_them: bool) -> None:
     scenarios = [random_scenario(seed) for seed in range(10)]
     scenarios += [atomic_loop_scenario(kind, n_masters=2, iterations=5)
                   for kind in ("exclusive", "lock")]
     gc.collect()
     for i, scenario in enumerate(scenarios):
         engine = Engine(scenario)
-        result = engine.run()
-        assert not result.timed_out
+        result = engine.run() if run_them else None
+        assert not (run_them and result.timed_out)
         freed = weakref.ref(engine)
         del engine, result
         assert freed() is None, i
         assert gc.collect() == 0, i
+
+
+def test_a_finished_run_needs_no_collector(collector_off):
+    # Nothing an engine builds refers back to it, and dropping it clears the
+    # back-references it set, so dropping an engine and its result frees
+    # both at once, not at the cyclic collector's next pass.
+    _drop_engines(run_them=True)
+
+
+def test_an_unrun_engine_needs_no_collector(collector_off):
+    _drop_engines(run_them=False)
+
+
+def test_a_failed_build_is_dropped_quietly(monkeypatch):
+    # ``__del__`` of a half-built engine raises nothing for Python to report
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    try:
+        Engine(None)
+    except AttributeError:
+        pass
+    gc.collect()
+    assert unraisable == []
+
+
+def test_a_kept_engine_keeps_its_wiring():
+    engine = Engine(random_scenario(1))
+    engine.run()
+    assert all(ch.sink is not None for ch in engine.channels.values())
+
+
+@pytest.mark.parametrize("level", sorted(TRACE_LEVELS))
+def test_recorded_events_are_untracked_after_one_collection(level):
+    # an event is an exact tuple of atoms, which the collector untracks
+    scenarios = [
+        random_scenario(2, total_transactions=60, trace_level=level),
+        atomic_loop_scenario("exclusive", iterations=5).with_trace_level(level),
+        atomic_loop_scenario("lock", iterations=5).with_trace_level(level),
+    ]
+    traces = [run(sc).trace for sc in scenarios]
+    gc.collect()
+    for trace in traces:
+        assert trace.events and not any(map(gc.is_tracked, trace.events))
+
+
+def test_held_traces_leave_the_collector_no_event():
+    traces = [
+        run(random_scenario(seed, total_transactions=40).with_mode(mode)).trace
+        for seed in range(24) for mode in TransportMode
+    ]
+    gc.collect()
+    events = {id(ev) for trace in traces for ev in trace.events}
+    assert len(events) > 1000
+    assert not any(id(obj) in events for obj in gc.get_objects())
 
 
 def test_a_kept_engine_does_not_keep_its_trace(collector_off):

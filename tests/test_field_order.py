@@ -1,9 +1,10 @@
 """Field order of the records that hot paths build positionally.
 
 The NIUs build ``Packet`` positionally and ``PacketDest`` with
-``tuple.__new__``; the trace recorder builds ``TraceEvent`` and the switch
-builds ``Candidate`` the same way, as ``generate_random_steps`` builds each
-``TransactionRequest``; the loop masters build theirs positionally. Nothing
+``tuple.__new__``; the switch builds ``Candidate`` the same way, as
+``generate_random_steps`` builds each ``TransactionRequest``; the loop
+masters build theirs positionally, and the trace recorder stores each event
+as a plain tuple in ``TraceEvent``'s field order. Nothing
 checks the order of positional values at run time, and two fields of one
 type (``priority`` and ``user_bits``, ``frag_index`` and ``payload_len``,
 ``burst_len`` and ``beat_size``) can trade places silently. Each test
@@ -192,10 +193,20 @@ def test_trace_events_equal_keyword_built(level):
         TraceEvent(cycle=14, site="sw1p2", kind="PKT_DELIVERED", master=INITIATOR, key="",
                    tag=THREAD, op="STORE", address=0x20),
     ]
+    assert TraceEvent._fields == (
+        "cycle", "site", "kind", "master", "key", "tag", "op", "address"
+    )
     assert len(rec.events) == len(expected)
     for ev, want in zip(rec.events, expected):
-        _assert_same(ev, want)
-    assert rec.events[0].csv_line() == "11,niu3,REQ_ISSUED,3,thread:2,2,LOAD,64"
+        assert type(ev) is tuple  # an exact tuple, which the collector untracks
+        _assert_same(TraceEvent._make(ev), want)
+    assert list(rec) == expected and all(type(ev) is TraceEvent for ev in rec)
+    assert rec.to_csv().splitlines()[1:] == [
+        "11,niu3,REQ_ISSUED,3,thread:2,2,LOAD,64",
+        "12,niu4,STALL,,,,,",
+        "13,niu5,STALL,4,single,6,STORE,72",
+        "14,sw1p2,PKT_DELIVERED,3,,2,STORE,32",
+    ]
 
 
 # -- arbitration candidates: Switch._try_grant -----------------------------------------

@@ -279,6 +279,10 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     ({}, {}, {"region": [0, 2**63]},
      f"target NIU 100 memory size exceeds {sys.maxsize} bytes"),
     ({}, {"transactions": -1}, {}, "master 0 transaction count -1 is negative"),
+    # a negative count ran as zero iterations and passed
+    ({}, {**_LOOP, "iterations": -3}, {}, "master 0 iteration count -3 is negative"),
+    ({}, {**_LOOP, "kind": "lock_loop", "iterations": -1}, {},
+     "master 0 iteration count -1 is negative"),
     *[({}, {"op_mix": mix}, {},
        "master 0 op_mix weights must be finite, non-negative and not all zero")
       for mix in ({"load": -1.0, "store": 2.0}, {"load": float("inf")},
@@ -409,6 +413,33 @@ def test_refusal_names_its_switch_or_niu(tmp_path, build, message):
     with pytest.raises(ScenarioError) as err:
         build(tmp_path)
     assert str(err.value) == message
+
+
+# Each of these ended in a traceback from inside the generator, built a
+# scenario with no masters, or blamed an NIU id collision on the topology.
+@pytest.mark.parametrize("build, message", [
+    (lambda: random_scenario(1, n_masters=0), "n_masters must be in 1..64, got 0"),
+    (lambda: random_scenario(1, n_masters=-1), "n_masters must be in 1..64, got -1"),
+    (lambda: random_scenario(1, n_masters=65), "n_masters must be in 1..64, got 65"),
+    (lambda: random_scenario(1, n_switches=0), "n_switches must be at least 1, got 0"),
+    (lambda: random_scenario(1, total_transactions=-5),
+     "total_transactions must be at least 0, got -5"),
+    (lambda: atomic_loop_scenario("exclusive", n_masters=200),
+     "n_masters must be in 1..100, got 200"),
+    (lambda: atomic_loop_scenario("lock", n_masters=0), "n_masters must be in 1..100, got 0"),
+    (lambda: atomic_loop_scenario("lock", iterations=-3),
+     "master 0 iteration count -3 is negative"),
+])
+def test_generator_refuses_bad_count(build, message):
+    with pytest.raises(ScenarioError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_generator_counts_at_their_bounds_build():
+    assert len(random_scenario(1, n_masters=64).masters) == 64
+    assert len(random_scenario(1, n_switches=1).topology.switches) == 1
+    assert len(atomic_loop_scenario("lock", n_masters=100).masters) == 100
 
 
 def test_buffer_depth_below_packet_size_diagnosed():
