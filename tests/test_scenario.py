@@ -279,10 +279,6 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     ({}, {}, {"region": [0, 2**63]},
      f"target NIU 100 memory size exceeds {sys.maxsize} bytes"),
     ({}, {"transactions": -1}, {}, "master 0 transaction count -1 is negative"),
-    # a negative count ran as zero iterations and passed
-    ({}, {**_LOOP, "iterations": -3}, {}, "master 0 iteration count -3 is negative"),
-    ({}, {**_LOOP, "kind": "lock_loop", "iterations": -1}, {},
-     "master 0 iteration count -1 is negative"),
     *[({}, {"op_mix": mix}, {},
        "master 0 op_mix weights must be finite, non-negative and not all zero")
       for mix in ({"load": -1.0, "store": 2.0}, {"load": float("inf")},
@@ -312,6 +308,10 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
     ({}, {"threads": 0}, {}, "master 0 threads and txn_ids must be positive"),
     ({}, {"address_ranges": []}, {}, "master 0 random program has no address range"),
     ({}, _script({"op": "bogus", "addr": 0x40}), {}, "unknown opcode 'bogus'"),
+    # a negative count ran as zero iterations and passed
+    ({}, {**_LOOP, "iterations": -3}, {}, "master 0 iteration count -3 is negative"),
+    ({}, {**_LOOP, "kind": "lock_loop", "iterations": -1}, {},
+     "master 0 iteration count -1 is negative"),
 ])
 def test_pairing_that_fails_later_refused_at_load(tmp_path, initiator, program, target, message):
     path = tmp_path / "scenario.yaml"
