@@ -46,7 +46,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def _write_outputs(result, out_dir: str, prefix: str = "") -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{prefix}trace.csv").write_text(result.trace.to_csv(), encoding="utf-8")
+    with (out / f"{prefix}trace.csv").open("w", encoding="utf-8") as f:
+        f.writelines(result.trace.csv_chunks())
     (out / f"{prefix}stats.txt").write_text(result.stats.to_text(), encoding="utf-8")
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
-import yaml
-
 from .errors import ScenarioError
 from .fabric import (
     AttachmentSpec,
@@ -605,6 +603,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    import yaml  # here, not at the top: only reading a file needs PyYAML
+
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = yaml.safe_load(text)
@@ -674,7 +674,8 @@ def random_scenario(
     Masters write only to their private address slices, so final memory and
     per-stream transaction content depend on the workload alone, never on
     transport timing. That property is what the transport-equivalence and
-    physical-independence suites lean on.
+    physical-independence suites lean on. Each master gets the integer part
+    of ``total_transactions / n_masters``; the remainder is dropped.
     """
     _check_count("n_masters", n_masters, 1, 64)  # a 64-byte slice each of 4096 bytes
     _check_count("n_switches", n_switches, 1)
@@ -702,7 +703,7 @@ def random_scenario(
 
     slice_size = (region_size // n_m) & ~63
     masters = []
-    per_master = max(1, total // n_m)
+    per_master = total // n_m
     for i in range(n_m):
         sw = rng.randrange(n_sw)
         attachments.append((i, sw, ports.take(sw)))

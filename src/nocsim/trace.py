@@ -21,7 +21,7 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .transaction import Opcode
 
@@ -39,6 +39,7 @@ STALL = "STALL"
 TRACE_LEVELS = {"transaction": 0, "packet": 1, "full": 2}
 
 CSV_HEADER = "cycle,site,kind,master,order_key,tag,op,address"
+CSV_CHUNK = 4096  # events per string that Trace.csv_chunks yields
 
 
 class TraceEvent(NamedTuple):
@@ -89,14 +90,19 @@ class Trace:
         self.events.append((cycle, site, kind, packet.src, "", packet.tag, packet.op.label,
                             packet.dest.offset))
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV export: the header line, then one string per CSV_CHUNK events."""
+        yield CSV_HEADER + "\n"
+        for start in range(0, len(self.events), CSV_CHUNK):
+            yield "".join(
+                f"{cycle},{site},{kind},{'' if master < 0 else master},{key},"
+                f"{'' if tag < 0 else tag},{op},{'' if address < 0 else address}\n"
+                for cycle, site, kind, master, key, tag, op, address
+                in self.events[start:start + CSV_CHUNK]
+            )
+
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(
-            f"{cycle},{site},{kind},{'' if master < 0 else master},{key},"
-            f"{'' if tag < 0 else tag},{op},{'' if address < 0 else address}"
-            for cycle, site, kind, master, key, tag, op, address in self.events
-        )
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """CLI contract: subcommands, outputs, and the exit-code table."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,8 @@ import yaml
 
 from nocsim import cli
 from nocsim.cli import main
+from nocsim.engine import run
+from nocsim.scenario import load_scenario
 from nocsim.errors import CreditError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +28,35 @@ def test_run_clean_exit_zero(tmp_path, capsys):
     stats = (out / "stats.txt").read_text()
     assert "completed_transactions" in stats
     assert "ok:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_output_files_equal_the_library_output(path, tmp_path):
+    # run --out and each compare-modes leg write trace.csv in chunks; the
+    # files hold exactly the library's text, encoded
+    out = tmp_path / "out"
+    main(["run", str(path), "--out", str(out)])
+    legs = [("", load_scenario(path))]
+    if main(["compare-modes", str(path), "--out", str(out)]) != cli.EXIT_TIMEOUT:
+        legs += [(f"{name}-", legs[0][1].with_mode(mode)) for name, mode in cli._MODES.items()]
+    for prefix, scenario in legs:
+        result = run(scenario)
+        assert (out / f"{prefix}trace.csv").read_bytes() == result.trace.to_csv().encode()
+        assert (out / f"{prefix}stats.txt").read_bytes() == result.stats.to_text().encode()
+    assert len(list(out.iterdir())) == 2 * len(legs)
+
+
+def test_import_loads_no_yaml_until_a_file_is_read():
+    probe = (
+        "import sys, nocsim\n"
+        "print('yaml' in sys.modules)\n"
+        f"nocsim.load_scenario({BASIC!r})\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\nTrue\n"
 
 
 def test_run_missing_file_exit_one(capsys):

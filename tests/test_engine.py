@@ -31,6 +31,7 @@ from nocsim.trace import (
     REQ_ISSUED,
     RESP_EMITTED,
     TRACE_LEVELS,
+    Trace,
     TraceEvent,
     check_invariants,
     compare_projections,
@@ -339,6 +340,26 @@ def test_trace_csv_header_and_shape():
     assert lines[0] == "cycle,site,kind,master,order_key,tag,op,address"
     issue = [l for l in lines if ",REQ_ISSUED," in l]
     assert issue and issue[0].split(",")[1] == "niu0"
+
+
+def test_trace_export_streams_in_bounded_chunks():
+    trace = run(atomic_loop_scenario("exclusive", n_masters=4, iterations=200)).trace
+    csv = trace.to_csv()
+    assert len(csv) > 1_500_000  # 1.63 MB in 33,424 events
+    tracemalloc.start()
+    try:
+        for _ in trace.csv_chunks():
+            pass
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        again = trace.to_csv()
+        joined = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == csv
+    assert streamed < 1_000_000
+    assert joined < 2.5 * len(csv)
+    assert Trace().to_csv() == "cycle,site,kind,master,order_key,tag,op,address\n"
 
 
 def test_trace_cycles_non_decreasing():

@@ -23,6 +23,7 @@ from nocsim.scenario import (
     random_scenario,
     scenario_from_dict,
 )
+from nocsim.trace import check_invariants
 from nocsim.transaction import Opcode, SocketOrderKey
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -440,6 +441,19 @@ def test_generator_counts_at_their_bounds_build():
     assert len(random_scenario(1, n_masters=64).masters) == 64
     assert len(random_scenario(1, n_switches=1).topology.switches) == 1
     assert len(atomic_loop_scenario("lock", n_masters=100).masters) == 100
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+@pytest.mark.parametrize("total", [0, 1, 5, 7, 100, 1001])
+def test_random_total_splits_evenly_and_drops_the_remainder(seed, total):
+    scenario = random_scenario(seed, total_transactions=total)
+    masters = scenario.masters
+    assert sum(spec.program.transactions for spec in masters) == (
+        total // len(masters) * len(masters))
+    if total < len(masters):  # no master has a transaction
+        result = run(scenario)
+        assert result.stats.cycles == 0 and not result.timed_out
+        assert check_invariants(result.trace, scenario, result.stats) == []
 
 
 def test_buffer_depth_below_packet_size_diagnosed():
