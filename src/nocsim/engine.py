@@ -132,7 +132,7 @@ def scripted_steps_for(spec: MasterSpec, seed: int):
         return kept[1]
     niu = spec.niu
     steps = generate_random_steps(
-        niu.niu_id, niu.family, derive_rng(seed, niu.niu_id), program.transactions,
+        niu.family, derive_rng(seed, niu.niu_id), program.transactions,
         program.op_mix, program.address_ranges, program.burst_lens, program.beat_sizes,
         program.threads, program.txn_ids, program.max_bytes,
     )
@@ -152,7 +152,6 @@ class _MasterSlot:
     """
 
     mid: int
-    site: str  # the trace site of the master's NIU
     master: Master
     niu: InitiatorNiu
     stats: MasterStats
@@ -203,8 +202,7 @@ class Engine:
 
         self.initiators: dict[int, InitiatorNiu] = {}
         self.targets: dict[int, TargetNiu] = {}
-        self.masters: dict[int, Master] = {}
-        self.master_stats: dict[int, MasterStats] = {}
+        self.slots: list[_MasterSlot] = []  # in master id order
         self._build_nius()
         self._build_channels()
         self._build_masters()
@@ -260,20 +258,21 @@ class Engine:
 
     def _build_masters(self) -> None:
         seed = self.scenario.run.seed
-        for spec in self.scenario.masters:
-            mid = spec.master_id
+        for spec in sorted(self.scenario.masters, key=lambda m: m.master_id):
             program = spec.program
             if isinstance(program, ExclusiveLoopProgram):
-                master: Master = ExclusiveLoopMaster(
-                    mid, program.counter_address, program.iterations
-                )
+                master: Master = ExclusiveLoopMaster(program.counter_address, program.iterations)
             elif isinstance(program, LockLoopProgram):
-                master = LockLoopMaster(mid, program.counter_address, program.iterations)
+                master = LockLoopMaster(program.counter_address, program.iterations)
             else:
                 master = ScriptedMaster(scripted_steps_for(spec, seed))
-            self.masters[mid] = master
-            self.master_stats[mid] = MasterStats()
-        self._master_order = sorted(self.masters)
+            mid = spec.master_id
+            self.slots.append(_MasterSlot(mid, master, self.initiators[mid], MasterStats()))
+
+    @property
+    def masters(self) -> dict[int, Master]:
+        """Each master by id: a view of the slots, whose instances callers may wrap."""
+        return {slot.mid: slot.master for slot in self.slots}
 
     # -- run loop -----------------------------------------------------------------
 
@@ -287,13 +286,7 @@ class Engine:
         # read here, so a wrapper installed on the recorder before run() is called
         packet_marker = rec.packet_marker
         record_packets = rec.record_packets
-        slots = [
-            _MasterSlot(
-                mid, f"niu{mid}", self.masters[mid], self.initiators[mid],
-                self.master_stats[mid],
-            )
-            for mid in self._master_order
-        ]
+        slots = self.slots
         switches = list(self.switches.values())
         targets = [self.targets[tid] for tid in sorted(self.targets)]
         # masters whose program or NIU still has work; shrinks only in
@@ -320,7 +313,7 @@ class Engine:
                     if not slot.stall_traced:
                         slot.stall_traced = True
                         rec.event(
-                            cycle, slot.site, STALL,
+                            cycle, niu.site, STALL,
                             master=mid, key=request.order_key.stream,
                             op=request.opcode.label, address=request.address,
                         )
@@ -332,7 +325,7 @@ class Engine:
                     slot.awaited = entry.seq
                 slot.stats.issued += 1
                 rec.event(
-                    cycle, slot.site, REQ_ISSUED,
+                    cycle, niu.site, REQ_ISSUED,
                     master=mid, key=entry.request.order_key.stream, tag=entry.tag,
                     op=request.opcode.label, address=request.address,
                 )
@@ -345,7 +338,7 @@ class Engine:
                 if (niu.flits is not None or niu.inject_queue) and niu.tx.can_send(cycle):
                     packet = niu.step_inject(cycle)
                     if packet is not None and record_packets:
-                        packet_marker(cycle, slot.site, PKT_INJECTED, packet)
+                        packet_marker(cycle, niu.site, PKT_INJECTED, packet)
 
             # phase 3: switch planes move flits
             for sw in switches:
@@ -370,7 +363,7 @@ class Engine:
                     if visible:
                         ms.latencies.append(cycle - entry.issue_cycle)
                         rec.event(
-                            cycle, slot.site, RESP_EMITTED,
+                            cycle, niu.site, RESP_EMITTED,
                             master=mid, key=entry.request.order_key.stream, tag=entry.tag,
                             op=response.status.label, address=entry.request.address,
                         )
@@ -410,7 +403,7 @@ class Engine:
             mode=self.mode.name.lower(),
             seed=self.scenario.run.seed,
             timed_out=timed_out,
-            masters=self.master_stats,
+            masters={slot.mid: slot.stats for slot in self.slots},
         )
         for name, ch in sorted(self.channels.items()):
             stats.channels[name] = {

@@ -381,7 +381,9 @@ class PacketPort:
     No other NIU code touches flits (tests/test_layering.py).
     """
 
-    def __init__(self):
+    def __init__(self, niu_id: int):
+        self.niu_id = niu_id
+        self.site = f"niu{niu_id}"  # the NIU's name in the trace
         self.inject_queue: list[Packet] = []  # oldest first
         self.flits: Optional[list[Flit]] = None  # of the packet being sent; None between
         self.next_flit = 0  # index into flits of the next to send
@@ -422,7 +424,6 @@ class InitiatorConfig:
     niu_id: int
     family: SocketFamily
     tag_policy: TagPolicy
-    capacity: int = MAX_TAGS
     max_payload: int = 32
     endianness: Endianness = Endianness.LITTLE
     priority: int = 0
@@ -438,8 +439,6 @@ class InitiatorConfig:
             raise ScenarioError(
                 f"{who} pooled tag policy has {policy.capacity} tags, not 1..{MAX_TAGS}"
             )
-        if not 1 <= self.capacity <= MAX_TAGS:
-            raise ScenarioError(f"{who} capacity {self.capacity} is not in 1..{MAX_TAGS}")
         if self.max_payload < 1:
             raise ScenarioError(f"{who} max payload {self.max_payload} is not positive")
         if not 0 <= self.priority <= 7:
@@ -450,11 +449,10 @@ class InitiatorNiu(PacketPort):
     """Socket-side adapter for one master; requests out, responses in."""
 
     def __init__(self, config: InitiatorConfig, address_map: AddressMap):
-        super().__init__()
+        super().__init__(config.niu_id)
         self.config = config
-        self.niu_id = config.niu_id
         self.address_map = address_map
-        self.pending = PendingTable(min(config.capacity, config.tag_policy.max_outstanding()))
+        self.pending = PendingTable(config.tag_policy.max_outstanding())
         self.gate = ReleaseGate()
         self.next_seq = 0
         self.emit_buffer: list[tuple[PendingEntry, TransactionResponse]] = []
@@ -521,7 +519,7 @@ class InitiatorNiu(PacketPort):
         if needs_response(req.opcode):
             self.gate.register(entry.seq, req.order_key)
             data = bytes(req.byte_length) if req.opcode.is_load else b""
-            response = TransactionResponse(req.master_id, req.order_key, status, data)
+            response = TransactionResponse(status, data)
             released = self.gate.complete(entry.seq, req.order_key, (entry, response))
             if released:
                 self.emit_buffer.extend(payload for _, payload in released)
@@ -561,8 +559,7 @@ class InitiatorNiu(PacketPort):
             data = endianness_convert(
                 raw, req.beat_size, FABRIC_ENDIANNESS, self.config.endianness
             )
-        response = TransactionResponse(req.master_id, req.order_key, status, data)
-        return entry, response
+        return entry, TransactionResponse(status, data)
 
     def step_egress(self, cycle: int) -> list[tuple[PendingEntry, TransactionResponse, bool]]:
         """Drain response packets; return (entry, response, socket_visible) emissions."""
@@ -636,10 +633,8 @@ class TargetNiu(PacketPort):
     """
 
     def __init__(self, config: TargetConfig, trace: Trace):
-        super().__init__()
+        super().__init__(config.niu_id)
         self.config = config
-        self.niu_id = config.niu_id
-        self.site = f"niu{config.niu_id}"
         self.trace = trace
         try:
             self.memory = bytearray(config.memory_size)

@@ -14,6 +14,7 @@ import math
 import random
 from copy import copy
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -403,13 +404,6 @@ def _enum(what: str, enum):
     return _choice(what, {member.name.lower(): member for member in enum})
 
 
-def _opcode(name, *_) -> Opcode:
-    try:
-        return Opcode[name.upper()]
-    except KeyError:
-        raise ScenarioError(f"unknown opcode {name!r}") from None
-
-
 def _tag_policy(spec, key: str, label: str) -> TagPolicy:
     if spec == "single":
         return TagPolicy(TagPolicyKind.SINGLE_OUTSTANDING)
@@ -471,6 +465,7 @@ def _link(table: dict, doc, where: str) -> dict:
     return {**fields, "params": params}
 
 
+_OPCODE = _enum("opcode", Opcode)
 _SCENARIO = dict.fromkeys(("run", "topology", "nius", "workload"))
 _RUN = {
     "mode": ("mode", _enum("transport mode", TransportMode)),
@@ -500,7 +495,7 @@ _ROLES = {
     "initiator": (InitiatorConfig, {
         **_NIU, "family": ("family", _enum("socket family", SocketFamily), "fully_ordered"),
         "tag_policy": ("tag_policy", _tag_policy, "single"),
-        "capacity": ("capacity", _integer), "max_payload": ("max_payload", _integer),
+        "max_payload": ("max_payload", _integer),
         "endianness": ("endianness", _enum("endianness", Endianness)),
         "priority": ("priority", _integer),
     }),
@@ -514,7 +509,7 @@ _PROGRAMS = {
     "random": (RandomProgram, {
         "kind": None, "transactions": ("transactions", _integer),
         "op_mix": ("op_mix", lambda mix, key, label: {
-            _opcode(op): float(weight) for op, weight in mix.items()
+            _OPCODE(op, key, label): float(weight) for op, weight in mix.items()
         }),
         "address_ranges": ("address_ranges", _list(_pair("base", "size"))),
         "burst_lens": ("burst_lens", _list(_integer)),
@@ -527,7 +522,7 @@ _PROGRAMS = {
     "script": (ScriptProgram, {"kind": None, "steps": ("steps", _steps)}),
 }
 _STEP = {
-    "op": ("opcode", _opcode), "addr": ("address", _integer),
+    "op": ("opcode", _OPCODE), "addr": ("address", _integer),
     "data": ("data", lambda text, key, label: bytes.fromhex(text)),
     "beats": ("burst_len", _integer, 1), "beat_size": ("beat_size", _integer, 4),
     "thread": ("thread_id", _integer), "tid": ("txn_id", _integer),
@@ -536,14 +531,14 @@ _STEP = {
 }
 
 
-def _script_step(fields: dict, family: SocketFamily, master_id: int):
+def _script_step(fields: dict, family: SocketFamily):
     """A script step's (request, wait) from the fields its mapping gives."""
     opcode, wait = fields["opcode"], fields.pop("wait", False)
     key = {f: fields.pop(f) for f in ("thread_id", "txn_id", "channel") if f in fields}
     if family is SocketFamily.ID_BASED:
         key.setdefault("channel", Channel.READ if opcode.is_load else Channel.WRITE)
     order_key = SocketOrderKey(FAMILY_VARIANT[family], **key)
-    return TransactionRequest(master_id, order_key=order_key, **fields), wait
+    return TransactionRequest(order_key=order_key, **fields), wait
 
 
 def _program(doc: dict, family: SocketFamily, master_id: int) -> Program:
@@ -554,7 +549,7 @@ def _program(doc: dict, family: SocketFamily, master_id: int) -> Program:
     where = f"master {master_id}"
     fields = _read(table, doc, f"{kind} program of {where}", "{} of " + where)
     if cls is ScriptProgram:
-        fields["steps"] = [_script_step(f, family, master_id) for f in fields["steps"]]
+        fields["steps"] = [_script_step(f, family) for f in fields["steps"]]
     return cls(**fields)
 
 
@@ -602,12 +597,53 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(run, Topology(switches, links, attachments, **routing), targets, masters)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    import yaml  # here, not at the top: only reading a file needs PyYAML
+# how deep a scenario file's values may nest: PyYAML composes a node by
+# recursion, three frames a level, and would fail at Python's limit
+MAX_NESTING = 32
 
-    text = Path(path).read_text(encoding="utf-8")
+
+@cache
+def _yaml():
+    """PyYAML, imported here as only reading a file needs it, and a safe
+    loader that refuses values nested deeper than ``MAX_NESTING`` and a key
+    repeated within one mapping as written."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        depth = 0  # of the node being composed
+
+        def compose_node(self, parent, index):
+            if self.depth == MAX_NESTING:
+                raise yaml.composer.ComposerError(
+                    None, None, f"values nest deeper than {MAX_NESTING} levels",
+                    self.peek_event().start_mark,
+                )
+            self.depth += 1
+            node = super().compose_node(parent, index)
+            self.depth -= 1
+            # a mapping's keys as written: merge keys are flattened in when it
+            # is constructed. A key that is not a scalar is left to PyYAML.
+            keys = set()
+            for key_node, _ in node.value if node.id == "mapping" else ():
+                if key_node.id == "scalar" and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark
+                        )
+                    keys.add(key)
+            return node
+
+    return yaml, Loader
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    yaml, loader = _yaml()
     try:
-        doc = yaml.safe_load(text)
+        with open(path, encoding="utf-8") as stream:  # marks in messages name the file
+            doc = yaml.load(stream, loader)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ScenarioError(f"malformed scenario {path}: {exc}") from exc
     if not isinstance(doc, dict):

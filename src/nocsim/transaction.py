@@ -127,9 +127,9 @@ class TransactionRequest(NamedTuple):
 
     data is the full store payload in socket byte order; loads carry an
     empty payload and describe their size via burst_len and beat_size.
+    The NIU it is offered to supplies the source.
     """
 
-    master_id: int
     opcode: Opcode
     address: int
     burst_len: int
@@ -144,10 +144,8 @@ class TransactionRequest(NamedTuple):
 
 @dataclass(slots=True)
 class TransactionResponse:
-    """What the socket eventually sees for a response-bearing request."""
+    """What the socket sees for a response-bearing request; the NIU supplies the source."""
 
-    master_id: int
-    order_key: SocketOrderKey
     status: Status
     data: bytes = b""
 

@@ -60,7 +60,6 @@ class ScriptedMaster:
 
 
 def generate_random_steps(
-    master_id: int,
     family: SocketFamily,
     rng: random.Random,
     transactions: int,
@@ -140,7 +139,7 @@ def generate_random_steps(
                 key = keys[i] = SocketOrderKey.thread(i) if threaded else SocketOrderKey.txn(
                     i, Channel.READ if opcode is load else Channel.WRITE)
         data = getrandbits(8 * nbytes).to_bytes(nbytes, "little") if opcode.is_store else b""
-        request = new(TransactionRequest, (master_id, opcode, address, burst, beat, key, data))
+        request = new(TransactionRequest, (opcode, address, burst, beat, key, data))
         steps.append((request, False))
     return steps
 
@@ -158,8 +157,7 @@ class _AtomicLoopMaster:
     store_op: Opcode
     store_ok: Optional[Status]
 
-    def __init__(self, master_id: int, counter_address: int, iterations: int):
-        self.master_id = master_id
+    def __init__(self, counter_address: int, iterations: int):
         self.counter_address = counter_address
         self.iterations = iterations
         self.completed_iterations = 0
@@ -169,8 +167,8 @@ class _AtomicLoopMaster:
         data = b""
         if value is not None:
             data = value.to_bytes(COUNTER_BYTES, "little")
-        return TransactionRequest(self.master_id, opcode, self.counter_address, 1,
-                                  COUNTER_BYTES, SocketOrderKey.single(), data)
+        return TransactionRequest(opcode, self.counter_address, 1, COUNTER_BYTES,
+                                  SocketOrderKey.single(), data)
 
     def offer(self) -> Optional[tuple[TransactionRequest, bool]]:
         """The load, or the store once the load's value is back; None when done."""

@@ -45,10 +45,11 @@ def req(
     key: SocketOrderKey | None = None,
     data: bytes | None = None,
 ) -> TransactionRequest:
+    """A request as ``master`` would offer it; the request itself names no
+    master, so the argument only labels the call."""
     if data is None and opcode.is_store:
         data = bytes((i + 1) & 0xFF for i in range(beats * beat_size))
     return TransactionRequest(
-        master_id=master,
         opcode=opcode,
         address=address,
         burst_len=beats,

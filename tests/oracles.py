@@ -280,7 +280,7 @@ def lock_window_reference(events) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def reference_random_steps(
-    master_id, family, rng, transactions, op_mix, address_ranges, burst_lens,
+    family, rng, transactions, op_mix, address_ranges, burst_lens,
     beat_sizes, threads=2, txn_ids=4, max_bytes=64,
 ):
     """A random program's steps, drawn through the ``random.Random`` wrappers.
@@ -289,7 +289,7 @@ def reference_random_steps(
     ``random()`` and ``getrandbits()`` directly: ``choices`` for the opcode,
     ``choice`` for beat, burst and range, ``randrange`` for slot and stream,
     ``randbytes`` for store data. ``family`` is the socket family's name.
-    Returns one (master, opcode name, address, burst, beat, stream, data,
+    Returns one (opcode name, address, burst, beat, stream, data,
     wait) tuple per step; stream is ("single",), ("thread", t) or
     ("txn", i, "READ" | "WRITE").
     """
@@ -316,5 +316,5 @@ def reference_random_steps(
             stream = ("single",)
         is_store = opcode.name in ("STORE", "STORE_POSTED")
         data = randbytes(nbytes) if is_store else b""
-        steps.append((master_id, opcode.name, address, burst, beat, stream, data, False))
+        steps.append((opcode.name, address, burst, beat, stream, data, False))
     return steps

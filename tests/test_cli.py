@@ -11,7 +11,7 @@ import yaml
 from nocsim import cli
 from nocsim.cli import main
 from nocsim.engine import run
-from nocsim.scenario import load_scenario
+from nocsim.scenario import load_scenario, scenario_from_dict
 from nocsim.errors import CreditError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -231,6 +231,43 @@ def test_run_unknown_key_exit_one_names_it(tmp_path, capsys):
     assert main(["run", _edited(tmp_path, "burst_lens:", "burst_len:")]) == 1
     err = capsys.readouterr().err
     assert "unknown key 'burst_len'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a second run mapping used to replace the first whole, and seed 3 ran
+    ("      threads: 4\n", "      threads: 4\nrun: {seed: 3}\n",
+     "repeated key 'run'\n  in \"{}\", line 41, column 1"),
+    ("op_mix: {load: 0.5, store: 0.5}", "op_mix: {load: 0.5, store: 0.5, load: 0.2}",
+     "repeated key 'load'\n  in \"{}\", line 38, column 39"),
+], ids=["top_level", "op_mix"])
+def test_run_repeated_key_exit_one_names_it_and_its_line(old, new, message, tmp_path, capsys):
+    edited = _edited(tmp_path, old, new)
+    assert main(["run", edited]) == 1
+    err = capsys.readouterr().err
+    assert message.format(edited) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_committed_files_read_as_plain_pyyaml_reads_them(path):
+    assert load_scenario(path) == scenario_from_dict(yaml.safe_load(path.read_text()))
+
+
+def test_run_non_utf8_file_exit_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(Path(BASIC).read_bytes().replace(b"Two masters", b"Two m\xffsters"))
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"scenario file {bad} is not UTF-8" in err and "0xff" in err
+    assert "Traceback" not in err
+
+
+def test_run_deeply_nested_value_exit_one(tmp_path, capsys):
+    # 2,000 levels used to exhaust PyYAML's recursive composer
+    deep = _edited(tmp_path, "seed: 7", "seed: " + "[" * 2000 + "]" * 2000)
+    assert main(["run", deep]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed scenario {deep}: values nest deeper than 32 levels" in err
+    assert "line 5, column 39" in err and "Traceback" not in err
 
 
 def test_compare_links_non_integer_exit_one_names_flag(capsys):

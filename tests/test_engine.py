@@ -206,10 +206,10 @@ def _script_master_mid_program():
 
 
 def _loop_master_mid_iteration(master_cls):
-    master = master_cls(0, 0x40, 2)
+    master = master_cls(0x40, 2)
     load, _ = master.offer()
     master.deliver(PendingEntry(0, load, 0, 100, 0, 1), TransactionResponse(
-        0, SocketOrderKey.single(), Status.OKAY, (7).to_bytes(4, "little")))
+        Status.OKAY, (7).to_bytes(4, "little")))
     return master
 
 

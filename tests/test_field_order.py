@@ -77,7 +77,7 @@ def _initiator():
 
 def _request(opcode, offset, beats, data=b""):
     return TransactionRequest(
-        master_id=INITIATOR, opcode=opcode, address=REGION_BASE + offset, burst_len=beats,
+        opcode=opcode, address=REGION_BASE + offset, burst_len=beats,
         beat_size=4, order_key=SocketOrderKey.thread(THREAD), data=data,
     )
 
@@ -265,12 +265,12 @@ def test_expanded_requests_equal_keyword_built(family):
         address_ranges=[(0x40, 256), (0x1000, 96)], burst_lens=[1, 2, 4], beat_sizes=[1, 2, 8],
         threads=3, txn_ids=5,
     )
-    built = generate_random_steps(INITIATOR, family, random.Random(5), **program)
-    drawn = reference_random_steps(INITIATOR, family.name, random.Random(5), **program)
+    built = generate_random_steps(family, random.Random(5), **program)
+    drawn = reference_random_steps(family.name, random.Random(5), **program)
     assert len(built) == len(drawn) == 200
-    for (request, wait), (master, op, address, burst, beat, stream, data, _) in zip(built, drawn):
+    for (request, wait), (op, address, burst, beat, stream, data, _) in zip(built, drawn):
         expected = TransactionRequest(
-            master_id=master, opcode=Opcode[op], address=address, burst_len=burst,
+            opcode=Opcode[op], address=address, burst_len=burst,
             beat_size=beat, order_key=_order_key(stream), data=data,
         )
         _assert_same(request, expected)
@@ -281,15 +281,15 @@ def test_expanded_requests_equal_keyword_built(family):
 
 @pytest.mark.parametrize("master_cls", [ExclusiveLoopMaster, LockLoopMaster])
 def test_loop_requests_equal_keyword_built(master_cls):
-    master = master_cls(INITIATOR, 0x40, 1)
+    master = master_cls(0x40, 1)
     load, _ = master.offer()
     master.accepted()
     master.deliver(PendingEntry(0, load, 0, TARGET, 0, 1), TransactionResponse(
-        INITIATOR, SocketOrderKey.single(), Status.OKAY, (41).to_bytes(4, "little")))
+        Status.OKAY, (41).to_bytes(4, "little")))
     store, _ = master.offer()
     for built, opcode, data in ((load, master.load_op, b""),
                                 (store, master.store_op, (42).to_bytes(4, "little"))):
         _assert_same(built, TransactionRequest(
-            master_id=INITIATOR, opcode=opcode, address=0x40, burst_len=1, beat_size=4,
+            opcode=opcode, address=0x40, burst_len=1, beat_size=4,
             order_key=SocketOrderKey.single(), data=data,
         ))

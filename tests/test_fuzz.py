@@ -41,7 +41,7 @@ scalars = st.one_of(
 )
 # keys the format defines but the examples leave out
 OPTIONAL_KEYS = st.sampled_from([
-    "memory", "monitor_granule", "capacity", "max_payload", "endianness",
+    "memory", "monitor_granule", "max_payload", "endianness",
     "priority", "link", "burst_lens", "beat_sizes", "threads", "txn_ids",
     "max_bytes", "beats", "beat_size", "channel", "tid", "thread", "data",
     "wait", "buffer_depth", "latency", "rate_ratio", "width",

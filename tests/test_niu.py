@@ -290,7 +290,7 @@ def _initiator(policy=None, max_payload=16, family=SocketFamily.FULLY_ORDERED,
 
 def _load(addr=0x100, beats=4, beat=4, **kw):
     return TransactionRequest(
-        master_id=0, opcode=Opcode.LOAD, address=addr, burst_len=beats,
+        opcode=Opcode.LOAD, address=addr, burst_len=beats,
         beat_size=beat, order_key=SocketOrderKey.single(), **kw,
     )
 
@@ -310,7 +310,7 @@ def test_ingress_store_chops_share_tag():
     niu = _initiator(max_payload=16)
     data = bytes(range(32))
     request = TransactionRequest(
-        master_id=0, opcode=Opcode.STORE, address=0x1000, burst_len=8,
+        opcode=Opcode.STORE, address=0x1000, burst_len=8,
         beat_size=4, order_key=SocketOrderKey.single(), data=data,
     )
     entry = niu.try_accept(request, cycle=0)
@@ -327,7 +327,7 @@ def test_ingress_store_chops_share_tag():
 def test_ingress_load_exclusive_sets_user_bit():
     niu = _initiator()
     request = TransactionRequest(
-        master_id=0, opcode=Opcode.LOAD_EXCLUSIVE, address=0x108, burst_len=1,
+        opcode=Opcode.LOAD_EXCLUSIVE, address=0x108, burst_len=1,
         beat_size=4, order_key=SocketOrderKey.single(),
     )
     niu.try_accept(request, cycle=0)
@@ -453,7 +453,7 @@ def test_egress_partial_fragments_incomplete():
     niu = _initiator(max_payload=16)
     data = bytes(range(32))
     request = TransactionRequest(
-        master_id=0, opcode=Opcode.STORE, address=0x000, burst_len=8,
+        opcode=Opcode.STORE, address=0x000, burst_len=8,
         beat_size=4, order_key=SocketOrderKey.single(), data=data,
     )
     entry = niu.try_accept(request, cycle=0)
@@ -499,7 +499,7 @@ def test_ingress_packets_follow_chop_spans(beats):
     niu = _initiator(max_payload=16)
     data = bytes(range(beats * 4))
     request = TransactionRequest(
-        master_id=0, opcode=Opcode.STORE, address=0x100, burst_len=beats,
+        opcode=Opcode.STORE, address=0x100, burst_len=beats,
         beat_size=4, order_key=SocketOrderKey.single(), data=data,
     )
     entry = niu.try_accept(request, cycle=0)
@@ -516,7 +516,7 @@ def test_inject_sends_the_serialized_flits_in_order():
     niu.tx = ChannelStream("req", LinkParams(4), 64)
     data = bytes(range(32))
     niu.try_accept(TransactionRequest(
-        master_id=0, opcode=Opcode.STORE, address=0x100, burst_len=8, beat_size=4,
+        opcode=Opcode.STORE, address=0x100, burst_len=8, beat_size=4,
         order_key=SocketOrderKey.single(), data=data,
     ), cycle=0)
     first, second = niu.inject_queue

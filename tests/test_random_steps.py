@@ -44,7 +44,7 @@ def _fields(steps) -> list[tuple]:
             stream = ("thread", key.thread_id)
         else:
             stream = ("txn", key.txn_id, key.channel.name)
-        out.append((request.master_id, request.opcode.name, request.address,
+        out.append((request.opcode.name, request.address,
                      request.burst_len, request.beat_size, stream, request.data, wait))
     return out
 
@@ -59,8 +59,8 @@ def _validate(program: RandomProgram, family: SocketFamily) -> None:
 
 def _assert_same(family: SocketFamily, seed: int, **spec) -> None:
     ours, theirs = random.Random(seed), random.Random(seed)
-    got = generate_random_steps(master_id=3, family=family, rng=ours, **spec)
-    want = reference_random_steps(master_id=3, family=family.name, rng=theirs, **spec)
+    got = generate_random_steps(family=family, rng=ours, **spec)
+    want = reference_random_steps(family=family.name, rng=theirs, **spec)
     assert _fields(got) == want
     assert ours.getstate() == theirs.getstate()
 
@@ -74,7 +74,7 @@ def test_corpus_steps_equal_reference(seed):
         for spec in programs:
             p = spec.program
             want = reference_random_steps(
-                spec.master_id, spec.niu.family.name, derive_rng(run_seed, spec.master_id),
+                spec.niu.family.name, derive_rng(run_seed, spec.master_id),
                 p.transactions, p.op_mix, p.address_ranges, p.burst_lens, p.beat_sizes,
                 p.threads, p.txn_ids, p.max_bytes,
             )
@@ -277,11 +277,11 @@ def test_seed_sweep_keeps_one_expansion_per_spec():
 def test_compare_links_expands_each_program_once(monkeypatch, capsys):
     calls = []
 
-    def counting(master_id, *args):
+    def counting(seed, master_id):
         calls.append(master_id)
-        return generate_random_steps(master_id, *args)
+        return derive_rng(seed, master_id)
 
-    monkeypatch.setattr(nocsim.engine, "generate_random_steps", counting)
+    monkeypatch.setattr(nocsim.engine, "derive_rng", counting)
     rc = main(["compare-links", BASIC, "--widths", "4,8", "--latencies", "1,2",
                "--ratios", "1"])
     assert rc == 0 and "4 link configurations agree" in capsys.readouterr().out

@@ -224,7 +224,9 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
 # Each of these used to load, then fail in Engine(...) or mid-run; the
 # negative stream ids ran with negative packet tags, and memory past a
 # region was allocated but could never be addressed. The NIU settings from
-# capacity on are refused here only: the NIU constructors no longer check.
+# max_payload on are refused here only: the NIU constructors no longer check.
+# The capacity key is gone (the pending table is the tag policy's size), so
+# its two rows are refused as unknown keys; they stay so later ids keep theirs.
 @pytest.mark.parametrize("initiator, program, target, message", [
     ({"family": "threaded"}, _LOOP, {},
      "master 0 loop program needs a fully_ordered NIU, got threaded"),
@@ -265,8 +267,8 @@ def _paired(initiator: dict, program: dict, target: dict) -> dict:
      "master 0 script step 1: stream id must not be negative (thread 0, tid -2)"),
     ({}, {}, {"memory": 4097},
      "target NIU 100 memory size 4097 exceeds its region size 4096"),
-    ({"capacity": 0}, {}, {}, "initiator NIU 0 capacity 0 is not in 1..16"),
-    ({"capacity": 17}, {}, {}, "initiator NIU 0 capacity 17 is not in 1..16"),
+    ({"capacity": 0}, {}, {}, "unknown key 'capacity' in NIU 0"),
+    ({"capacity": 17}, {}, {}, "unknown key 'capacity' in NIU 0"),
     ({"max_payload": 0}, {}, {}, "initiator NIU 0 max payload 0 is not positive"),
     ({"priority": 8}, {}, {}, "initiator NIU 0 priority 8 is not in 0..7"),
     ({"priority": -1}, {}, {}, "initiator NIU 0 priority -1 is not in 0..7"),

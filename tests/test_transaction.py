@@ -52,7 +52,6 @@ def test_status_labels_are_pinned():
 
 def _req(**kw):
     base = dict(
-        master_id=0,
         opcode=Opcode.LOAD,
         address=0x100,
         burst_len=4,
@@ -167,7 +166,7 @@ def test_constructors_share_one_key_per_stream():
 @pytest.mark.parametrize("family", list(SocketFamily))
 def test_random_steps_share_one_key_per_stream(family):
     steps = generate_random_steps(
-        master_id=0, family=family, rng=random.Random(7), transactions=200,
+        family=family, rng=random.Random(7), transactions=200,
         op_mix={Opcode.LOAD: 1.0, Opcode.STORE: 1.0, Opcode.STORE_POSTED: 1.0},
         address_ranges=[(0, 4096)], burst_lens=[1, 2, 4], beat_sizes=[4],
         threads=3, txn_ids=4,
